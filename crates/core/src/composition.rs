@@ -6,12 +6,25 @@
 //! `(M_1(D), …, M_K(D))` with per-release budgets `ε_k` guarantees
 //! `K · max_k ε_k`-Pufferfish privacy (and `Σ_k ε_k` when the ε are equal,
 //! which is the common case).
+//!
+//! The guarantee depends only on the *multiset* of per-release budgets, so
+//! that is all the accountant stores: each distinct ε with its count. Every
+//! operation costs O(distinct ε), whatever the length of the history, and
+//! the composed guarantee is the same f64 bits in any order of records and
+//! unrecords.
+
+use std::iter;
+
+/// Budgets count as equal when `max − min < EQUAL_TOLERANCE · max(min, 1)`.
+const EQUAL_TOLERANCE: f64 = 1e-12;
 
 /// An accountant tracking a sequence of Markov Quilt Mechanism releases on
 /// the same database with a shared quilt-set configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CompositionAccountant {
-    epsilons: Vec<f64>,
+    /// `(ε bits, count)` per distinct recorded ε, ascending. Only positive
+    /// finite ε are recorded, and their bit patterns order like their values.
+    entries: Vec<(u64, u64)>,
 }
 
 impl CompositionAccountant {
@@ -25,8 +38,17 @@ impl CompositionAccountant {
     /// Non-positive or non-finite values are ignored (they correspond to
     /// releases that never happened).
     pub fn record(&mut self, epsilon: f64) {
-        if epsilon.is_finite() && epsilon > 0.0 {
-            self.epsilons.push(epsilon);
+        if !epsilon.is_finite() || epsilon <= 0.0 {
+            return;
+        }
+        match self.find(epsilon) {
+            Ok(at) => self.entries[at].1 += 1,
+            Err(at) => {
+                // One entry at a time: nearly every accountant holds a single
+                // distinct ε, and default growth would allocate room for four.
+                self.entries.reserve_exact(1);
+                self.entries.insert(at, (epsilon.to_bits(), 1));
+            }
         }
     }
 
@@ -37,64 +59,66 @@ impl CompositionAccountant {
     /// at admission time and must undo it when the request is subsequently
     /// refused (e.g. by a full queue) before any release happened. It is
     /// sound precisely because the Theorem 4.4 guarantee depends only on the
-    /// *multiset* of per-release budgets, never on their order.
+    /// *multiset* of per-release budgets, never on their order: removing one
+    /// of several equal releases leaves the same multiset whichever it was.
     pub fn unrecord(&mut self, epsilon: f64) -> bool {
-        match self
-            .epsilons
-            .iter()
-            .rposition(|&e| e.to_bits() == epsilon.to_bits())
-        {
-            Some(position) => {
-                self.epsilons.remove(position);
-                true
-            }
-            None => false,
+        let Ok(at) = self.find(epsilon) else {
+            return false;
+        };
+        self.entries[at].1 -= 1;
+        if self.entries[at].1 == 0 {
+            self.entries.remove(at);
         }
+        true
+    }
+
+    /// Where `epsilon`'s entry is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, epsilon: f64) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&epsilon.to_bits(), |&(bits, _)| bits)
     }
 
     /// Number of recorded releases `K`.
     pub fn releases(&self) -> usize {
-        self.epsilons.len()
+        self.entries.iter().map(|&(_, count)| count as usize).sum()
     }
 
     /// The guarantee of Theorem 4.4 when all releases use the same epsilon:
-    /// `Σ_k ε_k`. This is the bound to quote when the per-release budgets are
+    /// `Σ_k ε_k`, summed as `count · ε` per distinct ε in ascending order.
+    /// This is the bound to quote when the per-release budgets are
     /// identical.
     pub fn total_epsilon(&self) -> f64 {
-        self.epsilons.iter().sum()
+        sum(self.entries.iter().copied())
     }
 
     /// The guarantee for heterogeneous budgets:
     /// `K · max_k ε_k` (the remark following Theorem 4.4).
     pub fn worst_case_epsilon(&self) -> f64 {
-        let max = self.epsilons.iter().fold(0.0f64, |acc, &e| acc.max(e));
+        let max = self
+            .entries
+            .last()
+            .map_or(0.0, |&(bits, _)| f64::from_bits(bits));
         max * self.releases() as f64
     }
 
     /// The tightest guarantee supported by the theorem for the recorded
-    /// sequence: the sum when all budgets are (numerically) equal, otherwise
+    /// releases: the sum when all budgets are (numerically) equal, otherwise
     /// `K · max_k ε_k`.
+    ///
+    /// Budgets count as equal when `max − min < 1e-12 · max(min, 1)`. The
+    /// test is referenced to the smallest recorded ε, since a multiset has
+    /// no first or last release; any other reference could change the
+    /// decision only for budgets within 1e-12 (relative) of each other.
     pub fn guaranteed_epsilon(&self) -> f64 {
-        if self.epsilons.is_empty() {
-            return 0.0;
-        }
-        let first = self.epsilons[0];
-        let all_equal = self
-            .epsilons
-            .iter()
-            .all(|&e| (e - first).abs() < 1e-12 * first.max(1.0));
-        if all_equal {
-            self.total_epsilon()
-        } else {
-            self.worst_case_epsilon()
-        }
+        compose(self.entries.iter().copied())
     }
 
-    /// The guarantee the sequence *would* carry with one more release of
-    /// `epsilon` appended — identical to cloning the accountant, recording,
-    /// and asking [`CompositionAccountant::guaranteed_epsilon`], but without
-    /// any allocation. This is the admission-control primitive: budget
-    /// ledgers call it under a lock on every request, so it must stay cheap.
+    /// The guarantee the accountant *would* report with one more release of
+    /// `epsilon` recorded: bitwise equal to [`CompositionAccountant::record`]
+    /// followed by [`CompositionAccountant::guaranteed_epsilon`], without
+    /// changing anything. This is the admission-control primitive: budget
+    /// ledgers call it under a lock on every request, so it must stay cheap,
+    /// O(distinct ε) with no allocation.
     ///
     /// Values [`CompositionAccountant::record`] would ignore (non-positive,
     /// non-finite) leave the guarantee unchanged.
@@ -102,16 +126,19 @@ impl CompositionAccountant {
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return self.guaranteed_epsilon();
         }
-        let first = self.epsilons.first().copied().unwrap_or(epsilon);
-        let tolerance = 1e-12 * first.max(1.0);
-        let all_equal = (epsilon - first).abs() < tolerance
-            && self.epsilons.iter().all(|&e| (e - first).abs() < tolerance);
-        if all_equal {
-            self.total_epsilon() + epsilon
-        } else {
-            let max = self.epsilons.iter().fold(epsilon, |acc, &e| acc.max(e));
-            max * (self.releases() + 1) as f64
-        }
+        // Merge the extra release in at its sorted position, so the sum runs
+        // over exactly the entries `record` would leave, in the same order.
+        let (at, count, rest) = match self.find(epsilon) {
+            Ok(at) => (at, self.entries[at].1 + 1, at + 1),
+            Err(at) => (at, 1, at),
+        };
+        compose(
+            self.entries[..at]
+                .iter()
+                .copied()
+                .chain(iter::once((epsilon.to_bits(), count)))
+                .chain(self.entries[rest..].iter().copied()),
+        )
     }
 
     /// Remaining budget before a global target is exceeded (`None` once the
@@ -126,12 +153,40 @@ impl CompositionAccountant {
     }
 }
 
+/// The Theorem 4.4 guarantee of `(ε bits, count)` entries in ascending ε
+/// order: `Σ count · ε` when the budgets are (numerically) equal, otherwise
+/// `K · max ε`.
+fn compose(entries: impl Iterator<Item = (u64, u64)> + Clone) -> f64 {
+    let mut values = entries.clone().map(|(bits, _)| f64::from_bits(bits));
+    let Some(min) = values.next() else {
+        return 0.0;
+    };
+    let max = values.last().unwrap_or(min);
+    if max - min < EQUAL_TOLERANCE * min.max(1.0) {
+        sum(entries)
+    } else {
+        max * entries.map(|(_, count)| count).sum::<u64>() as f64
+    }
+}
+
+/// `Σ count · ε` over `(ε bits, count)` entries, in iteration order.
+fn sum(entries: impl Iterator<Item = (u64, u64)>) -> f64 {
+    entries.fold(0.0, |total, (bits, count)| {
+        total + count as f64 * f64::from_bits(bits)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
+    }
+
+    /// `x` moved up by `ulps` units in the last place.
+    fn ulps_above(x: f64, ulps: u64) -> f64 {
+        f64::from_bits(x.to_bits() + ulps)
     }
 
     #[test]
@@ -155,6 +210,24 @@ mod tests {
         assert!(close(accountant.total_epsilon(), 0.8));
         assert!(close(accountant.worst_case_epsilon(), 1.5));
         assert!(close(accountant.guaranteed_epsilon(), 1.5));
+    }
+
+    #[test]
+    fn near_equal_budgets_sum_within_the_tolerance() {
+        let mut accountant = CompositionAccountant::new();
+        accountant.record(0.1 + 5e-13);
+        accountant.record(0.1);
+        assert_eq!(
+            accountant.guaranteed_epsilon().to_bits(),
+            accountant.total_epsilon().to_bits()
+        );
+        assert!(accountant.guaranteed_epsilon() < accountant.worst_case_epsilon());
+        // Just outside the tolerance the heterogeneous bound applies.
+        accountant.record(0.1 + 5e-12);
+        assert_eq!(
+            accountant.guaranteed_epsilon().to_bits(),
+            accountant.worst_case_epsilon().to_bits()
+        );
     }
 
     #[test]
@@ -182,19 +255,43 @@ mod tests {
 
     #[test]
     fn guaranteed_epsilon_with_matches_record() {
-        // The allocation-free preview must agree with clone + record on
-        // homogeneous, heterogeneous, empty and max-changing sequences.
-        let histories: [&[f64]; 4] = [&[], &[0.2, 0.2], &[0.1, 0.5], &[0.5, 0.1]];
+        // The preview must agree bitwise with record on homogeneous,
+        // heterogeneous, empty, max-changing and near-equal histories, for
+        // extras that land on, between and around the recorded values.
+        let tenth = 0.1;
+        let histories: [&[f64]; 7] = [
+            &[],
+            &[0.2, 0.2],
+            &[0.1, 0.5],
+            &[0.5, 0.1],
+            &[tenth, ulps_above(tenth, 1), ulps_above(tenth, 2), tenth],
+            &[ulps_above(tenth, 4), tenth, tenth + 5e-13],
+            &[0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3],
+        ];
+        let extras = [
+            0.05,
+            tenth,
+            ulps_above(tenth, 1),
+            ulps_above(tenth, 3),
+            ulps_above(tenth, 9),
+            tenth + 5e-13,
+            tenth + 5e-12,
+            0.2,
+            0.3,
+            0.5,
+            0.9,
+        ];
         for history in histories {
-            for extra in [0.05, 0.1, 0.2, 0.5, 0.9] {
+            for extra in extras {
                 let mut accountant = CompositionAccountant::new();
                 for &e in history {
                     accountant.record(e);
                 }
                 let preview = accountant.guaranteed_epsilon_with(extra);
                 accountant.record(extra);
-                assert!(
-                    close(preview, accountant.guaranteed_epsilon()),
+                assert_eq!(
+                    preview.to_bits(),
+                    accountant.guaranteed_epsilon().to_bits(),
                     "history {history:?} + {extra}: preview {preview} vs {}",
                     accountant.guaranteed_epsilon()
                 );
@@ -203,8 +300,104 @@ mod tests {
         // Ignored values leave the guarantee unchanged, matching record().
         let mut accountant = CompositionAccountant::new();
         accountant.record(0.3);
-        assert!(close(accountant.guaranteed_epsilon_with(-1.0), 0.3));
-        assert!(close(accountant.guaranteed_epsilon_with(f64::NAN), 0.3));
+        assert_eq!(
+            accountant.guaranteed_epsilon_with(-1.0).to_bits(),
+            0.3f64.to_bits()
+        );
+        assert_eq!(
+            accountant.guaranteed_epsilon_with(f64::NAN).to_bits(),
+            0.3f64.to_bits()
+        );
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for shorter in permutations(n - 1) {
+            for at in 0..=shorter.len() {
+                let mut order = shorter.clone();
+                order.insert(at, n - 1);
+                all.push(order);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn any_order_of_charges_and_refunds_gives_the_same_bits() {
+        // Positive entries charge, negative ones refund their magnitude.
+        // Orders where a refund precedes its charge are not histories the
+        // accountant can see, so they are skipped.
+        let tenth = 0.1;
+        let sequences: [&[f64]; 2] = [
+            // Near-equal: the sum path, where f64 addition order matters.
+            &[
+                tenth,
+                ulps_above(tenth, 1),
+                tenth + 5e-13,
+                -tenth,
+                ulps_above(tenth, 7),
+                tenth,
+            ],
+            // Heterogeneous: the K · max path.
+            &[0.1, 0.5, 0.2, -0.5, 0.5, 0.3],
+        ];
+        for ops in sequences {
+            let mut outcomes = Vec::new();
+            for order in permutations(ops.len()) {
+                let mut accountant = CompositionAccountant::new();
+                let valid = order.iter().all(|&i| {
+                    let op = ops[i];
+                    if op > 0.0 {
+                        accountant.record(op);
+                        true
+                    } else {
+                        accountant.unrecord(-op)
+                    }
+                });
+                if valid {
+                    outcomes.push((
+                        accountant.guaranteed_epsilon().to_bits(),
+                        accountant.releases(),
+                    ));
+                }
+            }
+            assert!(outcomes.len() > 100, "{ops:?}: too few valid orders");
+            assert!(
+                outcomes.iter().all(|&outcome| outcome == outcomes[0]),
+                "{ops:?}: the guarantee depends on the order"
+            );
+        }
+    }
+
+    #[test]
+    fn one_distinct_epsilon_is_one_entry() {
+        let mut accountant = CompositionAccountant::new();
+        for _ in 0..100_000 {
+            accountant.record(0.25);
+        }
+        assert_eq!(accountant.entries.len(), 1);
+        assert_eq!(accountant.entries.capacity(), 1);
+        assert_eq!(accountant.releases(), 100_000);
+        assert_eq!(accountant.guaranteed_epsilon(), 25_000.0);
+    }
+
+    #[test]
+    fn ten_thousand_tenths_compose_to_exactly_one_thousand() {
+        let mut accountant = CompositionAccountant::new();
+        for _ in 0..10_000 {
+            accountant.record(0.1);
+        }
+        assert_eq!(
+            accountant.guaranteed_epsilon().to_bits(),
+            1000.0f64.to_bits()
+        );
+        // Summing release by release drifts away from it.
+        let stepwise = (0..10_000).fold(0.0, |total: f64, _| total + 0.1);
+        assert_ne!(stepwise.to_bits(), 1000.0f64.to_bits());
     }
 
     #[test]
@@ -218,12 +411,16 @@ mod tests {
         // Only exact (bitwise) matches are removable; misses change nothing.
         assert!(!accountant.unrecord(0.3));
         assert!(!accountant.unrecord(0.5));
+        assert!(!accountant.unrecord(-0.2));
+        assert!(!accountant.unrecord(f64::NAN));
         assert_eq!(accountant.releases(), 1);
-        // Duplicates are removed one at a time, most recent first.
+        // Duplicates are removed one at a time; the last one drops the entry.
         accountant.record(0.2);
         assert!(accountant.unrecord(0.2));
         assert!(accountant.unrecord(0.2));
         assert_eq!(accountant.releases(), 0);
+        assert!(accountant.entries.is_empty());
+        assert_eq!(accountant.guaranteed_epsilon().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Offline verification that an ε-spend ledger agrees with the live
 //! accountant — **bitwise**.
 //!
-//! The [`pufferfish_telemetry::EpsilonLedger`] records every budget event in
-//! the order the [`BudgetAccountant`](crate::BudgetAccountant) applied it
-//! (the accountant logs while holding its user-table lock). Replaying those
-//! events through a fresh [`CompositionAccountant`] must therefore land on
-//! exactly the same f64 bits as the live ledger — same operations, same
-//! order, same floating-point summation. [`audit_ledger`] performs that
-//! comparison per user and in aggregate; any disagreement is a typed
-//! [`AuditError`], because an audit that "almost matches" is an audit that
-//! failed.
+//! The [`pufferfish_telemetry::EpsilonLedger`] records every budget event the
+//! [`BudgetAccountant`](crate::BudgetAccountant) applies (the accountant logs
+//! while holding its user-table lock, so a refund never precedes the charge
+//! it rolls back). A user's composed spend depends only on the multiset of
+//! their surviving charges, never on the order they arrived in, so recording
+//! the replayed charges into a fresh [`CompositionAccountant`] must land on
+//! exactly the same f64 bits as the live accountant. [`audit_ledger`]
+//! performs that comparison per user and in aggregate; any disagreement is a
+//! typed [`AuditError`], because an audit that "almost matches" is an audit
+//! that failed.
 
 use std::collections::BTreeMap;
 
@@ -99,9 +100,9 @@ pub struct AuditReport {
 
 /// Replays `bytes` and checks the reconstruction against `budget`, bitwise.
 ///
-/// Per user, the replayed spend vector is folded through a fresh
-/// [`CompositionAccountant`] in event order and the composed guarantee is
-/// compared by [`f64::to_bits`] against the live value; the totals are then
+/// Per user, the replayed charges are recorded into a fresh
+/// [`CompositionAccountant`] and the composed guarantee is compared by
+/// [`f64::to_bits`] against the live value; the totals are then
 /// summed in the accountant's own (sorted) user order and compared the same
 /// way. Users the accountant knows with no surviving charges (refused-only,
 /// or fully refunded before their first charge… which cannot happen — fully

@@ -6,7 +6,9 @@
 //! the per-user target. Admission check and commit are one atomic step under
 //! the accountant's lock, so concurrent requests for the same user can never
 //! jointly overdraw the budget — the property the service stress tests
-//! hammer.
+//! hammer. A user's spend is kept as a multiset of ε (each distinct value
+//! with its count), so an admission costs O(distinct ε) however many
+//! releases the user has made.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -90,11 +92,12 @@ impl BudgetAccountant {
 
     /// Attaches an append-only audit ledger. From this point every budget
     /// event — charge, refund, refusal — is recorded *while the user-table
-    /// lock is held*, so the ledger's per-user event order is exactly the
-    /// order the accountant applied the operations in. That ordering is what
-    /// makes [`EpsilonLedger::replay`] reproduce
-    /// [`BudgetAccountant::total_spent`] bitwise (f64 summation is
-    /// order-sensitive).
+    /// lock is held*, so a refund is always logged after the charge it rolls
+    /// back. Replaying the ledger ([`EpsilonLedger::replay`]) therefore
+    /// rebuilds each user's multiset of surviving charges, and because the
+    /// composed spend depends on that multiset alone, not on the order of
+    /// events, the replay reproduces [`BudgetAccountant::total_spent`]
+    /// bitwise.
     /// The slot is **write-once**: the first attach wins and later calls
     /// return `false` without replacing it, so an audit trail can never be
     /// silently truncated by re-attachment mid-history.
@@ -155,7 +158,7 @@ impl BudgetAccountant {
         let mut users = self.users.lock().expect("budget ledger poisoned");
         let accountant = users.entry(user.to_string()).or_default();
         // Preview the composed guarantee (not a simple running sum under
-        // heterogeneous budgets) without cloning the history — this runs
+        // heterogeneous budgets) without recording the spend — this runs
         // under the ledger lock on every admission.
         let composed = accountant.guaranteed_epsilon_with(epsilon);
         if composed > self.target_epsilon + 1e-12 {

@@ -63,10 +63,10 @@ pub struct RefinementStep {
 /// * at least one step, prefixes strictly increasing — the last prefix *is*
 ///   the window, and the final step answers over the whole of it;
 /// * every ε positive, finite and **bitwise identical** across steps.
-///   Homogeneity makes Theorem 4.4 composition collapse to the plain sum,
-///   so [`total_epsilon`](RefinementSchedule::total_epsilon) (a sum) equals
-///   the composed guarantee a [`CompositionAccountant`] reports — exactly,
-///   not up to tolerance;
+///   Homogeneity makes Theorem 4.4 composition collapse to `k · ε`, so
+///   [`total_epsilon`](RefinementSchedule::total_epsilon) equals the
+///   composed guarantee a [`CompositionAccountant`] reports — exactly, not
+///   up to tolerance;
 /// * error bounds positive, finite and non-increasing — refinements must
 ///   not get *worse*;
 /// * confidence strictly inside (0, 1).
@@ -153,11 +153,13 @@ impl RefinementSchedule {
         self.steps.last().expect("schedules are never empty").prefix
     }
 
-    /// Total ε the schedule spends across all steps. Because validation
-    /// enforces bitwise-equal per-step ε, this sum *is* the Theorem 4.4
-    /// composed guarantee, exactly.
+    /// Total ε the schedule spends across all steps: `k · ε` for `k` steps.
+    /// Because validation enforces bitwise-equal per-step ε, this *is* the
+    /// Theorem 4.4 composed guarantee, exactly: the same product a
+    /// [`CompositionAccountant`] reports and the query planner prices a
+    /// ladder at.
     pub fn total_epsilon(&self) -> f64 {
-        self.steps.iter().map(|s| s.epsilon).sum()
+        self.steps.len() as f64 * self.steps[0].epsilon
     }
 
     /// The final step's ε — what an equivalent one-shot release of the full
@@ -591,12 +593,26 @@ mod tests {
         assert!((schedule.total_epsilon() - 0.6).abs() < 1e-15);
         assert_eq!(schedule.confidence(), 0.95);
 
-        // The homogeneous sum is exactly the composed Theorem 4.4 guarantee.
-        let mut accountant = CompositionAccountant::new();
-        for s in schedule.steps() {
-            accountant.record(s.epsilon);
+        // `k · ε` is exactly the composed Theorem 4.4 guarantee, on ladders
+        // of every depth the planner searches and at ε whose step-by-step
+        // sums drift from it.
+        for k in 1..=8usize {
+            for epsilon in [0.3, 0.1, 0.7, 1.0 / 3.0, 1.885] {
+                let ladder = (0..k)
+                    .map(|j| step(8 << j, epsilon, (k - j) as f64))
+                    .collect();
+                let ladder = RefinementSchedule::new(ladder, 0.95).unwrap();
+                let mut accountant = CompositionAccountant::new();
+                for s in ladder.steps() {
+                    accountant.record(s.epsilon);
+                }
+                assert_eq!(
+                    accountant.guaranteed_epsilon().to_bits(),
+                    ladder.total_epsilon().to_bits(),
+                    "{k} steps of ε {epsilon}"
+                );
+            }
         }
-        assert_eq!(accountant.guaranteed_epsilon(), schedule.total_epsilon());
 
         let invalid = [
             RefinementSchedule::new(vec![], 0.95),

@@ -225,9 +225,10 @@ struct LedgerInner {
 /// Appends serialise on one mutex — by design, the accountant calls
 /// [`EpsilonLedger::record`] *while holding its own user-table lock*, so the
 /// ledger's event order for any user is exactly the order the accountant
-/// applied the operations in. That ordering is what makes replay agree with
-/// the live accountant **bitwise** (floating-point summation is
-/// order-sensitive; same operations in the same order give the same bits).
+/// applied the operations in, and a refund never precedes the charge it
+/// rolls back. Replay agrees with the live accountant **bitwise** because a
+/// user's composed spend depends only on the multiset of surviving charges,
+/// which the events determine whatever their order.
 ///
 /// # Example
 ///
@@ -485,12 +486,12 @@ fn decode_body(body: &[u8], record: u64) -> Result<LedgerEvent, LedgerError> {
 }
 
 /// Folds replayed events into per-user spend vectors: a charge pushes its ε,
-/// a refund removes the most recent bitwise-equal charge (mirroring the
-/// accountant's remove-by-value rollback), refusals and recalibrations
-/// change nothing. The vectors come back in event order — exactly the
-/// operation sequence the live accountant applied, which is what the service
-/// crate's audit folds through a real `CompositionAccountant` for the
-/// bitwise comparison.
+/// a refund removes one bitwise-equal charge (mirroring the accountant's
+/// remove-by-value rollback), refusals and recalibrations change nothing.
+/// Only each vector's multiset of ε matters: the composed spend the service
+/// crate's audit computes from it through a real `CompositionAccountant` is
+/// the same f64 bits in any order, which is what makes the bitwise
+/// comparison with the live accountant hold.
 ///
 /// # Errors
 /// [`LedgerError::Malformed`] on a refund with no matching outstanding

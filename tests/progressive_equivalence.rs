@@ -186,13 +186,8 @@ proptest! {
         drop(driver); // the drop guard must not double-refund
 
         // The accountant retains exactly the consumed prefix of the
-        // schedule, summed in charge order. (An empty `Sum<f64>` is -0.0 on
-        // this toolchain; the emptied accountant reports +0.0.)
-        let expected: f64 = if consume == 0 {
-            0.0
-        } else {
-            schedule.steps()[..consume].iter().map(|s| s.epsilon).sum()
-        };
+        // schedule: `consume` charges of one ε.
+        let expected = consume as f64 * epsilon;
         prop_assert_eq!(budget.spent("prop").to_bits(), expected.to_bits());
 
         // Replaying the ledger reconstructs the live accountant bitwise —
