@@ -77,17 +77,6 @@ impl Laplace {
             *slot = -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).ln();
         }
     }
-
-    /// Draws `n` independent samples into a fresh vector.
-    #[deprecated(
-        since = "0.6.0",
-        note = "allocates per call; use `sample_into` with a reusable buffer"
-    )]
-    pub fn sample_vec<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        let mut out = vec![0.0; n];
-        self.sample_into(&mut out, rng);
-        out
-    }
 }
 
 /// Certified simultaneous error bound for a `dims`-coordinate release with
@@ -209,18 +198,6 @@ mod tests {
                 lap.sample(&mut batched_rng).to_bits()
             );
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_sample_vec_forwards_to_sample_into() {
-        let lap = Laplace::new(1.3).unwrap();
-        let mut vec_rng = StdRng::seed_from_u64(5);
-        let via_vec = lap.sample_vec(10, &mut vec_rng);
-        let mut into_rng = StdRng::seed_from_u64(5);
-        let mut via_into = vec![0.0; 10];
-        lap.sample_into(&mut via_into, &mut into_rng);
-        assert_eq!(via_vec, via_into);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   — never the blocking path — so when the bounded admission queue
 //!   refuses, the client gets a typed [`Frame::Busy`] immediately instead
 //!   of stalling every other request on the connection;
-//! * the **writer** drains an in-process channel of either ready frames or
-//!   pending [`Ticket`]s, writing each response as soon as its release
-//!   completes. Responses therefore return **out of order**, matched by
-//!   sequence number — that is what lets one connection keep
+//! * the **writer** blocks on an in-process channel and writes whatever
+//!   arrives: the reader's immediate responses, and finished releases that
+//!   the service's workers push through the reply each RELEASE carries.
+//!   Responses therefore return **out of order**, in completion order,
+//!   matched by sequence number — that is what lets one connection keep
 //!   `max_pipeline` requests in flight.
 //!
 //! Back-pressure has three layers, all surfaced as typed frames rather
@@ -22,23 +23,26 @@
 //! ([`ErrorCode::TooManyConnections`]).
 //!
 //! Shutdown is graceful: the accept loop stops, readers notice the flag at
-//! their next read-timeout tick and stop decoding, and each writer *drains
-//! its in-flight tickets* — every admitted release still gets its response
-//! frame (bounded by `drain_timeout`) before the socket closes.
+//! their next read-timeout tick and stop decoding, and each writer keeps
+//! writing the responses still in flight until nothing can send it another
+//! (the reader, every in-flight reply and every progressive driver hold a
+//! sender) or one per-connection `drain_timeout` passes, then closes the
+//! socket.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pufferfish_core::NoisyRelease;
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_query::{QueryError, QueryResult, QueryService, Table};
 use pufferfish_service::{
     ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest, ReleaseService,
-    ServiceError, ServiceTelemetry, StreamBackend, Ticket,
+    ServiceError, ServiceTelemetry, StreamBackend,
 };
 use pufferfish_telemetry::{
     Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage, StageHistograms,
@@ -67,8 +71,9 @@ pub struct NetServerConfig {
     pub max_frame_len: u32,
     /// Back-off hint carried by every [`Frame::Busy`], in milliseconds.
     pub busy_retry_hint_ms: u32,
-    /// At close, how long a writer waits for each still-in-flight release
-    /// before giving up with a typed [`ErrorCode::Internal`] frame.
+    /// Once a connection's reader has stopped, how long its writer keeps
+    /// writing responses still in flight. One deadline per connection:
+    /// responses not ready by then are dropped and the client sees EOF.
     pub drain_timeout: Duration,
 }
 
@@ -449,12 +454,17 @@ fn refuse_connection(mut stream: TcpStream, max_frame_len: u32) {
     }
 }
 
-/// What the reader hands the writer: a frame ready now, or a ticket whose
-/// frame will be ready when the worker pool fulfils it (carrying the
-/// request trace so the writer can record the encode stage and finish it).
+/// What the writer receives: a frame ready now, a finished release pushed
+/// by its reply (carrying the request trace so the writer can record the
+/// encode stage and finish it), or the reader's notice that it stopped.
 enum Outgoing {
     Now(u64, Frame),
-    Pending(u64, Ticket, Option<Arc<RequestTrace>>),
+    Done(
+        u64,
+        Result<NoisyRelease, ServiceError>,
+        Option<Arc<RequestTrace>>,
+    ),
+    ReaderStopped,
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
@@ -486,8 +496,9 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
 
     read_loop(inner, stream, &tx, &inflight);
 
-    // Closing the channel is the drain signal: the writer finishes every
-    // pending ticket (bounded by drain_timeout each), flushes, and exits.
+    // The writer now drains what is still in flight, under one deadline,
+    // and exits once every sender is gone.
+    let _ = tx.send(Outgoing::ReaderStopped);
     drop(tx);
     let _ = writer.join();
 }
@@ -660,11 +671,21 @@ fn dispatch(
                 }
                 trace
             });
-            match inner.release.try_submit_traced(request, trace.clone()) {
-                Ok(ticket) => {
-                    inflight.fetch_add(1, Ordering::SeqCst);
-                    tx.send(Outgoing::Pending(seq, ticket, trace)).is_ok()
-                }
+            // Counted before submission: a worker may finish the release,
+            // and the writer count it out, before try_submit_with returns.
+            inflight.fetch_add(1, Ordering::SeqCst);
+            let reply_tx = tx.clone();
+            let reply_trace = trace.clone();
+            let submitted = inner
+                .release
+                .try_submit_with(request, trace, move |result| {
+                    let _ = reply_tx.send(Outgoing::Done(seq, result, reply_trace));
+                });
+            if submitted.is_err() {
+                inflight.fetch_sub(1, Ordering::SeqCst);
+            }
+            match submitted {
+                Ok(()) => true,
                 Err(ServiceError::QueueFull { .. }) => send_now(Frame::Busy {
                     retry_hint_ms: config.busy_retry_hint_ms,
                 }),
@@ -1012,142 +1033,93 @@ fn query_error_frame(error: QueryError) -> Frame {
     }
 }
 
-/// Writes responses as they become ready: immediate frames straight from
-/// the channel, pending tickets polled without blocking so completions are
-/// written in *completion* order, not submission order.
+/// Writes responses in the order they arrive: block for one, write it and
+/// everything else already queued, then flush once. Once the reader stops,
+/// the writer keeps going until every sender is gone or `drain_timeout`
+/// passes, whichever comes first.
 fn writer_loop(
     stream: TcpStream,
     rx: Receiver<Outgoing>,
-    inflight: &Arc<AtomicUsize>,
+    inflight: &AtomicUsize,
     config: &NetServerConfig,
     telemetry: Option<&NetTelemetry>,
 ) {
     let mut out = std::io::BufWriter::with_capacity(64 * 1024, stream);
-    let mut pending: VecDeque<(u64, Ticket, Option<Arc<RequestTrace>>)> = VecDeque::new();
-    let mut open = true;
-
-    'outer: while open || !pending.is_empty() {
-        // 1. Pull work off the channel: block when idle, peek when busy.
-        if open {
-            if pending.is_empty() {
-                match rx.recv() {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(_) => open = false,
-                }
-            } else {
-                // Park briefly so a worker completing a ticket is picked up
-                // promptly even when the channel stays quiet.
-                match rx.recv_timeout(Duration::from_micros(500)) {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => open = false,
-                }
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 2. Write every completed ticket, in completion order.
-        let park = if open {
-            Duration::ZERO
-        } else {
-            // Drain phase: the reader is gone, so actually wait for each
-            // in-flight release (bounded) instead of spinning.
-            config.drain_timeout
+    let mut drain_deadline: Option<Instant> = None;
+    loop {
+        let next = match drain_deadline {
+            None => rx.recv().ok(),
+            Some(deadline) => rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok(),
         };
-        let mut index = 0;
-        while index < pending.len() {
-            match pending[index].1.wait_timeout(park) {
-                Err(ServiceError::WaitTimeout { .. }) if open => {
-                    index += 1;
-                }
-                outcome => {
-                    let (seq, _ticket, trace) = pending.remove(index).expect("index in bounds");
+        let Some(first) = next else { break };
+        for outgoing in std::iter::once(first).chain(rx.try_iter()) {
+            let written = match outgoing {
+                Outgoing::Now(seq, frame) => write_frame(&mut out, seq, frame, config),
+                Outgoing::Done(seq, result, trace) => {
                     inflight.fetch_sub(1, Ordering::SeqCst);
-                    let frame = match outcome {
-                        Ok(release) => Frame::ReleaseOk {
-                            scale: release.scale,
-                            values: release.values,
-                        },
-                        Err(ServiceError::WaitTimeout { .. }) => Frame::Error {
-                            code: ErrorCode::Internal,
-                            message: "drain timeout: release still in flight at close".to_string(),
-                        },
-                        Err(ServiceError::ServiceClosed) => Frame::Error {
-                            code: ErrorCode::Shutdown,
-                            message: "release service closed mid-flight".to_string(),
-                        },
-                        Err(ServiceError::Mechanism(error)) => Frame::Error {
-                            code: ErrorCode::Mechanism,
-                            message: error.to_string(),
-                        },
-                        Err(error) => Frame::Error {
-                            code: ErrorCode::Internal,
-                            message: error.to_string(),
-                        },
-                    };
-                    // Encode + buffered write is the trace's final stage;
-                    // the finished trace then goes to the flight recorder.
-                    let encode_started = telemetry.map(|_| Instant::now());
-                    let Some(written) = write_frame(&mut out, seq, frame, config) else {
-                        break 'outer;
-                    };
-                    if let (Some(watch), Some(started)) = (telemetry, encode_started) {
-                        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        watch.stages.record(Stage::Encode, ns);
-                        watch.tx_bytes.add(written as u64);
-                        if let Some(trace) = &trace {
-                            trace.record(Stage::Encode, ns);
-                            if let Some(recorder) = &watch.recorder {
-                                recorder.observe(trace);
-                            }
-                        }
-                    }
+                    write_release(&mut out, seq, result, trace, config, telemetry)
                 }
+                Outgoing::ReaderStopped => {
+                    drain_deadline = Some(Instant::now() + config.drain_timeout);
+                    continue;
+                }
+            };
+            let Some(written) = written else { return };
+            if let Some(watch) = telemetry {
+                watch.tx_bytes.add(written as u64);
             }
         }
         if out.flush().is_err() {
-            break;
+            return;
         }
     }
-    // Anything still pending is abandoned (drain timed out or the socket
-    // died); dropping the tickets releases their slots.
     let _ = out.flush();
 }
 
-/// Routes one channel item: immediate frames are written now, tickets join
-/// the pending set.
-fn pending_or_write(
-    outgoing: Outgoing,
-    pending: &mut VecDeque<(u64, Ticket, Option<Arc<RequestTrace>>)>,
+/// Writes one finished release as its response frame. Encode plus the
+/// buffered write is the request trace's final stage; the finished trace
+/// then goes to the flight recorder.
+fn write_release(
     out: &mut std::io::BufWriter<TcpStream>,
+    seq: u64,
+    result: Result<NoisyRelease, ServiceError>,
+    trace: Option<Arc<RequestTrace>>,
     config: &NetServerConfig,
     telemetry: Option<&NetTelemetry>,
-) {
-    match outgoing {
-        Outgoing::Now(seq, frame) => {
-            if let Some(written) = write_frame(out, seq, frame, config) {
-                if let Some(watch) = telemetry {
-                    watch.tx_bytes.add(written as u64);
-                }
+) -> Option<usize> {
+    let frame = match result {
+        Ok(release) => Frame::ReleaseOk {
+            scale: release.scale,
+            values: release.values,
+        },
+        Err(ServiceError::ServiceClosed) => Frame::Error {
+            code: ErrorCode::Shutdown,
+            message: "release service closed mid-flight".to_string(),
+        },
+        Err(ServiceError::Mechanism(error)) => Frame::Error {
+            code: ErrorCode::Mechanism,
+            message: error.to_string(),
+        },
+        Err(error) => Frame::Error {
+            code: ErrorCode::Internal,
+            message: error.to_string(),
+        },
+    };
+    let encode_started = telemetry.map(|_| Instant::now());
+    let written = write_frame(out, seq, frame, config)?;
+    if let (Some(watch), Some(started)) = (telemetry, encode_started) {
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        watch.stages.record(Stage::Encode, ns);
+        if let Some(trace) = &trace {
+            trace.record(Stage::Encode, ns);
+            if let Some(recorder) = &watch.recorder {
+                recorder.observe(trace);
             }
         }
-        Outgoing::Pending(seq, ticket, trace) => pending.push_back((seq, ticket, trace)),
     }
+    Some(written)
 }
 
 /// Encodes and writes one response frame, returning the bytes written

@@ -47,13 +47,6 @@ pub enum ServiceError {
     },
     /// The service has been shut down and accepts no further requests.
     ServiceClosed,
-    /// A bounded wait on a [`Ticket`](crate::Ticket) elapsed before the
-    /// worker fulfilled the request. The request is still in flight: the
-    /// caller can wait again, or walk away and let the response be dropped.
-    WaitTimeout {
-        /// How long the caller was prepared to wait.
-        waited: std::time::Duration,
-    },
     /// Calibration, validation or release failed in the mechanism layer.
     Mechanism(PufferfishError),
 }
@@ -85,9 +78,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "request queue full (capacity {capacity})")
             }
             ServiceError::ServiceClosed => write!(f, "service is shut down"),
-            ServiceError::WaitTimeout { waited } => {
-                write!(f, "response not ready within {waited:?}")
-            }
             ServiceError::Mechanism(e) => write!(f, "mechanism error: {e}"),
         }
     }
@@ -138,11 +128,6 @@ mod tests {
             .to_string()
             .contains('8'));
         assert!(ServiceError::ServiceClosed.to_string().contains("shut"));
-        let timeout = ServiceError::WaitTimeout {
-            waited: std::time::Duration::from_millis(5),
-        };
-        assert!(timeout.to_string().contains("not ready"));
-        assert!(timeout.source().is_none());
         let wrapped = ServiceError::from(PufferfishError::InvalidEpsilon(0.0));
         assert!(wrapped.to_string().contains("epsilon"));
         assert!(wrapped.source().is_some());

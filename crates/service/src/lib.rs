@@ -9,8 +9,9 @@
 //!   [`pufferfish_parallel::WorkerPool`], every worker driving one shared,
 //!   sharded [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
 //!   stampede-coalesced there). Submitters get a [`Ticket`] and wait for
-//!   their [`pufferfish_core::NoisyRelease`]; a full queue is explicit
-//!   back-pressure, not unbounded growth.
+//!   their [`pufferfish_core::NoisyRelease`], or hand over a reply the
+//!   worker calls with it ([`ReleaseService::try_submit_with`]); a full
+//!   queue is explicit back-pressure, not unbounded growth.
 //! * [`BudgetAccountant`] — per-user ε-budget accounting under the paper's
 //!   Theorem 4.4 composition (via
 //!   [`pufferfish_core::CompositionAccountant`]): spends are admitted

@@ -1,11 +1,14 @@
 //! The request/response serving front-end over a shared [`ReleaseEngine`].
 //!
 //! Architecture: submitters pass admission control (per-user ε-budget, then
-//! the bounded queue) and receive a [`Ticket`]; a [`WorkerPool`] drains the
+//! the bounded queue) and hand over a reply; a [`WorkerPool`] drains the
 //! queue, drives the sharded engine (one `Arc<ReleaseEngine>` shared by all
 //! workers — calibrations are cached and stampede-coalesced there), and
-//! fulfils the ticket. Back-pressure is explicit: a full queue refuses
-//! [`ReleaseService::try_submit`] rather than growing without bound.
+//! calls the reply with the outcome. In-process callers get a [`Ticket`],
+//! which is one such reply; the network front-end's reply pushes the
+//! finished release straight into its connection writer. Back-pressure is
+//! explicit: a full queue refuses [`ReleaseService::try_submit`] rather than
+//! growing without bound.
 //!
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
@@ -16,7 +19,7 @@
 //! reason about atomically).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -67,23 +70,17 @@ impl std::fmt::Debug for ReleaseRequest {
     }
 }
 
-/// Single-use response slot shared between a ticket and the worker that
-/// fulfils it.
+/// Single-use response slot shared between a ticket and its reply.
 struct ResponseSlot {
     result: Mutex<Option<Result<NoisyRelease, ServiceError>>>,
     ready: Condvar,
 }
 
 impl ResponseSlot {
-    fn new() -> Self {
-        ResponseSlot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
     fn fulfil(&self, result: Result<NoisyRelease, ServiceError>) {
-        *self.result.lock().expect("response slot poisoned") = Some(result);
+        // Tolerate a poisoned slot: this also runs from a job's drop guard
+        // during unwinding, where a second panic would abort the process.
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
         self.ready.notify_all();
     }
 }
@@ -94,6 +91,16 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// An empty ticket and the reply that fulfils it.
+    fn with_reply() -> (Ticket, Reply) {
+        let slot = Arc::new(ResponseSlot {
+            result: Mutex::new(None),
+            ready: Condvar::new(),
+        });
+        let reply = Reply::Ticket(Arc::clone(&slot));
+        (Ticket { slot }, reply)
+    }
+
     /// `true` once the response is available ([`Ticket::wait`] will not
     /// block).
     pub fn is_ready(&self) -> bool {
@@ -123,45 +130,6 @@ impl Ticket {
                 .expect("response slot poisoned");
         }
     }
-
-    /// Waits at most `timeout` for the response — the bounded-latency wait
-    /// the network front-end's connection writers use so one slow release
-    /// can never wedge a whole connection.
-    ///
-    /// On success the response is **consumed**: a later
-    /// [`Ticket::wait`]/`wait_timeout` on the same ticket reports
-    /// [`ServiceError::ServiceClosed`] instead of blocking forever. A zero
-    /// `timeout` is a pure poll.
-    ///
-    /// # Errors
-    /// [`ServiceError::WaitTimeout`] when the response did not arrive in
-    /// time (the request is still in flight and the ticket remains usable);
-    /// otherwise as for [`Ticket::wait`].
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<NoisyRelease, ServiceError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut result = self.slot.result.lock().expect("response slot poisoned");
-        loop {
-            if let Some(response) = result.take() {
-                // Leave a closed marker so a (buggy) second wait on the
-                // consumed ticket fails fast instead of hanging.
-                *result = Some(Err(ServiceError::ServiceClosed));
-                return response;
-            }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|r| !r.is_zero())
-            else {
-                return Err(ServiceError::WaitTimeout { waited: timeout });
-            };
-            let (guard, _timed_out) = self
-                .slot
-                .ready
-                .wait_timeout(result, remaining)
-                .expect("response slot poisoned");
-            result = guard;
-        }
-    }
 }
 
 impl std::fmt::Debug for Ticket {
@@ -172,11 +140,24 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// A queued unit of work: the request, the slot its response goes to, and
+/// Where a job's outcome goes: a ticket's slot, or a caller's own callback
+/// (see [`ReleaseService::try_submit_with`]). A ticket's slot is stored as
+/// is rather than boxed inside a callback: that extra allocation, freed on
+/// the worker thread, measurably slowed in-process submission.
+enum Reply {
+    Ticket(Arc<ResponseSlot>),
+    Call(Box<dyn FnOnce(Result<NoisyRelease, ServiceError>) + Send>),
+}
+
+/// A queued unit of work: the request, the reply its outcome goes to, and
 /// the tracing context it carries through the worker pool.
 struct Job {
     request: ReleaseRequest,
-    slot: Arc<ResponseSlot>,
+    /// Called exactly once, by whichever comes first: the worker with the
+    /// outcome, or the drop guard with [`ServiceError::ServiceClosed`].
+    /// Admission clears it before dropping a refused job, so a refusal's
+    /// only answer is the submitter's synchronous error.
+    reply: Option<Reply>,
     /// When the job entered admission. Together with `admitted_at` the
     /// worker derives the admission and queue-wait stages from these two
     /// timestamps (the endpoints live on different threads, so an RAII
@@ -191,23 +172,23 @@ struct Job {
     trace: Option<Arc<RequestTrace>>,
 }
 
-impl Drop for Job {
-    /// Fulfils the slot with [`ServiceError::ServiceClosed`] if nothing else
-    /// did: a job dropped before its worker produced a response (worker
-    /// panic mid-release, admission rollback, queue teardown) must never
-    /// leave a submitter blocked in [`Ticket::wait`] forever.
-    fn drop(&mut self) {
-        // Tolerate a poisoned slot here — this guard runs during unwinding,
-        // and a second panic would abort the process.
-        let mut result = match self.slot.result.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if result.is_none() {
-            *result = Some(Err(ServiceError::ServiceClosed));
-            drop(result);
-            self.slot.ready.notify_all();
+impl Job {
+    fn answer(&mut self, result: Result<NoisyRelease, ServiceError>) {
+        match self.reply.take() {
+            Some(Reply::Ticket(slot)) => slot.fulfil(result),
+            Some(Reply::Call(reply)) => reply(result),
+            None => {}
         }
+    }
+}
+
+impl Drop for Job {
+    /// Answers [`ServiceError::ServiceClosed`] if nothing else did: a job
+    /// dropped before its worker produced a response (worker panic
+    /// mid-release, queue teardown) must never leave its submitter waiting
+    /// forever.
+    fn drop(&mut self) {
+        self.answer(Err(ServiceError::ServiceClosed));
     }
 }
 
@@ -353,7 +334,7 @@ impl ReleaseService {
                 // reference count.
                 let mut cached_epoch = 0u64;
                 let mut cached: Option<Arc<ServiceTelemetry>> = None;
-                while let Some(job) = queue.pop() {
+                while let Some(mut job) = queue.pop() {
                     let epoch = telemetry_epoch.load(Ordering::Acquire);
                     if epoch != cached_epoch {
                         cached = telemetry.read().expect("telemetry lock poisoned").clone();
@@ -415,17 +396,18 @@ impl ReleaseService {
                             watcher.observe_release(&job.request.database, release);
                         }
                     }
-                    // Count before fulfilling: a submitter woken by the
-                    // ticket must observe its own request in `served()`.
+                    // Count, and finish a worker-built trace, before
+                    // replying: a submitter woken by its ticket must find
+                    // its own request in `served()` and in the recorder. A
+                    // caller-supplied trace is finished (and offered to a
+                    // recorder) by its owner.
                     served.fetch_add(1, Ordering::Relaxed);
-                    job.slot.fulfil(response);
-                    // A worker-built trace ends here; a caller-supplied one
-                    // is finished (and offered to a recorder) by its owner.
                     if let (Some(watch), Some(trace)) = (&watch, &own_trace) {
                         if let Some(recorder) = watch.recorder() {
                             recorder.observe(trace);
                         }
                     }
+                    job.answer(response);
                 }
             })
         };
@@ -565,31 +547,37 @@ impl ReleaseService {
     /// [`ServiceError::QueueFull`] / [`ServiceError::ServiceClosed`] (budget
     /// spend rolled back).
     pub fn try_submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
-        self.try_submit_traced(request, None)
+        let (ticket, reply) = Ticket::with_reply();
+        self.admit(request, None, reply, false)?;
+        Ok(ticket)
     }
 
-    /// [`ReleaseService::try_submit`] with a caller-owned request trace: the
-    /// admission and queue-wait stages are recorded into `trace` alongside
-    /// the registry histograms, and the worker's engine/mechanism stages
-    /// accumulate into the same trace. The network front-end threads its
-    /// per-request trace through here; the caller remains responsible for
-    /// offering the finished trace to a flight recorder.
+    /// [`ReleaseService::try_submit`] with the outcome delivered to `reply`
+    /// instead of a ticket, and an optional caller-owned request trace.
+    ///
+    /// Once admitted, `reply` is called exactly once: by the worker with
+    /// the release or its mechanism error, or with
+    /// [`ServiceError::ServiceClosed`] when the job is dropped unserved
+    /// (worker panic, queue teardown). It may run on a worker thread before
+    /// this call returns, and it must not block. On a refusal it is dropped
+    /// without being called: the returned error is the only answer.
+    ///
+    /// With a `trace`, the admission and queue-wait stages are recorded into
+    /// it alongside the registry histograms, and the worker's
+    /// engine/mechanism stages accumulate into the same trace before
+    /// `reply` runs. The network front-end threads its per-request trace
+    /// through here; the caller remains responsible for offering the
+    /// finished trace to a flight recorder.
     ///
     /// # Errors
     /// As for [`ReleaseService::try_submit`].
-    pub fn try_submit_traced(
+    pub fn try_submit_with(
         &self,
         request: ReleaseRequest,
         trace: Option<Arc<RequestTrace>>,
-    ) -> Result<Ticket, ServiceError> {
-        self.admit(request, trace, |queue, job| {
-            queue.try_push(job).map_err(|refused| match refused {
-                PushError::Full(_) => ServiceError::QueueFull {
-                    capacity: queue.capacity(),
-                },
-                PushError::Closed(_) => ServiceError::ServiceClosed,
-            })
-        })
+        reply: impl FnOnce(Result<NoisyRelease, ServiceError>) + Send + 'static,
+    ) -> Result<(), ServiceError> {
+        self.admit(request, trace, Reply::Call(Box::new(reply)), false)
     }
 
     /// Blocking submission: waits for queue space instead of failing with
@@ -598,22 +586,23 @@ impl ReleaseService {
     /// # Errors
     /// [`ServiceError::BudgetExhausted`] and [`ServiceError::ServiceClosed`].
     pub fn submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
-        self.admit(request, None, |queue, job| {
-            queue.push(job).map_err(|_| ServiceError::ServiceClosed)
-        })
+        let (ticket, reply) = Ticket::with_reply();
+        self.admit(request, None, reply, true)?;
+        Ok(ticket)
     }
 
-    /// Shared admission path: spend the budget, enqueue via `enqueue`, and
-    /// roll the spend back when the queue refuses (the refused job — and the
-    /// ticket slot it carries — is simply dropped; no worker will ever see
-    /// it). Every budget event carries its audit tag — query signature,
-    /// engine family, request seed — into an attached ε ledger.
+    /// Shared admission path: spend the budget, enqueue (waiting for space
+    /// when `blocking`), and roll the spend back when the queue refuses (the
+    /// refused job comes back, and its reply is dropped uncalled; no worker
+    /// will ever see it). Every budget event carries its audit tag — query
+    /// signature, engine family, request seed — into an attached ε ledger.
     fn admit(
         &self,
         request: ReleaseRequest,
         trace: Option<Arc<RequestTrace>>,
-        enqueue: impl FnOnce(&BoundedQueue<Job>, Job) -> Result<(), ServiceError>,
-    ) -> Result<Ticket, ServiceError> {
+        reply: Reply,
+        blocking: bool,
+    ) -> Result<(), ServiceError> {
         // Every job is timestamped on arrival and on acceptance whether or
         // not telemetry is attached — the worker (which already holds a
         // cached telemetry handle) turns the two timestamps into the
@@ -648,32 +637,40 @@ impl ReleaseService {
             }
             return Err(refused);
         }
-        let user = request.user.clone();
-        let epsilon = request.epsilon;
-        let slot = Arc::new(ResponseSlot::new());
-        let admitted_at = Instant::now();
         let job = Job {
             request,
-            slot: Arc::clone(&slot),
+            reply: Some(reply),
             submitted_at,
-            admitted_at,
+            admitted_at: Instant::now(),
             trace,
         };
-        match enqueue(&self.queue, job) {
-            Ok(()) => Ok(Ticket { slot }),
-            Err(error) => {
-                self.budget.refund_tagged(&user, epsilon, tag);
-                let telemetry = self
-                    .telemetry
-                    .read()
-                    .expect("telemetry lock poisoned")
-                    .clone();
-                if let Some(watch) = &telemetry {
-                    watch.refused().inc();
-                }
-                Err(error)
-            }
+        let refused = if blocking {
+            self.queue.push(job).err().map(PushError::Closed)
+        } else {
+            self.queue.try_push(job).err()
+        };
+        let (error, mut job) = match refused {
+            None => return Ok(()),
+            Some(PushError::Full(job)) => (
+                ServiceError::QueueFull {
+                    capacity: self.queue.capacity(),
+                },
+                job,
+            ),
+            Some(PushError::Closed(job)) => (ServiceError::ServiceClosed, job),
+        };
+        job.reply = None;
+        self.budget
+            .refund_tagged(&job.request.user, job.request.epsilon, tag);
+        let telemetry = self
+            .telemetry
+            .read()
+            .expect("telemetry lock poisoned")
+            .clone();
+        if let Some(watch) = &telemetry {
+            watch.refused().inc();
         }
+        Err(error)
     }
 
     /// Convenience: submit (blocking) and wait for the response.
@@ -955,43 +952,150 @@ mod tests {
         service.shutdown();
     }
 
+    type Outcome = Result<NoisyRelease, ServiceError>;
+
+    /// A reply that forwards its outcome into a channel: one message and
+    /// then a disconnect means it was called once; a bare disconnect means
+    /// it was dropped uncalled.
+    fn recorder() -> (
+        impl FnOnce(Outcome) + Send + 'static,
+        std::sync::mpsc::Receiver<Outcome>,
+    ) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A failed send means the test already failed and dropped `rx`;
+        // panicking here, possibly inside a drop guard, would abort.
+        (
+            move |outcome| {
+                let _ = tx.send(outcome);
+            },
+            rx,
+        )
+    }
+
+    fn called_once(rx: &std::sync::mpsc::Receiver<Outcome>) -> Outcome {
+        let outcome = rx.recv().expect("the reply was dropped uncalled");
+        assert!(rx.recv().is_err(), "the reply answered twice");
+        outcome
+    }
+
+    /// Holds the worker that evaluates it until the test opens the gate.
+    struct GatedQuery {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        gate: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl LipschitzQuery for GatedQuery {
+        fn lipschitz_constant(&self) -> f64 {
+            1.0 / 60.0
+        }
+        fn output_dimension(&self) -> usize {
+            1
+        }
+        fn expected_length(&self) -> usize {
+            60
+        }
+        fn evaluate(&self, database: &[usize]) -> pufferfish_core::Result<Vec<f64>> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.gate.lock().unwrap().recv().unwrap();
+            StateFrequencyQuery::new(1, 60).evaluate(database)
+        }
+        fn name(&self) -> &str {
+            "gated"
+        }
+    }
+
     #[test]
-    fn wait_timeout_bounds_the_wait_and_consumes_once() {
+    fn reply_is_called_once_and_a_refused_reply_never() {
         let service = ReleaseService::start(
             test_engine(),
             ServiceConfig {
                 workers: Parallelism::Threads(1),
-                queue_capacity: 8,
+                queue_capacity: 1,
                 per_user_epsilon: 10.0,
             },
         )
         .unwrap();
-        let ticket = service.submit(request("tim", 0.1, 1)).unwrap();
-        // Eventually the worker fulfils it; a generous bounded wait gets the
-        // same response a blocking wait would.
-        let release = loop {
-            match ticket.wait_timeout(std::time::Duration::from_millis(200)) {
-                Ok(release) => break release,
-                Err(ServiceError::WaitTimeout { .. }) => continue,
-                Err(other) => panic!("unexpected error: {other}"),
-            }
+        let (reply, served) = recorder();
+        service
+            .try_submit_with(request("rita", 0.1, 1), None, reply)
+            .unwrap();
+        assert_eq!(called_once(&served).unwrap().values.len(), 1);
+
+        // Hold the only worker inside a release and fill the one queue
+        // slot: the next submission is refused, and its reply with it.
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (open, gate) = std::sync::mpsc::channel();
+        let gated = ReleaseRequest {
+            query: Arc::new(GatedQuery {
+                entered: Mutex::new(entered_tx),
+                gate: Mutex::new(gate),
+            }),
+            ..request("rita", 0.1, 2)
         };
-        assert_eq!(release.values.len(), 1);
-        // The response was consumed: waiting again fails fast, never hangs.
+        let (reply, held) = recorder();
+        service.try_submit_with(gated, None, reply).unwrap();
+        entered.recv().unwrap();
+        let (reply, queued) = recorder();
+        service
+            .try_submit_with(request("rita", 0.1, 3), None, reply)
+            .unwrap();
+        let (reply, refused) = recorder();
         assert!(matches!(
-            ticket.wait_timeout(std::time::Duration::ZERO),
+            service.try_submit_with(request("rita", 0.1, 4), None, reply),
+            Err(ServiceError::QueueFull { capacity: 1 })
+        ));
+        assert!(
+            matches!(
+                refused.try_recv(),
+                Err(std::sync::mpsc::TryRecvError::Disconnected)
+            ),
+            "a refused submission's reply is dropped uncalled"
+        );
+        assert!(
+            (service.budget().spent("rita") - 0.3).abs() < 1e-12,
+            "the refused spend is refunded"
+        );
+        open.send(()).unwrap();
+        called_once(&held).unwrap();
+        called_once(&queued).unwrap();
+        service.shutdown();
+
+        // A job whose worker panics, and a job left queued when the
+        // service goes away, are each answered once with ServiceClosed.
+        let service = ReleaseService::start(
+            test_engine(),
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 4,
+                per_user_epsilon: 10.0,
+            },
+        )
+        .unwrap();
+        let (reply, panicked) = recorder();
+        let panicking = ReleaseRequest {
+            query: Arc::new(PanickingQuery),
+            ..request("rita", 0.1, 5)
+        };
+        service.try_submit_with(panicking, None, reply).unwrap();
+        assert!(matches!(
+            called_once(&panicked),
             Err(ServiceError::ServiceClosed)
         ));
-
-        // A zero-duration wait on a request stuck behind nothing is a poll:
-        // it either succeeds or times out immediately, without blocking.
-        let ticket = service.submit(request("tim", 0.1, 2)).unwrap();
-        let polled = ticket.wait_timeout(std::time::Duration::ZERO);
+        // The only worker is gone, so this job stays queued until the
+        // service drops its queue.
+        let (reply, stranded) = recorder();
+        service
+            .try_submit_with(request("rita", 0.1, 6), None, reply)
+            .unwrap();
         assert!(matches!(
-            polled,
-            Ok(_) | Err(ServiceError::WaitTimeout { .. })
+            stranded.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Empty)
         ));
-        service.shutdown();
+        drop(service);
+        assert!(matches!(
+            called_once(&stranded),
+            Err(ServiceError::ServiceClosed)
+        ));
     }
 
     #[test]

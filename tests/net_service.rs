@@ -16,13 +16,15 @@
 //! * **Adversarial bytes are contained**: garbage on one connection gets a
 //!   typed error and a close, while the listener keeps serving others; the
 //!   connection cap refuses with a typed frame; shutdown drains in-flight
-//!   releases.
+//!   releases, and a stalled release cannot hold shutdown past one
+//!   `drain_timeout` per connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use pufferfish_core::engine::{MqmApproxCalibrator, ReleaseEngine};
+use pufferfish_core::engine::{Calibrator, FnCalibrator, MqmApproxCalibrator, ReleaseEngine};
 use pufferfish_core::{MqmApproxOptions, Parallelism};
 use pufferfish_markov::IntervalClassBuilder;
 use pufferfish_net::{
@@ -228,9 +230,9 @@ fn overload_returns_busy_and_the_server_stays_healthy() {
     let db = database(9);
 
     let mut client = NetClient::connect(server.local_addr(), "storm").unwrap();
-    let mut seqs = Vec::new();
+    let mut unanswered = std::collections::HashSet::new();
     for i in 0..120u64 {
-        seqs.push(
+        unanswered.insert(
             client
                 .send(Frame::release(i, test_query(), &db, 0.01, i).unwrap())
                 .unwrap(),
@@ -238,8 +240,12 @@ fn overload_returns_busy_and_the_server_stays_healthy() {
     }
     let mut ok = 0u64;
     let mut busy = 0u64;
-    for _ in 0..seqs.len() {
-        match client.recv().unwrap().frame {
+    for _ in 0..120 {
+        let Envelope { seq, frame } = client.recv().unwrap();
+        // A refused submission whose reply also fired would answer its
+        // seq twice: BUSY from the reader and a second frame from the reply.
+        assert!(unanswered.remove(&seq), "seq {seq} answered twice");
+        match frame {
             Frame::ReleaseOk { .. } => ok += 1,
             Frame::Busy { retry_hint_ms } => {
                 busy += 1;
@@ -253,6 +259,8 @@ fn overload_returns_busy_and_the_server_stays_healthy() {
         "a 2-deep queue under 120 pipelined requests must refuse some"
     );
     assert!(ok > 0, "admission control must not starve everything");
+    // Nothing trails the 120 answers: the next frame is the STATS reply.
+    client.stats().unwrap();
     client.goodbye().unwrap();
 
     // Health check: a fresh connection serves normally, and the refusals
@@ -847,4 +855,119 @@ fn shutdown_drains_in_flight_releases() {
         answered > 0,
         "shutdown must drain, not drop, in-flight requests"
     );
+}
+
+/// Opens a calibration gate when dropped.
+struct OpenOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        let (open, opened) = &*self.0;
+        *open
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        opened.notify_all();
+    }
+}
+
+#[test]
+fn a_stalled_release_cannot_hold_shutdown_past_one_drain_timeout() {
+    // Calibration blocks until the test opens the gate, so every release
+    // below is still in flight when the server shuts down.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let calibrator = {
+        let gate = Arc::clone(&gate);
+        let class = IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        let inner = MqmApproxCalibrator::new(class, LENGTH, MqmApproxOptions::default());
+        FnCalibrator::class_scoped("gated", 1, move |query, budget| {
+            let (open, opened) = &*gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+            drop(open);
+            inner.calibrate(query, budget)
+        })
+    };
+    let service = Arc::new(
+        ReleaseService::start(
+            ReleaseEngine::shared(calibrator),
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 16,
+                per_user_epsilon: 100.0,
+            },
+        )
+        .unwrap(),
+    );
+    // Dropped before the service, so a failed assertion below opens the
+    // gate instead of leaving the service's drop waiting on its worker.
+    let open_gate = OpenOnDrop(Arc::clone(&gate));
+    let read_timeout = Duration::from_millis(20);
+    let drain_timeout = Duration::from_millis(200);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig {
+            read_timeout,
+            drain_timeout,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "stall").unwrap();
+    let db = database(4);
+    for i in 0..8u64 {
+        client
+            .send(Frame::release(1, test_query(), &db, 0.1, i).unwrap())
+            .unwrap();
+    }
+    client.flush().unwrap();
+    // All 8 are admitted once their spend lands on the tenant-scoped user.
+    let admitted = Instant::now();
+    while service.budget().spent("stall#1") < 0.8 - 1e-9 {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(10),
+            "never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // One deadline for the connection, not one per release: 8 × 200 ms
+    // would overshoot this bound.
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < read_timeout + drain_timeout + Duration::from_millis(600),
+        "shutdown took {took:?}"
+    );
+    // The client gets the shutdown notice, then EOF: no reply arrives for
+    // the stalled releases, and nothing hangs.
+    loop {
+        match client.recv() {
+            Ok(envelope) => assert!(
+                matches!(
+                    envelope.frame,
+                    Frame::Error {
+                        code: ErrorCode::Shutdown,
+                        ..
+                    }
+                ),
+                "unexpected frame {:?}",
+                envelope.frame
+            ),
+            Err(ClientError::Io(_)) => break,
+            Err(other) => panic!("expected EOF, got {other:?}"),
+        }
+    }
+
+    // Let the stalled worker finish so no thread outlives the test.
+    drop(open_gate);
+    Arc::try_unwrap(service)
+        .expect("the server released its handle")
+        .shutdown();
 }
