@@ -37,7 +37,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pufferfish_core::NoisyRelease;
+use pufferfish_core::{NoisyRelease, ReleaseEngine};
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_query::{QueryError, QueryResult, QueryService, Table};
 use pufferfish_service::{
@@ -123,15 +123,29 @@ impl QueryEndpoint {
 /// stream mechanism PROGRESSIVE frames are answered with. Per-step budget is
 /// charged to the shared [`ReleaseService`]'s accountant under the same
 /// `tenant#user` identity RELEASE frames use.
+///
+/// Every request's driver releases through one calibration cache the
+/// endpoint owns ([`StreamBackend::engine`]), so the server calibrates each
+/// `(prefix, ε)` step once and answers every later request that uses it
+/// from the cache. On a server bound with telemetry, the cache's counters
+/// appear on METRICS as `engine_stream_mqm_approx_*` (or
+/// `engine_stream_gk16_*`), apart from the release engine's.
 pub struct ProgressiveEndpoint {
     class: MarkovChainClass,
     backend: StreamBackend,
+    engine: Arc<ReleaseEngine>,
 }
 
 impl ProgressiveEndpoint {
-    /// An endpoint answering progressive releases for `class` via `backend`.
+    /// An endpoint answering progressive releases for `class` via `backend`,
+    /// starting with an empty calibration cache.
     pub fn new(class: MarkovChainClass, backend: StreamBackend) -> Self {
-        ProgressiveEndpoint { class, backend }
+        let engine = backend.engine(&class);
+        ProgressiveEndpoint {
+            class,
+            backend,
+            engine,
+        }
     }
 }
 
@@ -323,6 +337,9 @@ impl NetServer {
                 None => ServiceTelemetry::new(Arc::clone(&options.registry)),
             };
             release.enable_telemetry(Arc::new(service_telemetry));
+            if let Some(endpoint) = &progressive {
+                endpoint.engine.enable_telemetry(&options.registry);
+            }
             NetTelemetry {
                 rx_bytes: options.registry.counter("net_rx_bytes_total"),
                 tx_bytes: options.registry.counter("net_tx_bytes_total"),
@@ -899,11 +916,12 @@ fn run_progressive(
     };
 
     let started = inner.telemetry.as_ref().map(|_| Instant::now());
-    let mut driver = match ProgressiveRelease::begin(
+    let mut driver = match ProgressiveRelease::begin_with(
         "net-progressive",
         &endpoint.class,
         schedule,
         endpoint.backend,
+        Arc::clone(&endpoint.engine),
         inner.release.budget(),
         &user,
         seed,

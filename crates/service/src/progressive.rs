@@ -18,9 +18,11 @@
 //! dropping the driver — refunds exactly the steps that never released.
 //!
 //! The headline guarantee is *bitwise equivalence*: the final refinement is
-//! produced by the very same [`ContinualRelease`] construction, seeded with
-//! the very same raw seed, that a one-shot release of the full window would
-//! use — see [`ProgressiveRelease::one_shot`]. Intermediate steps draw
+//! produced by the very same release path — the full-window histogram
+//! released through the backend's calibration cache
+//! ([`StreamBackend::engine`]) at the final ε — seeded with the very same
+//! raw seed, that a one-shot release of the full window would use — see
+//! [`ProgressiveRelease::one_shot`]. Intermediate steps draw
 //! their noise from seeds derived per step (a splitmix64 mix of the raw
 //! seed and the step index), so they can never perturb the final answer's
 //! noise stream. Paying for early answers therefore costs nothing in final
@@ -29,15 +31,20 @@
 //!
 //! [`abort`]: ProgressiveRelease::abort
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pufferfish_core::{laplace_error_bound, CompositionAccountant, NoisyRelease};
+use pufferfish_core::queries::RelativeFrequencyHistogram;
+use pufferfish_core::{
+    laplace_error_bound, CompositionAccountant, NoisyRelease, PrivacyBudget, ReleaseEngine,
+};
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_telemetry::query_signature;
 
 use crate::budget::{BudgetAccountant, SpendTag};
-use crate::stream::{ContinualRelease, StreamBackend, StreamConfig, WindowRelease};
+use crate::stream::{StreamBackend, WindowRelease};
 use crate::ServiceError;
 
 /// One scheduled refinement point: release an estimate over the first
@@ -230,9 +237,14 @@ fn step_seed(seed: u64, step: usize) -> u64 {
 /// All scheduled steps are charged to `user` through the accountant at
 /// [`begin`](ProgressiveRelease::begin) — one tagged ledger event per step
 /// — and unconsumed steps are refunded on [`abort`](ProgressiveRelease::abort)
-/// or drop. Each step calibrates lazily when its prefix fills (per-prefix
-/// calibrations are what make the first coarse answer fast), releases once,
-/// and certifies its error bound from the calibrated scale.
+/// or drop. When its prefix fills, each step releases once through the
+/// driver's calibration cache ([`StreamBackend::engine`]) and certifies its
+/// error bound from the calibrated scale. The first release of a
+/// `(prefix, ε)` calibrates it (per-prefix calibrations are what make the
+/// first coarse answer fast); every later one is a cache hit — including
+/// releases by other drivers that share the engine through
+/// [`begin_with`](ProgressiveRelease::begin_with), which is how a server
+/// calibrates each step of a recurring ladder once, not once per request.
 ///
 /// # Example
 ///
@@ -272,7 +284,8 @@ fn step_seed(seed: u64, step: usize) -> u64 {
 /// ```
 pub struct ProgressiveRelease<'a> {
     name: String,
-    class: &'a MarkovChainClass,
+    num_states: usize,
+    engine: Arc<ReleaseEngine>,
     budget: &'a BudgetAccountant,
     user: String,
     schedule: RefinementSchedule,
@@ -287,7 +300,7 @@ pub struct ProgressiveRelease<'a> {
 
 impl<'a> ProgressiveRelease<'a> {
     /// Admits the whole schedule against `user`'s budget and returns the
-    /// ready driver.
+    /// ready driver, releasing through a calibration cache of its own.
     ///
     /// Every step is charged as its own tagged spend (`seq` = step index),
     /// so an attached ε ledger records one `Charge` per scheduled
@@ -302,6 +315,30 @@ impl<'a> ProgressiveRelease<'a> {
         class: &'a MarkovChainClass,
         schedule: RefinementSchedule,
         backend: StreamBackend,
+        budget: &'a BudgetAccountant,
+        user: &str,
+        seed: u64,
+    ) -> Result<Self, ServiceError> {
+        let engine = backend.engine(class);
+        Self::begin_with(name, class, schedule, backend, engine, budget, user, seed)
+    }
+
+    /// [`begin`](ProgressiveRelease::begin) over a shared calibration
+    /// cache: `engine` must be [`StreamBackend::engine`] of this `backend`
+    /// over this `class` (or a clone of that `Arc`). Drivers sharing one
+    /// engine calibrate each `(prefix, ε)` step once between them, so a
+    /// recurring ladder costs one calibration per step, not one per
+    /// request. Outputs are bitwise those of [`begin`](ProgressiveRelease::begin).
+    ///
+    /// # Errors
+    /// As for [`begin`](ProgressiveRelease::begin).
+    #[allow(clippy::too_many_arguments)]
+    pub fn begin_with(
+        name: &str,
+        class: &MarkovChainClass,
+        schedule: RefinementSchedule,
+        backend: StreamBackend,
+        engine: Arc<ReleaseEngine>,
         budget: &'a BudgetAccountant,
         user: &str,
         seed: u64,
@@ -324,7 +361,8 @@ impl<'a> ProgressiveRelease<'a> {
         }
         Ok(ProgressiveRelease {
             name: name.to_string(),
-            class,
+            num_states: class.num_states(),
+            engine,
             budget,
             user: user.to_string(),
             schedule,
@@ -347,11 +385,11 @@ impl<'a> ProgressiveRelease<'a> {
     /// ingested) or when the step's backend fails to calibrate or release —
     /// the step then stays unconsumed, so aborting refunds it.
     pub fn push(&mut self, event: usize) -> Result<Option<ProgressiveUpdate>, ServiceError> {
-        if event >= self.class.num_states() {
+        if event >= self.num_states {
             return Err(ServiceError::Mechanism(
                 pufferfish_core::PufferfishError::InvalidDatabase(format!(
                     "progressive event {event} out of range for {} states",
-                    self.class.num_states()
+                    self.num_states
                 )),
             ));
         }
@@ -371,7 +409,7 @@ impl<'a> ProgressiveRelease<'a> {
         let total_steps = self.schedule.steps().len();
         let is_final = index + 1 == total_steps;
         // The final step consumes the *raw* seed through the very same
-        // stream construction `one_shot` uses — that identity is the
+        // release path `one_shot` uses — that identity is the
         // bitwise-equivalence guarantee. Intermediate steps use derived
         // seeds so they never touch the final answer's noise stream.
         let seed = if is_final {
@@ -379,14 +417,8 @@ impl<'a> ProgressiveRelease<'a> {
         } else {
             step_seed(self.seed, index)
         };
-        let window = Self::release_prefix(
-            &self.name,
-            self.class,
-            step,
-            self.backend,
-            seed,
-            &self.buffer,
-        )?;
+        let release =
+            Self::release_prefix(&self.engine, self.num_states, step, seed, &self.buffer)?;
         self.next_step += 1;
         self.accountant.record(step.epsilon);
         if is_final {
@@ -394,8 +426,8 @@ impl<'a> ProgressiveRelease<'a> {
             self.settled = true;
         }
         let certified_error = laplace_error_bound(
-            window.release.scale,
-            window.release.values.len(),
+            release.scale,
+            release.values.len(),
             self.schedule.confidence(),
         )?;
         Ok(ProgressiveUpdate {
@@ -403,50 +435,40 @@ impl<'a> ProgressiveRelease<'a> {
             total_steps,
             prefix: step.prefix,
             epsilon: step.epsilon,
-            release: window.release,
+            release,
             certified_error,
             confidence: self.schedule.confidence(),
             spent_epsilon: self.accountant.guaranteed_epsilon(),
         })
     }
 
-    /// One refinement step as a tumbling-window stream release: a fresh
-    /// [`ContinualRelease`] with `window = slide = prefix` and a stream
-    /// budget admitting exactly one release, fed the buffered prefix. This
-    /// is the *single* construction both the progressive driver and the
-    /// one-shot comparator run, which is what makes their final answers
-    /// structurally — and therefore bitwise — equal.
+    /// One refinement step: the relative-frequency histogram of the
+    /// `step.prefix` buffered events, released at `step.epsilon` through
+    /// `engine` with noise drawn from `seed`. This is the *single* path
+    /// both the progressive driver and the one-shot comparator run, which
+    /// is what makes their final answers structurally — and therefore
+    /// bitwise — equal. It draws the same mechanism and the same noise as
+    /// a fresh tumbling-window [`ContinualRelease`](crate::ContinualRelease)
+    /// (`window = slide = prefix`) fed the prefix at the same seed.
     fn release_prefix(
-        name: &str,
-        class: &MarkovChainClass,
+        engine: &ReleaseEngine,
+        num_states: usize,
         step: RefinementStep,
-        backend: StreamBackend,
         seed: u64,
         events: &[usize],
-    ) -> Result<WindowRelease, ServiceError> {
-        let mut stream = ContinualRelease::new(
-            name,
-            class,
-            StreamConfig {
-                window: step.prefix,
-                slide: step.prefix,
-                epsilon_per_release: step.epsilon,
-                stream_epsilon: step.epsilon,
-                backend,
-            },
-        )?;
+    ) -> Result<NoisyRelease, ServiceError> {
+        let query = RelativeFrequencyHistogram::new(num_states, step.prefix)?;
+        let budget = PrivacyBudget::new(step.epsilon)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut released = None;
-        for &event in events {
-            released = stream.push(event, &mut rng)?;
-        }
-        Ok(released.expect("a full tumbling window releases exactly once"))
+        Ok(engine.release(&query, events, budget, &mut rng)?)
     }
 
     /// The one-shot comparator: releases the full window in a single step,
-    /// through the identical stream construction and raw `seed` the
-    /// driver's final refinement uses. At equal seed and equal final ε the
-    /// result is bitwise-identical to the driver's last update.
+    /// through the identical release path and raw `seed` the driver's final
+    /// refinement uses, over a calibration cache of its own. At equal seed
+    /// and equal final ε the result is bitwise-identical to the driver's
+    /// last update. The name is not part of the release; it is taken for
+    /// symmetry with [`begin`](ProgressiveRelease::begin).
     ///
     /// This is the verification half of the equivalence claim — it charges
     /// **no** budget; callers releasing for real must account separately.
@@ -455,7 +477,7 @@ impl<'a> ProgressiveRelease<'a> {
     /// [`ServiceError::InvalidConfig`] when `database` is not exactly the
     /// schedule's window; calibration/release errors as for the driver.
     pub fn one_shot(
-        name: &str,
+        _name: &str,
         class: &MarkovChainClass,
         schedule: &RefinementSchedule,
         backend: StreamBackend,
@@ -470,7 +492,18 @@ impl<'a> ProgressiveRelease<'a> {
                 step.prefix
             )));
         }
-        Self::release_prefix(name, class, step, backend, seed, database)
+        let release = Self::release_prefix(
+            &backend.engine(class),
+            class.num_states(),
+            step,
+            seed,
+            database,
+        )?;
+        Ok(WindowRelease {
+            window_end: step.prefix,
+            release,
+            spent_epsilon: step.epsilon,
+        })
     }
 
     /// Stops the release early, refunding every step that has not released

@@ -25,10 +25,11 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use pufferfish_baselines::Gk16;
+use pufferfish_core::engine::{markov_class_token, FnCalibrator, TokenHasher};
 use pufferfish_core::queries::RelativeFrequencyHistogram;
 use pufferfish_core::{
     CompositionAccountant, Mechanism, MqmApprox, MqmApproxOptions, NoisyRelease, PrivacyBudget,
-    PufferfishError,
+    PufferfishError, ReleaseEngine,
 };
 use pufferfish_markov::MarkovChainClass;
 
@@ -54,6 +55,52 @@ impl StreamBackend {
             StreamBackend::MqmApprox => "mqm-approx",
             StreamBackend::Gk16 => "gk16",
         }
+    }
+
+    /// A calibration cache for this backend over `class`, shared by every
+    /// stream release that goes through it.
+    ///
+    /// The backend's calibration reads only the class, the window length
+    /// and ε — never the data — so each `(window, ε)` is calibrated once and
+    /// every later release at that geometry is a cache hit. The engine is
+    /// query-scoped and calibrates at the query's
+    /// [`expected_length`](pufferfish_core::LipschitzQuery::expected_length):
+    /// a release of a [`RelativeFrequencyHistogram`] over `w` events uses
+    /// exactly the mechanism a [`ContinualRelease`] with `window = w`
+    /// calibrates. Its kind, and so its telemetry family, is the backend
+    /// name prefixed `stream-`, which keeps its counters apart from a
+    /// release engine of the same family in one registry.
+    pub fn engine(self, class: &MarkovChainClass) -> Arc<ReleaseEngine> {
+        let kind = match self {
+            StreamBackend::MqmApprox => "stream-mqm-approx",
+            StreamBackend::Gk16 => "stream-gk16",
+        };
+        let token = TokenHasher::new(kind)
+            .mix(&markov_class_token(class))
+            .finish();
+        let class = class.clone();
+        ReleaseEngine::shared(FnCalibrator::new(kind, token, move |query, budget| {
+            self.calibrate(&class, query.expected_length(), budget)
+        }))
+    }
+
+    /// The one calibration recipe for stream windows: this backend over
+    /// `class` for windows of `window` events at `budget`.
+    fn calibrate(
+        self,
+        class: &MarkovChainClass,
+        window: usize,
+        budget: PrivacyBudget,
+    ) -> Result<Arc<dyn Mechanism>, PufferfishError> {
+        Ok(match self {
+            StreamBackend::MqmApprox => Arc::new(MqmApprox::calibrate(
+                class,
+                window,
+                budget,
+                MqmApproxOptions::default(),
+            )?),
+            StreamBackend::Gk16 => Arc::new(Gk16::calibrate(class, window, budget)?),
+        })
     }
 }
 
@@ -185,15 +232,9 @@ impl ContinualRelease {
                 config.epsilon_per_release
             ))
         })?;
-        let mechanism: Arc<dyn Mechanism> = match config.backend {
-            StreamBackend::MqmApprox => Arc::new(MqmApprox::calibrate(
-                class,
-                config.window,
-                per_release,
-                MqmApproxOptions::default(),
-            )?),
-            StreamBackend::Gk16 => Arc::new(Gk16::calibrate(class, config.window, per_release)?),
-        };
+        let mechanism = config
+            .backend
+            .calibrate(class, config.window, per_release)?;
         let num_states = class.num_states();
         let query = RelativeFrequencyHistogram::new(num_states, config.window)?;
         Ok(ContinualRelease {
@@ -295,17 +336,10 @@ impl ContinualRelease {
         }
         let per_release = PrivacyBudget::new(self.config.epsilon_per_release)
             .expect("per-release epsilon validated at construction");
-        let mechanism: Arc<dyn Mechanism> = match self.config.backend {
-            StreamBackend::MqmApprox => Arc::new(MqmApprox::calibrate(
-                class,
-                self.config.window,
-                per_release,
-                MqmApproxOptions::default(),
-            )?),
-            StreamBackend::Gk16 => {
-                Arc::new(Gk16::calibrate(class, self.config.window, per_release)?)
-            }
-        };
+        let mechanism = self
+            .config
+            .backend
+            .calibrate(class, self.config.window, per_release)?;
         let old_scale = self.noise_scale();
         self.mechanism = mechanism;
         Ok((old_scale, self.noise_scale()))

@@ -392,7 +392,7 @@ fn progressive_streams_interleave_with_pipelined_traffic_and_charge_per_refineme
             StreamBackend::MqmApprox,
         )),
         NetServerConfig::default(),
-        None,
+        Some(TelemetryOptions::new()),
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "prog").unwrap();
@@ -520,6 +520,24 @@ fn progressive_streams_interleave_with_pipelined_traffic_and_charge_per_refineme
         service.budget().spent("prog#b").to_bits(),
         schedule.total_epsilon().to_bits()
     );
+
+    // The endpoint calibrates each (prefix, ε) step once per server: a
+    // third request on the same ladder is served from the cache, and the
+    // endpoint's own counters (apart from the release engine's
+    // `engine_mqm_approx_*`) say so — 2 calibrations, 4 hits.
+    let refined_again = client.progressive(12, 0.9, 44, &steps, &stream_db).unwrap();
+    assert_eq!(refined_again.len(), steps.len());
+    let metrics = client.metrics().unwrap();
+    let counter = |name: &str| match metrics.iter().find(|m| m.name == name) {
+        Some(metric) => match metric.value {
+            WireMetricValue::Counter(n) => n,
+            ref other => panic!("{name} was {other:?}"),
+        },
+        None => panic!("metric {name} missing"),
+    };
+    assert_eq!(counter("engine_stream_mqm_approx_cache_misses_total"), 2);
+    assert_eq!(counter("engine_stream_mqm_approx_cache_hits_total"), 4);
+    assert_eq!(counter("engine_stream_mqm_approx_releases_total"), 6);
 
     // A schedule whose window disagrees with the shipped database is a
     // typed Malformed refusal, not a stream.
