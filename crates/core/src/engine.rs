@@ -750,16 +750,6 @@ impl ReleaseEngine {
         }
     }
 
-    /// Number of releases served from the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of cold calibrations performed.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Resets the hit/miss/coalesced counters to zero (cached calibrations
     /// are kept). Useful between benchmark phases.
     pub fn reset_counters(&self) {
@@ -785,12 +775,6 @@ impl ReleaseEngine {
     /// `true` when no calibration is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of distinct calibrations currently cached (alias of
-    /// [`ReleaseEngine::len`], kept for callers of the pre-sharding API).
-    pub fn cache_len(&self) -> usize {
-        self.len()
     }
 
     /// Whether the underlying calibrator keys the cache on the concrete
@@ -1229,37 +1213,37 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data = vec![0usize; 200];
 
-        assert_eq!(engine.cache_misses(), 0);
+        assert_eq!(engine.stats().misses, 0);
         engine.release(&query, &data, budget, &mut rng).unwrap();
-        assert_eq!(engine.cache_misses(), 1);
-        assert_eq!(engine.cache_hits(), 0);
+        assert_eq!(engine.stats().misses, 1);
+        assert_eq!(engine.stats().hits, 0);
 
         // Same (class, epsilon, query signature): served from cache.
         engine.release(&query, &data, budget, &mut rng).unwrap();
-        assert_eq!(engine.cache_misses(), 1);
-        assert_eq!(engine.cache_hits(), 1);
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.stats().misses, 1);
+        assert_eq!(engine.stats().hits, 1);
+        assert_eq!(engine.len(), 1);
 
         // Different epsilon: a fresh calibration.
         let other_budget = PrivacyBudget::new(2.0).unwrap();
         engine
             .release(&query, &data, other_budget, &mut rng)
             .unwrap();
-        assert_eq!(engine.cache_misses(), 2);
-        assert_eq!(engine.cache_len(), 2);
+        assert_eq!(engine.stats().misses, 2);
+        assert_eq!(engine.len(), 2);
 
         // MQMApprox calibration is query-independent (class-scoped), so a
         // different query at the same epsilon is still a cache hit — the
         // noise scale adapts at release time via the Lipschitz constant.
         let scalar = StateFrequencyQuery::new(1, 200);
         engine.release(&scalar, &data, budget, &mut rng).unwrap();
-        assert_eq!(engine.cache_misses(), 2);
-        assert_eq!(engine.cache_hits(), 2);
+        assert_eq!(engine.stats().misses, 2);
+        assert_eq!(engine.stats().hits, 2);
 
         engine.clear_cache();
-        assert_eq!(engine.cache_len(), 0);
+        assert_eq!(engine.len(), 0);
         engine.release(&query, &data, budget, &mut rng).unwrap();
-        assert_eq!(engine.cache_misses(), 3);
+        assert_eq!(engine.stats().misses, 3);
     }
 
     #[test]
@@ -1297,8 +1281,8 @@ mod tests {
         // Enabling twice is a no-op (first registry wins), and the engine's
         // own counters are untouched by mirroring.
         engine.enable_telemetry(&registry);
-        assert_eq!(engine.cache_hits(), 2);
-        assert_eq!(engine.cache_misses(), 1);
+        assert_eq!(engine.stats().hits, 2);
+        assert_eq!(engine.stats().misses, 1);
     }
 
     #[test]
@@ -1322,8 +1306,8 @@ mod tests {
         );
         let m0 = engine.mechanism(&q0, budget).unwrap();
         let m1 = engine.mechanism(&q1, budget).unwrap();
-        assert_eq!(engine.cache_misses(), 2);
-        assert_eq!(engine.cache_hits(), 0);
+        assert_eq!(engine.stats().misses, 2);
+        assert_eq!(engine.stats().hits, 0);
         // Each cached mechanism carries its own calibrated scale.
         assert_eq!(
             m0.noise_scale_for(&q0).to_bits(),
@@ -1360,7 +1344,7 @@ mod tests {
             cached.noise_scale_for(&query).to_bits(),
             cold.noise_scale_for(&query).to_bits()
         );
-        assert_eq!(engine.cache_hits(), 1);
+        assert_eq!(engine.stats().hits, 1);
     }
 
     #[test]
@@ -1516,15 +1500,15 @@ mod tests {
         let budget = PrivacyBudget::new(1.0).unwrap();
         let query = StateFrequencyQuery::new(1, 90);
         let estimate = engine.noise_scale_estimate(&query, budget).unwrap();
-        assert_eq!(engine.cache_misses(), 1);
+        assert_eq!(engine.stats().misses, 1);
         // The probe is the same cached calibration the release then uses.
         let mut rng = StdRng::seed_from_u64(3);
         let release = engine
             .release(&query, &vec![0usize; 90], budget, &mut rng)
             .unwrap();
         assert_eq!(release.scale.to_bits(), estimate.to_bits());
-        assert_eq!(engine.cache_misses(), 1);
-        assert_eq!(engine.cache_hits(), 1);
+        assert_eq!(engine.stats().misses, 1);
+        assert_eq!(engine.stats().hits, 1);
     }
 
     #[test]
@@ -1572,6 +1556,6 @@ mod tests {
         let mechanism = engine.mechanism(&query, budget).unwrap();
         assert_eq!(mechanism.name(), "mqm-approx");
         assert!(engine.mechanism(&query, budget).is_ok());
-        assert_eq!(engine.cache_hits(), 1);
+        assert_eq!(engine.stats().hits, 1);
     }
 }

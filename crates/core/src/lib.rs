@@ -87,7 +87,7 @@
 //!
 //! // Same key again: served from the calibration cache.
 //! let again = engine.release(&query, &data, budget, &mut rng).unwrap();
-//! assert_eq!(engine.cache_hits(), 1);
+//! assert_eq!(engine.stats().hits, 1);
 //! assert_eq!(again.scale, release.scale);
 //!
 //! // The cached mechanism is an ordinary `Arc<dyn Mechanism>`.

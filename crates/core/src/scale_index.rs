@@ -167,7 +167,7 @@ struct IndexPoint {
 /// let query = StateFrequencyQuery::new(1, 60);
 /// let grid = EpsilonGrid::log_spaced(0.1, 10.0, 9).unwrap();
 /// let index = ScaleIndex::build(&engine, &query, &grid).unwrap();
-/// assert_eq!(engine.cache_misses(), 9, "the grid is the entire cost");
+/// assert_eq!(engine.stats().misses, 9, "the grid is the entire cost");
 ///
 /// // Any in-grid ε is now an O(log grid) lookup, not a calibration.
 /// let estimate = index.estimate(&query, 0.7).unwrap();
@@ -434,7 +434,7 @@ mod tests {
         assert!(!index.query_scoped());
         assert_eq!(index.len(), 7);
         assert_eq!(index.kind(), "mqm-approx");
-        assert_eq!(engine.cache_misses(), 7);
+        assert_eq!(engine.stats().misses, 7);
 
         // A *different* query shape is answerable because the calibration is
         // class-scoped — and the estimate is certified against the exact
@@ -446,7 +446,7 @@ mod tests {
             .map(|&epsilon| index.estimate(&other, epsilon).unwrap())
             .collect();
         assert_eq!(
-            engine.cache_misses(),
+            engine.stats().misses,
             7,
             "in-grid estimates must not calibrate"
         );

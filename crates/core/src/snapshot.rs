@@ -40,10 +40,10 @@
 //! let snapshot = pufferfish_core::CalibrationSnapshot::from_bytes(&bytes).unwrap();
 //! let warm = ReleaseEngine::new(calibrator());
 //! assert_eq!(warm.import_snapshot(&snapshot).unwrap(), 1);
-//! assert_eq!(warm.cache_misses(), 0);
+//! assert_eq!(warm.stats().misses, 0);
 //! let scale = warm.noise_scale_estimate(&query, budget).unwrap();
 //! assert_eq!(scale.to_bits(), cold.noise_scale_estimate(&query, budget).unwrap().to_bits());
-//! assert_eq!(warm.cache_misses(), 0, "warm probes never calibrate");
+//! assert_eq!(warm.stats().misses, 0, "warm probes never calibrate");
 //! ```
 
 use std::fmt;

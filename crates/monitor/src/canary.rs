@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use pufferfish_core::queries::LipschitzQuery;
 use pufferfish_core::{NoisyRelease, PrivacyBudget, PufferfishError, ReleaseEngine};
 use pufferfish_markov::{estimate_class, ClassEstimationOptions, MarkovChainClass};
-use pufferfish_service::{MonitorStats, ReleaseObserver, ReleaseService};
+use pufferfish_service::{MonitorStats, ReleaseObserver, ReleaseService, ServiceError};
 
 use crate::drift::{ClassBounds, DriftConfig, DriftDetector};
 use crate::release::{ReleaseMonitor, ReleaseMonitorConfig};
@@ -204,21 +204,31 @@ impl MonitoredService {
     /// wrapper driving the canary loop. `factory` builds the replacement
     /// engine for a refitted class; `canary_query` is the fixed query whose
     /// scale is compared across the swap.
+    ///
+    /// # Errors
+    /// [`MonitorError::Service`] wrapping [`ServiceError::InvalidConfig`]
+    /// when `service` already has an observer: its observer slot is
+    /// write-once, and a monitor that observes nothing would report healthy
+    /// forever.
     pub fn attach(
         service: Arc<ReleaseService>,
         monitor: Arc<ServiceMonitor>,
         factory: Box<EngineFactory>,
         canary_query: Arc<dyn LipschitzQuery>,
         config: CanaryConfig,
-    ) -> Self {
-        service.set_observer(Arc::clone(&monitor) as Arc<dyn ReleaseObserver>);
-        MonitoredService {
+    ) -> Result<Self> {
+        if !service.set_observer(Arc::clone(&monitor) as Arc<dyn ReleaseObserver>) {
+            return Err(MonitorError::Service(ServiceError::InvalidConfig(
+                "the service already has an observer".to_string(),
+            )));
+        }
+        Ok(MonitoredService {
             service,
             monitor,
             factory,
             canary_query,
             config,
-        }
+        })
     }
 
     /// The wrapped service.
@@ -378,6 +388,7 @@ mod tests {
                 ..CanaryConfig::default()
             },
         )
+        .unwrap()
     }
 
     fn serve_from(monitored: &MonitoredService, truth: &MarkovChain, requests: usize, seed: u64) {
@@ -408,6 +419,32 @@ mod tests {
         assert!(!monitor.drifted);
         assert!(monitored.monitor().buffered_events() >= 20 * DB_LEN);
         assert!(monitored.check().unwrap().is_none(), "healthy: no canary");
+    }
+
+    #[test]
+    fn attaching_to_an_observed_service_is_a_typed_error() {
+        let truth = chain(0.8, 0.7);
+        let fit = fitted(&truth, 91);
+        let first = monitored(&fit, 1024);
+        let second = ServiceMonitor::new(
+            ClassBounds::from_fitted(&fit),
+            MonitorConfig::default(),
+            1024,
+        );
+        match MonitoredService::attach(
+            Arc::clone(first.service()),
+            Arc::clone(&second),
+            engine_factory(),
+            Arc::new(StateFrequencyQuery::new(1, DB_LEN)),
+            CanaryConfig::default(),
+        ) {
+            Err(MonitorError::Service(ServiceError::InvalidConfig(_))) => {}
+            other => panic!("expected a typed InvalidConfig, got {other:?}"),
+        }
+        // The first monitor keeps watching; the refused one sees nothing.
+        serve_from(&first, &truth, 5, 92);
+        assert!(first.monitor().buffered_events() >= 5 * DB_LEN);
+        assert_eq!(second.buffered_events(), 0);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! * Telemetry — re-exported from [`pufferfish_telemetry`]: the
 //!   [`LatencyHistogram`] the closed-loop load harness uses for
 //!   p50/p95/p99/p999 over millions of samples in 15 KiB, and (opt-in via
-//!   [`NetServer::bind_telemetry`]) per-connection byte counters, request
-//!   stage spans, a slow-request flight recorder, and a METRICS wire frame
-//!   exposing the whole registry to any client.
+//!   [`NetServer::bind_full`]'s `telemetry`) per-connection byte counters,
+//!   request stage spans, a slow-request flight recorder, and a METRICS
+//!   wire frame exposing the whole registry to any client.
 //!
 //! Determinism survives the wire: a release is fully determined by
 //! `(user, query, ε, seed, database)`, so identical requests over any

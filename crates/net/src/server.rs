@@ -246,79 +246,31 @@ impl NetServer {
         release: Arc<ReleaseService>,
         config: NetServerConfig,
     ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, None, None, config, None)
-    }
-
-    /// Binds a server that also answers QUERY frames via `query`.
-    ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_with_query<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: QueryEndpoint,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, Some(query), None, config, None)
-    }
-
-    /// Binds a server that also answers PROGRESSIVE frames via
-    /// `progressive`, streaming one [`Frame::RefineOk`] per schedule step —
-    /// all echoing the request's sequence number — interleaved with the
-    /// connection's other pipelined responses.
-    ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_with_progressive<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        progressive: ProgressiveEndpoint,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, None, Some(progressive), config, None)
+        Self::bind_full(addr, release, None, None, config, None)
     }
 
     /// Binds a server with every surface the caller provides: RELEASE
-    /// always, QUERY and PROGRESSIVE when their endpoints are given, and
-    /// full instrumentation when `telemetry` is given.
+    /// always, QUERY via `query`, and PROGRESSIVE via `progressive`, which
+    /// streams one [`Frame::RefineOk`] per schedule step — all echoing the
+    /// request's sequence number — interleaved with the connection's other
+    /// pipelined responses.
+    ///
+    /// With `telemetry` the server is fully instrumented: wire byte
+    /// counters, per-stage latency histograms (decode through encode,
+    /// shared with the release service's worker stages in one `stage_*_ns`
+    /// family), and the METRICS frame answering from `telemetry.registry`.
+    /// The shared `release` service (and the engine behind it) and the
+    /// progressive endpoint's calibration cache have their telemetry
+    /// enabled against the same registry, so everything lands in one place;
+    /// a service's telemetry is write-once, so one that already has
+    /// telemetry keeps recording into its first registry. A flight recorder
+    /// in `telemetry` receives a per-request trace of every RELEASE and
+    /// PROGRESSIVE; without one no trace is built. Servers bound without
+    /// telemetry answer METRICS with a typed [`ErrorCode::Unsupported`].
     ///
     /// # Errors
     /// [`std::io::Error`] when the bind fails.
     pub fn bind_full<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: Option<QueryEndpoint>,
-        progressive: Option<ProgressiveEndpoint>,
-        config: NetServerConfig,
-        telemetry: Option<TelemetryOptions>,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, query, progressive, config, telemetry)
-    }
-
-    /// Binds a fully instrumented server: wire byte counters, per-stage
-    /// latency histograms (decode through encode, shared with the release
-    /// service's worker stages in one `stage_*_ns` family), and the METRICS
-    /// frame answering from `telemetry.registry`.
-    ///
-    /// This is one-stop wiring — the shared `release` service (and the
-    /// engine behind it) has its telemetry enabled against the same
-    /// registry, so the stage pipeline and the engine's cache counters all
-    /// land in one place. Servers bound without this answer METRICS with a
-    /// typed [`ErrorCode::Unsupported`].
-    ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_telemetry<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: Option<QueryEndpoint>,
-        config: NetServerConfig,
-        telemetry: TelemetryOptions,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, query, None, config, Some(telemetry))
-    }
-
-    fn launch<A: ToSocketAddrs>(
         addr: A,
         release: Arc<ReleaseService>,
         query: Option<QueryEndpoint>,
@@ -678,16 +630,7 @@ fn dispatch(
                 epsilon,
                 seed,
             };
-            // With telemetry on, the request carries a trace keyed by its
-            // wire seq: the decode time recorded here, admission and the
-            // worker stages by the service, encode by the writer.
-            let trace = inner.telemetry.as_ref().map(|_| {
-                let trace = Arc::new(RequestTrace::new(seq));
-                if let Some(ns) = decode_ns {
-                    trace.record(Stage::Decode, ns);
-                }
-                trace
-            });
+            let trace = request_trace(inner, seq, decode_ns);
             // Counted before submission: a worker may finish the release,
             // and the writer count it out, before try_submit_with returns.
             inflight.fetch_add(1, Ordering::SeqCst);
@@ -698,37 +641,15 @@ fn dispatch(
                 .try_submit_with(request, trace, move |result| {
                     let _ = reply_tx.send(Outgoing::Done(seq, result, reply_trace));
                 });
-            if submitted.is_err() {
-                inflight.fetch_sub(1, Ordering::SeqCst);
-            }
             match submitted {
                 Ok(()) => true,
-                Err(ServiceError::QueueFull { .. }) => send_now(Frame::Busy {
-                    retry_hint_ms: config.busy_retry_hint_ms,
-                }),
-                Err(ServiceError::BudgetExhausted {
-                    requested,
-                    remaining,
-                    ..
-                }) => send_now(Frame::BudgetExhausted {
-                    requested,
-                    remaining,
-                }),
-                Err(ServiceError::ServiceClosed) => {
-                    send_now(Frame::Error {
-                        code: ErrorCode::Shutdown,
-                        message: "release service is closed".to_string(),
-                    });
-                    false
+                Err(error) => {
+                    inflight.fetch_sub(1, Ordering::SeqCst);
+                    // A closed service serves nothing more on this
+                    // connection.
+                    let open = !matches!(error, ServiceError::ServiceClosed);
+                    send_now(service_error_frame(error, config)) && open
                 }
-                Err(ServiceError::Mechanism(error)) => send_now(Frame::Error {
-                    code: ErrorCode::Mechanism,
-                    message: error.to_string(),
-                }),
-                Err(error) => send_now(Frame::Error {
-                    code: ErrorCode::Internal,
-                    message: error.to_string(),
-                }),
             }
         }
         Frame::Query {
@@ -752,7 +673,7 @@ fn dispatch(
             let user = scoped_user(tenant_name, user);
             match endpoint.service.query(&user, &statement, table, seed) {
                 Ok(result) => send_now(Frame::QueryOk(wire_result(&result))),
-                Err(error) => send_now(query_error_frame(error)),
+                Err(error) => send_now(query_error_frame(error, config)),
             }
         }
         Frame::Progressive {
@@ -804,13 +725,7 @@ fn dispatch(
             }
             let user = scoped_user(tenant_name, user);
             let database: Vec<usize> = database.into_iter().map(usize::from).collect();
-            let trace = inner.telemetry.as_ref().map(|_| {
-                let trace = Arc::new(RequestTrace::new(seq));
-                if let Some(ns) = decode_ns {
-                    trace.record(Stage::Decode, ns);
-                }
-                trace
-            });
+            let trace = request_trace(inner, seq, decode_ns);
             // Each PROGRESSIVE request gets its own driver thread so its
             // refinement stream interleaves with the connection's other
             // pipelined traffic; it holds a writer-channel clone, so the
@@ -870,6 +785,50 @@ fn scoped_user(tenant: &str, user: u64) -> String {
     format!("{tenant}#{user:x}")
 }
 
+/// The trace a RELEASE or PROGRESSIVE carries, keyed by its wire seq:
+/// decode is recorded here, the service and the progressive driver add
+/// their stages, and the finished trace goes to the flight recorder.
+/// Nothing else reads a trace, so a server without a recorder builds none.
+fn request_trace(inner: &Inner, seq: u64, decode_ns: Option<u64>) -> Option<Arc<RequestTrace>> {
+    inner.telemetry.as_ref()?.recorder.as_ref()?;
+    let trace = Arc::new(RequestTrace::new(seq));
+    if let Some(ns) = decode_ns {
+        trace.record(Stage::Decode, ns);
+    }
+    Some(trace)
+}
+
+/// The response frame for a serving-layer error, on every endpoint: BUDGET
+/// for an exhausted budget, BUSY for a full admission queue, and otherwise
+/// a typed ERROR. The caller decides whether the connection closes.
+fn service_error_frame(error: ServiceError, config: &NetServerConfig) -> Frame {
+    let code = match error {
+        ServiceError::BudgetExhausted {
+            requested,
+            remaining,
+            ..
+        } => {
+            return Frame::BudgetExhausted {
+                requested,
+                remaining,
+            }
+        }
+        ServiceError::QueueFull { .. } => {
+            return Frame::Busy {
+                retry_hint_ms: config.busy_retry_hint_ms,
+            }
+        }
+        ServiceError::ServiceClosed => ErrorCode::Shutdown,
+        ServiceError::InvalidConfig(_) => ErrorCode::Malformed,
+        ServiceError::Mechanism(_) => ErrorCode::Mechanism,
+        _ => ErrorCode::Internal,
+    };
+    Frame::Error {
+        code,
+        message: error.to_string(),
+    }
+}
+
 /// Drives one PROGRESSIVE request to completion on its own thread: admits
 /// the whole schedule against the shared accountant, replays the window
 /// through the driver, and ships each refinement as a seq-correlated
@@ -892,28 +851,7 @@ fn run_progressive(
         .as_ref()
         .expect("dispatch checked the endpoint exists");
     let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
-    let error_frame = |error: ServiceError| match error {
-        ServiceError::BudgetExhausted {
-            requested,
-            remaining,
-            ..
-        } => Frame::BudgetExhausted {
-            requested,
-            remaining,
-        },
-        ServiceError::InvalidConfig(_) => Frame::Error {
-            code: ErrorCode::Malformed,
-            message: error.to_string(),
-        },
-        ServiceError::Mechanism(_) => Frame::Error {
-            code: ErrorCode::Mechanism,
-            message: error.to_string(),
-        },
-        other => Frame::Error {
-            code: ErrorCode::Internal,
-            message: other.to_string(),
-        },
-    };
+    let error_frame = |error: ServiceError| service_error_frame(error, &inner.config);
 
     let started = inner.telemetry.as_ref().map(|_| Instant::now());
     let mut driver = match ProgressiveRelease::begin_with(
@@ -961,11 +899,9 @@ fn run_progressive(
     if let (Some(watch), Some(started)) = (&inner.telemetry, started) {
         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         watch.stages.record(Stage::Progressive, ns);
-        if let Some(trace) = &trace {
+        if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
             trace.record(Stage::Progressive, ns);
-            if let Some(recorder) = &watch.recorder {
-                recorder.observe(trace);
-            }
+            recorder.observe(trace);
         }
     }
 }
@@ -1020,26 +956,15 @@ fn wire_metrics(registry: &Registry) -> Vec<WireMetric> {
         .collect()
 }
 
-fn query_error_frame(error: QueryError) -> Frame {
+fn query_error_frame(error: QueryError, config: &NetServerConfig) -> Frame {
     match error {
-        QueryError::Budget(ServiceError::BudgetExhausted {
-            requested,
-            remaining,
-            ..
-        }) => Frame::BudgetExhausted {
-            requested,
-            remaining,
-        },
+        QueryError::Budget(error) => service_error_frame(error, config),
         QueryError::Parse { .. } => Frame::Error {
             code: ErrorCode::Parse,
             message: error.to_string(),
         },
         QueryError::Mechanism(_) => Frame::Error {
             code: ErrorCode::Mechanism,
-            message: error.to_string(),
-        },
-        QueryError::Budget(_) => Frame::Error {
-            code: ErrorCode::Internal,
             message: error.to_string(),
         },
         // Plan, NoEligibleMechanism, UnknownMechanism: the statement is
@@ -1112,29 +1037,16 @@ fn write_release(
             scale: release.scale,
             values: release.values,
         },
-        Err(ServiceError::ServiceClosed) => Frame::Error {
-            code: ErrorCode::Shutdown,
-            message: "release service closed mid-flight".to_string(),
-        },
-        Err(ServiceError::Mechanism(error)) => Frame::Error {
-            code: ErrorCode::Mechanism,
-            message: error.to_string(),
-        },
-        Err(error) => Frame::Error {
-            code: ErrorCode::Internal,
-            message: error.to_string(),
-        },
+        Err(error) => service_error_frame(error, config),
     };
     let encode_started = telemetry.map(|_| Instant::now());
     let written = write_frame(out, seq, frame, config)?;
     if let (Some(watch), Some(started)) = (telemetry, encode_started) {
         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         watch.stages.record(Stage::Encode, ns);
-        if let Some(trace) = &trace {
+        if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
             trace.record(Stage::Encode, ns);
-            if let Some(recorder) = &watch.recorder {
-                recorder.observe(trace);
-            }
+            recorder.observe(trace);
         }
     }
     Some(written)

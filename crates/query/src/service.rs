@@ -201,8 +201,6 @@ impl QueryService {
             indexed_probe_misses: self.catalog.indexed_probe_misses(),
             snapshot: None,
             monitor: None,
-            // The query front-end has no admission queue or worker stages.
-            latency: None,
         }
     }
 }

@@ -35,7 +35,10 @@
 //!   counters ([`ReleaseService::enable_telemetry`]), audit-tagged budget
 //!   events into an append-only ε ledger
 //!   ([`BudgetAccountant::attach_ledger`]), and an offline audit proving
-//!   the ledger replays to the live accountant's spend **bitwise**.
+//!   the ledger replays to the live accountant's spend **bitwise**. Both
+//!   hooks, like the release observer ([`ReleaseService::set_observer`]),
+//!   are write-once: the first attach wins, and a service without
+//!   telemetry takes no timestamps at all.
 //!
 //! Everything is deterministic given request seeds: identical request
 //! streams produce identical noisy answers regardless of worker count or
@@ -103,7 +106,7 @@ pub use error::ServiceError;
 pub use observer::ReleaseObserver;
 pub use progressive::{ProgressiveRelease, ProgressiveUpdate, RefinementSchedule, RefinementStep};
 pub use service::{ReleaseRequest, ReleaseService, ServiceConfig, Ticket};
-pub use stats::{MonitorStats, ServiceStats, SnapshotInfo, StageLatencies};
+pub use stats::{MonitorStats, ServiceStats, SnapshotInfo};
 pub use stream::{ContinualRelease, StreamBackend, StreamConfig, WindowRelease};
 pub use telemetry::ServiceTelemetry;
 

@@ -19,7 +19,7 @@
 //! reason about atomically).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -158,18 +158,34 @@ struct Job {
     /// Admission clears it before dropping a refused job, so a refusal's
     /// only answer is the submitter's synchronous error.
     reply: Option<Reply>,
-    /// When the job entered admission. Together with `admitted_at` the
-    /// worker derives the admission and queue-wait stages from these two
-    /// timestamps (the endpoints live on different threads, so an RAII
-    /// span cannot time either stage) — which keeps the warm admission
-    /// path free of any telemetry lookup at all.
-    submitted_at: Instant,
-    /// When admission accepted the job (the queue-wait clock start).
-    admitted_at: Instant,
+    /// When the job entered admission and when admission accepted it,
+    /// stamped only while telemetry is attached: a job is staged if and
+    /// only if telemetry was attached when it was admitted. The worker
+    /// turns the two stamps into the admission and queue-wait stages (the
+    /// endpoints live on different threads, so an RAII span cannot time
+    /// either stage).
+    stamps: Option<(Instant, Instant)>,
     /// The caller's request trace, when one rides along (the network
     /// front-end threads one through so decode/encode on the connection
     /// threads and the worker stages land in one breakdown).
     trace: Option<Arc<RequestTrace>>,
+}
+
+/// The running stage clock of one staged job: each lap ends the current
+/// stage and starts the next at the same instant, since clock reads are
+/// the bulk of the per-request telemetry cost.
+struct StageClock<'a> {
+    watch: &'a ServiceTelemetry,
+    trace: Option<&'a RequestTrace>,
+    last: Instant,
+}
+
+impl StageClock<'_> {
+    fn lap(&mut self, stage: Stage) {
+        let now = Instant::now();
+        ReleaseService::record_stage(self.watch, self.trace, stage, now.duration_since(self.last));
+        self.last = now;
+    }
 }
 
 impl Job {
@@ -279,14 +295,10 @@ pub struct ReleaseService {
     /// a request is always answered by exactly one engine's calibration,
     /// never a torn mix of pre- and post-swap entries.
     engine: Arc<RwLock<Arc<ReleaseEngine>>>,
-    observer: Arc<RwLock<Option<Arc<dyn ReleaseObserver>>>>,
-    telemetry: Arc<RwLock<Option<Arc<ServiceTelemetry>>>>,
-    /// Bumped on every [`ReleaseService::enable_telemetry`]. Workers keep a
-    /// private clone of the telemetry handle and re-read the `RwLock` slot
-    /// only when this generation changes — the per-job fast path is one
-    /// relaxed atomic load instead of a lock acquisition plus two contended
-    /// `Arc` reference-count updates.
-    telemetry_epoch: Arc<AtomicU64>,
+    /// Write-once hooks, like the engine's metrics and the budget's ledger:
+    /// reading either on the release path is one atomic load.
+    observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>>,
+    telemetry: Arc<OnceLock<Arc<ServiceTelemetry>>>,
     budget: Arc<BudgetAccountant>,
     queue: Arc<BoundedQueue<Job>>,
     pool: Option<WorkerPool>,
@@ -316,85 +328,61 @@ impl ReleaseService {
         let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(config.queue_capacity));
         let served = Arc::new(AtomicU64::new(0));
         let engine = Arc::new(RwLock::new(engine));
-        let observer: Arc<RwLock<Option<Arc<dyn ReleaseObserver>>>> = Arc::new(RwLock::new(None));
-        let telemetry: Arc<RwLock<Option<Arc<ServiceTelemetry>>>> = Arc::new(RwLock::new(None));
-        let telemetry_epoch = Arc::new(AtomicU64::new(0));
+        let observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>> = Arc::new(OnceLock::new());
+        let telemetry: Arc<OnceLock<Arc<ServiceTelemetry>>> = Arc::new(OnceLock::new());
 
         let pool = {
             let engine = Arc::clone(&engine);
             let observer = Arc::clone(&observer);
             let telemetry = Arc::clone(&telemetry);
-            let telemetry_epoch = Arc::clone(&telemetry_epoch);
             let queue = Arc::clone(&queue);
             let served = Arc::clone(&served);
             WorkerPool::spawn(config.workers, "pufferfish-release", move |_worker| {
-                // Worker-local telemetry cache, refreshed only when the
-                // service's epoch moves (i.e. after `enable_telemetry`):
-                // steady-state jobs never touch the lock or the `Arc`
-                // reference count.
-                let mut cached_epoch = 0u64;
-                let mut cached: Option<Arc<ServiceTelemetry>> = None;
                 while let Some(mut job) = queue.pop() {
-                    let epoch = telemetry_epoch.load(Ordering::Acquire);
-                    if epoch != cached_epoch {
-                        cached = telemetry.read().expect("telemetry lock poisoned").clone();
-                        cached_epoch = epoch;
-                    }
-                    let watch = &cached;
+                    // Admission stamps a job only with telemetry attached,
+                    // and the slot is write-once, so stamps imply telemetry.
+                    let staged = job.stamps.zip(telemetry.get());
                     // In-process submissions carry no trace of their own;
                     // when a flight recorder is attached, the worker builds
                     // one so the recorder still sees a stage breakdown. With
                     // no recorder the per-request trace would be dropped
                     // unread, so it is never built.
-                    let own_trace = match (&watch, &job.trace) {
-                        (Some(watch), None) if watch.recorder().is_some() => {
-                            Some(RequestTrace::new(job.request.seed))
-                        }
+                    let own_trace = match (staged, &job.trace) {
+                        (Some((_, watch)), None) => watch
+                            .recorder()
+                            .map(|recorder| (RequestTrace::new(job.request.seed), recorder)),
                         _ => None,
                     };
-                    let trace = job.trace.as_deref().or(own_trace.as_ref());
-                    // One clock read serves as both the queue-wait end and
-                    // the engine-stage start ("dequeued"): clock reads are
-                    // the bulk of the per-request telemetry cost.
-                    let dequeued = watch.as_ref().map(|watch| {
-                        let now = Instant::now();
-                        // The admission stage and counter are recorded here,
-                        // from the job's timestamps, rather than on the
-                        // submitter thread — the worker's cached handle makes
-                        // this the only place that pays a telemetry lookup.
+                    let trace = job
+                        .trace
+                        .as_deref()
+                        .or(own_trace.as_ref().map(|(trace, _)| trace));
+                    let mut clock = staged.map(|((submitted_at, admitted_at), watch)| {
+                        let mut clock = StageClock {
+                            watch,
+                            trace,
+                            last: admitted_at,
+                        };
+                        clock.lap(Stage::QueueWait);
                         Self::record_stage(
                             watch,
                             trace,
                             Stage::Admission,
-                            job.admitted_at.duration_since(job.submitted_at),
+                            admitted_at.duration_since(submitted_at),
                         );
                         watch.admitted().inc();
-                        Self::record_stage(
-                            watch,
-                            trace,
-                            Stage::QueueWait,
-                            now.duration_since(job.admitted_at),
-                        );
                         // The atomic mirror, not `len()`: re-locking the
                         // queue here would contend with every submitter.
                         watch.queue_depth().set(queue.approx_len() as u64);
-                        now
+                        clock
                     });
                     // One engine per request: the clone taken here outlives
                     // any concurrent swap_engine, so the whole release is
                     // served from a single consistent calibration.
                     let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
-                    let response = match (&watch, dequeued) {
-                        (Some(watch), Some(dequeued)) => {
-                            Self::serve_traced(&current, &job.request, watch, trace, dequeued)
-                        }
-                        _ => Self::serve(&current, &job.request),
-                    };
-                    if let Ok(release) = &response {
-                        let watcher = observer.read().expect("observer lock poisoned").clone();
-                        if let Some(watcher) = watcher {
-                            watcher.observe_release(&job.request.database, release);
-                        }
+                    let response = Self::serve(&current, &job.request, clock.as_mut());
+                    if let (Ok(release), Some(observer)) = (&response, observer.get()) {
+                        observer.observe_release(&job.request.database, release);
                     }
                     // Count, and finish a worker-built trace, before
                     // replying: a submitter woken by its ticket must find
@@ -402,10 +390,8 @@ impl ReleaseService {
                     // caller-supplied trace is finished (and offered to a
                     // recorder) by its owner.
                     served.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(watch), Some(trace)) = (&watch, &own_trace) {
-                        if let Some(recorder) = watch.recorder() {
-                            recorder.observe(trace);
-                        }
+                    if let Some((trace, recorder)) = &own_trace {
+                        recorder.observe(trace);
                     }
                     job.answer(response);
                 }
@@ -416,7 +402,6 @@ impl ReleaseService {
             engine,
             observer,
             telemetry,
-            telemetry_epoch,
             budget,
             queue,
             pool: Some(pool),
@@ -481,7 +466,6 @@ impl ReleaseService {
         Ok(self.engine().export_snapshot().write_to_file(path)?)
     }
 
-    /// One worker's handling of one request.
     /// Records one finished stage into the registry histogram and, when the
     /// request carries one, its per-request trace.
     fn record_stage(
@@ -497,44 +481,27 @@ impl ReleaseService {
         }
     }
 
+    /// One worker's handling of one request: the steps of
+    /// [`ReleaseEngine::release`], split so that a staged job's `clock`
+    /// can time the engine stage (the cache probe, plus calibration on a
+    /// miss) apart from the mechanism stage (RNG setup, query evaluation
+    /// and noise sampling). The RNG sees the same draws either way. A
+    /// failed release records nothing past its failure point.
     fn serve(
         engine: &ReleaseEngine,
         request: &ReleaseRequest,
-    ) -> Result<NoisyRelease, ServiceError> {
-        let budget = PrivacyBudget::new(request.epsilon)?;
-        let mut rng = StdRng::seed_from_u64(request.seed);
-        Ok(engine.release(&*request.query, &request.database, budget, &mut rng)?)
-    }
-
-    /// [`ReleaseService::serve`] with the engine and mechanism stages timed
-    /// separately. Stage boundaries share single clock reads (dequeue →
-    /// engine-in-hand → release-in-hand), since clock reads dominate the
-    /// per-request telemetry cost: the engine stage is the cache probe
-    /// (plus calibration on a miss), the mechanism stage is RNG setup,
-    /// query evaluation and noise sampling. Stages are recorded on success;
-    /// a failed release records nothing past its failure point. Same noise
-    /// as the untraced path — the RNG sees the same draws.
-    fn serve_traced(
-        engine: &ReleaseEngine,
-        request: &ReleaseRequest,
-        telemetry: &ServiceTelemetry,
-        trace: Option<&RequestTrace>,
-        dequeued: Instant,
+        mut clock: Option<&mut StageClock<'_>>,
     ) -> Result<NoisyRelease, ServiceError> {
         let budget = PrivacyBudget::new(request.epsilon)?;
         let mechanism = engine.mechanism(&*request.query, budget)?;
-        let engine_done = Instant::now();
-        Self::record_stage(
-            telemetry,
-            trace,
-            Stage::Engine,
-            engine_done.duration_since(dequeued),
-        );
+        if let Some(clock) = clock.as_deref_mut() {
+            clock.lap(Stage::Engine);
+        }
         let mut rng = StdRng::seed_from_u64(request.seed);
         let release = mechanism.release(&*request.query, &request.database, &mut rng)?;
-        Self::record_stage(telemetry, trace, Stage::Mechanism, engine_done.elapsed());
-        // The split path samples outside `ReleaseEngine::release`, so the
-        // per-release telemetry is recorded here.
+        if let Some(clock) = clock {
+            clock.lap(Stage::Mechanism);
+        }
         engine.note_release(release.scale);
         Ok(release)
     }
@@ -562,12 +529,13 @@ impl ReleaseService {
     /// this call returns, and it must not block. On a refusal it is dropped
     /// without being called: the returned error is the only answer.
     ///
-    /// With a `trace`, the admission and queue-wait stages are recorded into
-    /// it alongside the registry histograms, and the worker's
-    /// engine/mechanism stages accumulate into the same trace before
-    /// `reply` runs. The network front-end threads its per-request trace
-    /// through here; the caller remains responsible for offering the
-    /// finished trace to a flight recorder.
+    /// With telemetry attached, a `trace` receives the admission and
+    /// queue-wait stages alongside the registry histograms, and the
+    /// worker's engine/mechanism stages accumulate into the same trace
+    /// before `reply` runs; without telemetry it is left untouched. The
+    /// network front-end threads its per-request trace through here; the
+    /// caller remains responsible for offering the finished trace to a
+    /// flight recorder.
     ///
     /// # Errors
     /// As for [`ReleaseService::try_submit`].
@@ -603,13 +571,12 @@ impl ReleaseService {
         reply: Reply,
         blocking: bool,
     ) -> Result<(), ServiceError> {
-        // Every job is timestamped on arrival and on acceptance whether or
-        // not telemetry is attached — the worker (which already holds a
-        // cached telemetry handle) turns the two timestamps into the
-        // admission and queue-wait stages and counts the admission, so the
-        // warm path here never touches the telemetry slot. Time spent
-        // *inside* the enqueue call is part of the queue-wait stage.
-        let submitted_at = Instant::now();
+        // With telemetry attached the job is stamped on arrival and on
+        // acceptance; the worker turns the stamps into the admission and
+        // queue-wait stages and counts the admission. Time spent *inside*
+        // the enqueue call is part of the queue-wait stage.
+        let watch = self.telemetry.get();
+        let submitted_at = watch.map(|_| Instant::now());
         let tag = SpendTag {
             query_sig: query_signature(request.query.name()),
             family: self.engine().kind(),
@@ -619,14 +586,8 @@ impl ReleaseService {
             .budget
             .try_spend_tagged(&request.user, request.epsilon, tag)
         {
-            // Refusals never reach a worker, so this cold path looks the
-            // telemetry up itself.
-            let telemetry = self
-                .telemetry
-                .read()
-                .expect("telemetry lock poisoned")
-                .clone();
-            if let Some(watch) = &telemetry {
+            // Refusals never reach a worker, so they are staged here.
+            if let (Some(watch), Some(submitted_at)) = (watch, submitted_at) {
                 Self::record_stage(
                     watch,
                     trace.as_deref(),
@@ -640,8 +601,7 @@ impl ReleaseService {
         let job = Job {
             request,
             reply: Some(reply),
-            submitted_at,
-            admitted_at: Instant::now(),
+            stamps: submitted_at.map(|submitted_at| (submitted_at, Instant::now())),
             trace,
         };
         let refused = if blocking {
@@ -662,12 +622,7 @@ impl ReleaseService {
         job.reply = None;
         self.budget
             .refund_tagged(&job.request.user, job.request.epsilon, tag);
-        let telemetry = self
-            .telemetry
-            .read()
-            .expect("telemetry lock poisoned")
-            .clone();
-        if let Some(watch) = &telemetry {
+        if let Some(watch) = watch {
             watch.refused().inc();
         }
         Err(error)
@@ -701,61 +656,54 @@ impl ReleaseService {
     /// new engine is built and calibrated *off-path*, then installed here in
     /// one pointer swap.
     pub fn swap_engine(&self, engine: Arc<ReleaseEngine>) -> Arc<ReleaseEngine> {
-        // The incoming engine inherits the service's instrumentation, and an
-        // attached ε ledger records the swap: an auditor replaying the ledger
-        // can see exactly which releases were served before and after a
-        // recalibration.
-        if let Some(watch) = self
-            .telemetry
-            .read()
-            .expect("telemetry lock poisoned")
-            .as_ref()
-        {
-            engine.enable_telemetry(watch.registry());
-        }
+        // An attached ε ledger records the swap: an auditor replaying the
+        // ledger can see exactly which releases were served before and after
+        // a recalibration.
         if let Some(ledger) = self.budget.ledger() {
             ledger.record(LedgerEventKind::Recalibration, "", 0, engine.kind(), 0.0, 0);
         }
-        std::mem::replace(
-            &mut *self.engine.write().expect("engine lock poisoned"),
-            engine,
-        )
+        // The incoming engine inherits the service's instrumentation. The
+        // slot is read under the write lock, so a concurrent
+        // `enable_telemetry` either is seen here or reads the engine after
+        // this swap and enables the new one itself.
+        let mut current = self.engine.write().expect("engine lock poisoned");
+        if let Some(watch) = self.telemetry.get() {
+            engine.enable_telemetry(watch.registry());
+        }
+        std::mem::replace(&mut *current, engine)
     }
 
     /// Attaches live instrumentation: the engine's cache counters register
-    /// against the telemetry's registry, the admission path starts counting
-    /// and timing, and workers record queue-wait / engine / mechanism stage
-    /// latencies (plus flight-recorder traces when the telemetry carries a
-    /// recorder). Replaces any previous telemetry; events recorded before
-    /// enabling are not back-filled.
-    pub fn enable_telemetry(&self, telemetry: Arc<ServiceTelemetry>) {
-        self.engine().enable_telemetry(telemetry.registry());
-        *self.telemetry.write().expect("telemetry lock poisoned") = Some(telemetry);
-        // Publish *after* the slot is written: a worker that observes the
-        // new epoch re-reads the slot under the lock and must find the new
-        // handle there.
-        self.telemetry_epoch.fetch_add(1, Ordering::Release);
+    /// against the telemetry's registry, and every request admitted from
+    /// now on is counted and timed through admission, queue-wait, engine
+    /// and mechanism (plus a flight-recorder trace when the telemetry
+    /// carries a recorder). Events before attaching are not back-filled.
+    ///
+    /// The slot is **write-once**, like
+    /// [`BudgetAccountant::attach_ledger`] and
+    /// [`ReleaseEngine::enable_telemetry`]: the first call wins and returns
+    /// `true`; later calls return `false` and change nothing, so the
+    /// service's stages and the engine's counters always land in one
+    /// registry.
+    pub fn enable_telemetry(&self, telemetry: Arc<ServiceTelemetry>) -> bool {
+        let registry = Arc::clone(telemetry.registry());
+        if self.telemetry.set(telemetry).is_err() {
+            return false;
+        }
+        self.engine().enable_telemetry(&registry);
+        true
     }
 
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<Arc<ServiceTelemetry>> {
-        self.telemetry
-            .read()
-            .expect("telemetry lock poisoned")
-            .clone()
-    }
-
-    /// Attaches the observer that future releases are reported to (replacing
-    /// any previous one). Observation is on the worker release path; see
+    /// Attaches the observer every later successful release is reported
+    /// to. Observation is on the worker release path; see
     /// [`ReleaseObserver`] for the cost contract.
-    pub fn set_observer(&self, observer: Arc<dyn ReleaseObserver>) {
-        *self.observer.write().expect("observer lock poisoned") = Some(observer);
-    }
-
-    /// Detaches the current observer, returning the service to the unwatched
-    /// (zero-overhead) configuration.
-    pub fn clear_observer(&self) {
-        *self.observer.write().expect("observer lock poisoned") = None;
+    ///
+    /// The slot is **write-once**, like
+    /// [`BudgetAccountant::attach_ledger`]: the first call wins and returns
+    /// `true`; later calls return `false` and leave the first observer in
+    /// place, so a monitor never silently stops seeing releases.
+    pub fn set_observer(&self, observer: Arc<dyn ReleaseObserver>) -> bool {
+        self.observer.set(observer).is_ok()
     }
 
     /// One observability snapshot of the whole service: engine cache
@@ -780,18 +728,7 @@ impl ReleaseService {
                 entries: warm.entries,
                 bytes: warm.bytes,
             }),
-            monitor: self
-                .observer
-                .read()
-                .expect("observer lock poisoned")
-                .as_ref()
-                .map(|observer| observer.monitor_stats()),
-            latency: self
-                .telemetry
-                .read()
-                .expect("telemetry lock poisoned")
-                .as_ref()
-                .map(|watch| watch.stage_latencies()),
+            monitor: self.observer.get().map(|observer| observer.monitor_stats()),
         }
     }
 
@@ -1312,12 +1249,6 @@ mod tests {
             assert!(report.total_ns > 0);
         }
 
-        // Stats surface the stage percentiles and render them.
-        let stats = service.stats();
-        let latency = stats.latency.expect("telemetry attached");
-        assert!(latency.engine_p999_ns >= latency.engine_p50_ns);
-        assert!(stats.to_string().contains("queue-wait p50/p99/p999"));
-
         // The ledger audits bitwise against the live accountant: 3 charges,
         // 1 refusal.
         let report = audit_ledger(&ledger.to_bytes(), service.budget()).unwrap();
@@ -1348,6 +1279,92 @@ mod tests {
         assert!(text.contains("engine_mqm_approx_cache_misses_total counter 2"));
         // The audit still passes across the swap.
         audit_ledger(&ledger.to_bytes(), service.budget()).unwrap();
+        service.shutdown();
+    }
+
+    #[test]
+    fn telemetry_is_write_once_so_stages_and_engine_share_one_registry() {
+        use pufferfish_telemetry::{MetricValue, Registry};
+
+        let service = ReleaseService::start(
+            test_engine(),
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 4,
+                per_user_epsilon: 1.0,
+            },
+        )
+        .unwrap();
+        let first = Arc::new(Registry::new());
+        let second = Arc::new(Registry::new());
+        assert!(service.enable_telemetry(Arc::new(ServiceTelemetry::new(Arc::clone(&first)))));
+        assert!(!service.enable_telemetry(Arc::new(ServiceTelemetry::new(Arc::clone(&second)))));
+        service.release(request("alice", 0.4, 1)).unwrap();
+
+        // The service's stages and the engine's counters both land in the
+        // first registry.
+        let text = first.render_text();
+        assert!(text.contains("stage_engine_ns histogram count=1"), "{text}");
+        assert!(
+            text.contains("engine_mqm_approx_releases_total counter 1"),
+            "{text}"
+        );
+        // The refused registry holds only the handles its telemetry
+        // registered at construction, and records nothing.
+        for sample in second.snapshot() {
+            let recorded = match sample.value {
+                MetricValue::Counter(n) | MetricValue::Gauge(n) => n,
+                MetricValue::Histogram(summary) => summary.count,
+            };
+            assert_eq!(
+                recorded, 0,
+                "{} recorded into the refused registry",
+                sample.name
+            );
+        }
+        assert!(!second.render_text().contains("engine_mqm_approx"));
+        service.shutdown();
+    }
+
+    /// Counts the releases it sees, reported as noise tests.
+    #[derive(Default)]
+    struct CountingObserver(AtomicU64);
+
+    impl ReleaseObserver for CountingObserver {
+        fn observe_release(&self, _database: &[usize], _release: &NoisyRelease) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn monitor_stats(&self) -> crate::MonitorStats {
+            crate::MonitorStats {
+                noise_tests: self.0.load(Ordering::Relaxed),
+                ..crate::MonitorStats::default()
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_observer_wins_and_keeps_seeing_every_release() {
+        let service = ReleaseService::start(
+            test_engine(),
+            ServiceConfig {
+                workers: Parallelism::Threads(2),
+                queue_capacity: 4,
+                per_user_epsilon: 1.0,
+            },
+        )
+        .unwrap();
+        let first = Arc::new(CountingObserver::default());
+        let second = Arc::new(CountingObserver::default());
+        assert!(service.set_observer(Arc::clone(&first) as Arc<dyn ReleaseObserver>));
+        service.release(request("olga", 0.1, 1)).unwrap();
+        assert!(!service.set_observer(Arc::clone(&second) as Arc<dyn ReleaseObserver>));
+        service.release(request("olga", 0.1, 2)).unwrap();
+        service.release(request("olga", 0.1, 3)).unwrap();
+        // Workers observe before they reply, so the counts are settled.
+        assert_eq!(first.0.load(Ordering::Relaxed), 3);
+        assert_eq!(second.0.load(Ordering::Relaxed), 0);
+        assert_eq!(service.stats().monitor.unwrap().noise_tests, 3);
         service.shutdown();
     }
 

@@ -42,28 +42,6 @@ pub struct MonitorStats {
     pub recalibrations: u64,
 }
 
-/// Stage-latency percentiles from an attached telemetry pipeline: how long
-/// admitted requests sat in the queue and how long the engine stage (cache
-/// probe plus calibration on a miss) took, at p50/p99/p999. `None` in
-/// [`ServiceStats::latency`] until
-/// [`ReleaseService::enable_telemetry`](crate::ReleaseService::enable_telemetry)
-/// — the uninstrumented service records no stage timings at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageLatencies {
-    /// Queue-wait 50th percentile, nanoseconds.
-    pub queue_wait_p50_ns: u64,
-    /// Queue-wait 99th percentile, nanoseconds.
-    pub queue_wait_p99_ns: u64,
-    /// Queue-wait 99.9th percentile, nanoseconds.
-    pub queue_wait_p999_ns: u64,
-    /// Engine-stage 50th percentile, nanoseconds.
-    pub engine_p50_ns: u64,
-    /// Engine-stage 99th percentile, nanoseconds.
-    pub engine_p99_ns: u64,
-    /// Engine-stage 99.9th percentile, nanoseconds.
-    pub engine_p999_ns: u64,
-}
-
 /// One self-contained snapshot of a serving front-end's observable state:
 /// calibration-cache counters, queue occupancy and budget spend, gathered
 /// into a single struct so dashboards, examples and the query layer can log
@@ -115,9 +93,6 @@ pub struct ServiceStats {
     /// Counters of the attached runtime monitor, if any (see
     /// [`MonitorStats`]).
     pub monitor: Option<MonitorStats>,
-    /// Queue-wait and engine-stage latency percentiles from the attached
-    /// telemetry pipeline, if any (see [`StageLatencies`]).
-    pub latency: Option<StageLatencies>,
 }
 
 impl ServiceStats {
@@ -181,18 +156,6 @@ impl std::fmt::Display for ServiceStats {
                 monitor.drift_score,
                 if monitor.drifted { ", DRIFTED" } else { "" },
                 monitor.recalibrations,
-            )?;
-        }
-        if let Some(latency) = &self.latency {
-            write!(
-                f,
-                ", queue-wait p50/p99/p999 {}/{}/{} ns, engine p50/p99/p999 {}/{}/{} ns",
-                latency.queue_wait_p50_ns,
-                latency.queue_wait_p99_ns,
-                latency.queue_wait_p999_ns,
-                latency.engine_p50_ns,
-                latency.engine_p99_ns,
-                latency.engine_p999_ns,
             )?;
         }
         Ok(())
@@ -261,18 +224,5 @@ mod tests {
         assert!(rendered.contains("30 drift windows"));
         assert!(rendered.contains("last score 1.75, DRIFTED"));
         assert!(rendered.contains("2 recalibrations"));
-        assert!(!rendered.contains("queue-wait p50"));
-
-        stats.latency = Some(StageLatencies {
-            queue_wait_p50_ns: 800,
-            queue_wait_p99_ns: 4_000,
-            queue_wait_p999_ns: 9_000,
-            engine_p50_ns: 1_200,
-            engine_p99_ns: 45_000,
-            engine_p999_ns: 90_000,
-        });
-        let rendered = stats.to_string();
-        assert!(rendered.contains("queue-wait p50/p99/p999 800/4000/9000 ns"));
-        assert!(rendered.contains("engine p50/p99/p999 1200/45000/90000 ns"));
     }
 }

@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use pufferfish_telemetry::{Counter, FlightRecorder, Gauge, Registry, Stage, StageHistograms};
-
-use crate::stats::StageLatencies;
+use pufferfish_telemetry::{Counter, FlightRecorder, Gauge, Registry, StageHistograms};
 
 /// The serving layer's resolved metric handles, shared by the admission
 /// path (refusals) and every worker (everything else — each admitted job
@@ -91,26 +89,12 @@ impl ServiceTelemetry {
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
     }
-
-    /// The queue-wait and engine stage percentiles, reduced for
-    /// [`crate::ServiceStats`].
-    pub fn stage_latencies(&self) -> StageLatencies {
-        let queue_wait = self.stages.handle(Stage::QueueWait).snapshot();
-        let engine = self.stages.handle(Stage::Engine).snapshot();
-        StageLatencies {
-            queue_wait_p50_ns: queue_wait.percentile(50.0),
-            queue_wait_p99_ns: queue_wait.percentile(99.0),
-            queue_wait_p999_ns: queue_wait.percentile(99.9),
-            engine_p50_ns: engine.percentile(50.0),
-            engine_p99_ns: engine.percentile(99.0),
-            engine_p999_ns: engine.percentile(99.9),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pufferfish_telemetry::Stage;
 
     #[test]
     fn handles_resolve_once_and_share_the_registry() {
@@ -129,11 +113,6 @@ mod tests {
         assert!(text.contains("queue_depth gauge 5"));
         assert!(text.contains("stage_queue_wait_ns histogram count=1"));
         assert!(telemetry.recorder().is_none());
-
-        let latencies = telemetry.stage_latencies();
-        assert!(latencies.queue_wait_p50_ns >= 1_000);
-        assert!(latencies.engine_p99_ns >= 2_000);
-        assert_eq!(latencies.queue_wait_p50_ns, latencies.queue_wait_p999_ns);
     }
 
     #[test]

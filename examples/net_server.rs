@@ -107,24 +107,18 @@ fn main() {
         service.budget().attach_ledger(Arc::clone(&ledger));
         ledger
     });
-    let server = if telemetry {
-        let mut options = TelemetryOptions::new();
-        options.recorder = Some(Arc::new(FlightRecorder::new(64, 1_000_000)));
-        NetServer::bind_telemetry(
-            &addr as &str,
-            Arc::clone(&service),
-            Some(endpoint),
-            NetServerConfig::default(),
-            options,
-        )
-    } else {
-        NetServer::bind_with_query(
-            &addr as &str,
-            Arc::clone(&service),
-            endpoint,
-            NetServerConfig::default(),
-        )
-    }
+    let options = telemetry.then(|| TelemetryOptions {
+        recorder: Some(Arc::new(FlightRecorder::new(64, 1_000_000))),
+        ..TelemetryOptions::new()
+    });
+    let server = NetServer::bind_full(
+        &addr as &str,
+        Arc::clone(&service),
+        Some(endpoint),
+        None,
+        NetServerConfig::default(),
+        options,
+    )
     .expect("bind failed");
 
     println!("listening on {}", server.local_addr());

@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "second release L1 error {:.5} (cache hits: {}, misses: {})",
         release2.l1_error(),
-        exact_engine.cache_hits(),
-        exact_engine.cache_misses()
+        exact_engine.stats().hits,
+        exact_engine.stats().misses
     );
     Ok(())
 }

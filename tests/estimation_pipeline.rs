@@ -74,7 +74,7 @@ fn log_to_snapshot_roundtrip_is_bitwise_stable() {
         .release(&query, &database, budget, &mut warm_rng)
         .unwrap();
     assert_eq!(
-        warm.cache_misses(),
+        warm.stats().misses,
         0,
         "the import must pre-empt calibration"
     );
@@ -133,7 +133,8 @@ fn in_flight_tickets_never_see_a_torn_calibration() {
             canary_epsilon: epsilon,
             ..CanaryConfig::default()
         },
-    );
+    )
+    .unwrap();
     let old_scale = service
         .engine()
         .noise_scale_estimate(&query, budget)

@@ -321,16 +321,16 @@ fn engine_cache_hits_match_cold_calibration_for_every_calibrator() {
         let first = engine
             .release(query.as_ref(), &database, budget(), &mut rng)
             .unwrap();
-        assert_eq!(engine.cache_misses(), 1, "{}", engine.kind());
-        assert_eq!(engine.cache_hits(), 0, "{}", engine.kind());
+        assert_eq!(engine.stats().misses, 1, "{}", engine.kind());
+        assert_eq!(engine.stats().hits, 0, "{}", engine.kind());
 
         // Warm: second release with the same (class, epsilon, query) skips
         // recalibration — asserted via the hit counter.
         let second = engine
             .release(query.as_ref(), &database, budget(), &mut rng)
             .unwrap();
-        assert_eq!(engine.cache_misses(), 1, "{}", engine.kind());
-        assert_eq!(engine.cache_hits(), 1, "{}", engine.kind());
+        assert_eq!(engine.stats().misses, 1, "{}", engine.kind());
+        assert_eq!(engine.stats().hits, 1, "{}", engine.kind());
 
         // The cached mechanism is equivalent to a cold calibration: same
         // scale bit for bit.

@@ -9,7 +9,8 @@
 //! * **Budget enforcement is typed**: exhausting a user's ε over the wire
 //!   yields a `BUDGET_EXHAUSTED{requested, remaining}` frame, budgets are
 //!   tenant-scoped (the same numeric user id under two tenants spends two
-//!   budgets), and the spend survives reconnects.
+//!   budgets), and the spend survives reconnects. An ε that is not
+//!   positive and finite is a typed `MALFORMED` error that charges nothing.
 //! * **Overload is typed and survivable**: a tiny admission queue under a
 //!   deep pipeline produces `BUSY` frames, never hangs, and the server
 //!   serves normally afterwards.
@@ -311,6 +312,33 @@ fn busy_refusals_do_not_charge_the_budget() {
 }
 
 #[test]
+fn a_release_whose_epsilon_is_not_positive_and_finite_is_malformed_and_free() {
+    let service = service(16, 1, 1.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let db = database(5);
+    let mut client = NetClient::connect(server.local_addr(), "eps").unwrap();
+    for epsilon in [-0.5, 0.0, f64::NAN] {
+        match client.release(3, test_query(), &db, epsilon, 1) {
+            Err(ClientError::Remote { code, .. }) => {
+                assert_eq!(code, ErrorCode::Malformed, "epsilon {epsilon}")
+            }
+            other => panic!("epsilon {epsilon}: expected a typed Malformed error, got {other:?}"),
+        }
+    }
+    assert_eq!(service.budget().spent("eps#3"), 0.0);
+    // The refusals left the connection open: a valid release still lands.
+    client.release(3, test_query(), &db, 0.25, 2).unwrap();
+    assert!((service.budget().spent("eps#3") - 0.25).abs() < 1e-12);
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn query_frames_execute_and_miss_typed() {
     let class = IntervalClassBuilder::symmetric(0.45)
         .grid_points(2)
@@ -328,11 +356,13 @@ fn query_frames_execute_and_miss_typed() {
     endpoint.register_table(Table::single("sensor", 2, database(4)).unwrap());
 
     let service = service(64, 2, 10.0);
-    let server = NetServer::bind_with_query(
+    let server = NetServer::bind_full(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        endpoint,
+        Some(endpoint),
+        None,
         NetServerConfig::default(),
+        None,
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "q").unwrap();
@@ -697,12 +727,13 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
     // Threshold 0: every request is "slow", so the recorder captures all.
     options.recorder = Some(Arc::new(FlightRecorder::new(16, 0)));
     let recorder = options.recorder.clone().unwrap();
-    let server = NetServer::bind_telemetry(
+    let server = NetServer::bind_full(
         ("127.0.0.1", 0),
         Arc::clone(&service),
         None,
+        None,
         NetServerConfig::default(),
-        options,
+        Some(options),
     )
     .unwrap();
     let db = database(7);

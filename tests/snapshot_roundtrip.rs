@@ -158,7 +158,7 @@ proptest! {
         }
         let warm_scale = warm.noise_scale_estimate(&*query, other_budget).unwrap();
         prop_assert_eq!(cold_scale.to_bits(), warm_scale.to_bits());
-        prop_assert_eq!(warm.cache_misses(), 0);
+        prop_assert_eq!(warm.stats().misses, 0);
 
         // The restored cache re-exports to an equivalent snapshot (same
         // keys and states; the export timestamp may differ).
@@ -253,7 +253,7 @@ fn ci_snapshot_from_previous_step_imports_cleanly() {
         assert_eq!(warm_release.scale.to_bits(), cold_release.scale.to_bits());
     }
     assert_eq!(
-        warm.cache_misses(),
+        warm.stats().misses,
         0,
         "the other process's snapshot must cover every ε this process releases at"
     );
@@ -334,7 +334,7 @@ fn class_mismatch_is_refused_without_touching_the_cache() {
         ))
     ));
     assert_eq!(other.len(), before, "a refused import must change nothing");
-    assert_eq!(other.cache_misses(), 1);
+    assert_eq!(other.stats().misses, 1);
 }
 
 /// A snapshot naming a family this build cannot restore is refused before

@@ -155,7 +155,7 @@ fn imported_snapshot_noise_follows_the_calibrated_scale_without_calibrating() {
     let warm = ReleaseEngine::new(calibrator());
     assert_eq!(warm.import_snapshot(&snapshot).unwrap(), 1);
     let warm_mechanism = warm.mechanism(&query, budget).unwrap();
-    assert_eq!(warm.cache_misses(), 0, "warm start must not calibrate");
+    assert_eq!(warm.stats().misses, 0, "warm start must not calibrate");
 
     // Identical seed → bitwise-identical noise stream across the store.
     let mut cold_rng = StdRng::seed_from_u64(7);
@@ -171,7 +171,7 @@ fn imported_snapshot_noise_follows_the_calibrated_scale_without_calibrating() {
     // Fresh seed → the warm noise stands on its own statistically.
     let stats = collect(&*warm_mechanism, &query, &database, 0xF00D);
     assert_harness("imported mqm-exact", &stats);
-    assert_eq!(warm.cache_misses(), 0);
+    assert_eq!(warm.stats().misses, 0);
 }
 
 /// Control: the harness itself must *detect* a miscalibrated scale — a
