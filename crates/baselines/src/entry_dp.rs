@@ -3,9 +3,8 @@
 use rand::Rng;
 
 use pufferfish_core::queries::LipschitzQuery;
-use pufferfish_core::{
-    validate_query_length, Laplace, Mechanism, NoisyRelease, PrivacyBudget, PufferfishError, Result,
-};
+use pufferfish_core::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use pufferfish_core::{Laplace, Mechanism, NoisyRelease, PrivacyBudget, PufferfishError, Result};
 
 /// The classical Laplace mechanism: adds `Lap(Δ / ε)` to every coordinate,
 /// where `Δ` is an L1 sensitivity.
@@ -19,9 +18,9 @@ use pufferfish_core::{
 ///   aggregate over `n` participants (the "DP" row of Table 1), where the
 ///   caller supplies the participant-level sensitivity (e.g. `2/n` for an
 ///   averaged relative-frequency histogram).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntryDp {
-    epsilon: f64,
+    state: MechanismState,
     sensitivity: f64,
 }
 
@@ -38,7 +37,14 @@ impl EntryDp {
             )));
         }
         Ok(EntryDp {
-            epsilon: budget.epsilon(),
+            state: MechanismState {
+                family: "entry-dp",
+                epsilon: budget.epsilon(),
+                scale: ScaleForm::Fixed {
+                    scale: sensitivity / budget.epsilon(),
+                },
+                validation: ValidationForm::QueryLength,
+            },
             sensitivity,
         })
     }
@@ -54,12 +60,7 @@ impl EntryDp {
 
     /// The Laplace scale `Δ / ε`.
     pub fn noise_scale(&self) -> f64 {
-        self.sensitivity / self.epsilon
-    }
-
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.sensitivity / self.state.epsilon
     }
 
     /// Adds calibrated noise to an already-computed vector of values.
@@ -78,51 +79,11 @@ impl EntryDp {
             scale: self.noise_scale(),
         })
     }
-
-    /// Evaluates and privatises a query over a database.
-    ///
-    /// # Errors
-    /// Query evaluation errors are propagated.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        let values = query.evaluate(database)?;
-        self.privatize(&values, rng)
-    }
 }
 
 impl Mechanism for EntryDp {
-    fn name(&self) -> &'static str {
-        "entry-dp"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Entry DP is calibrated to a caller-supplied sensitivity, so the scale
-    /// does not rescale by the query's Lipschitz constant.
-    fn noise_scale_for(&self, _query: &dyn LipschitzQuery) -> f64 {
-        self.noise_scale()
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_query_length(query, database)
-    }
-
-    /// Release-relevant state: the fixed scale `Δ / ε`.
-    fn snapshot_state(&self) -> Option<pufferfish_core::snapshot::MechanismState> {
-        Some(pufferfish_core::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: pufferfish_core::snapshot::ScaleForm::Fixed {
-                scale: self.noise_scale(),
-            },
-            validation: pufferfish_core::snapshot::ValidationForm::QueryLength,
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

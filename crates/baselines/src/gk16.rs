@@ -20,12 +20,8 @@
 //! Figure 4 and every real-data column of Tables 1 and 3), and its error
 //! grows as the spectral norm approaches 1.
 
-use rand::Rng;
-
-use pufferfish_core::queries::LipschitzQuery;
-use pufferfish_core::{
-    validate_query_length, Laplace, Mechanism, NoisyRelease, PrivacyBudget, PufferfishError, Result,
-};
+use pufferfish_core::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use pufferfish_core::{Mechanism, PrivacyBudget, PufferfishError, Result};
 use pufferfish_linalg::Matrix;
 use pufferfish_markov::{time_reversal, MarkovChain, MarkovChainClass};
 
@@ -49,7 +45,7 @@ pub struct InfluenceMatrixSummary {
 /// A calibrated GK16 mechanism.
 #[derive(Debug, Clone)]
 pub struct Gk16 {
-    epsilon: f64,
+    state: MechanismState,
     worst_norm: f64,
     summaries: Vec<InfluenceMatrixSummary>,
 }
@@ -84,7 +80,15 @@ impl Gk16 {
             )));
         }
         Ok(Gk16 {
-            epsilon: budget.epsilon(),
+            state: MechanismState {
+                family: "gk16",
+                epsilon: budget.epsilon(),
+                scale: ScaleForm::LipschitzRatio {
+                    numerator: 1.0 / (1.0 - worst_norm),
+                    denominator: budget.epsilon(),
+                },
+                validation: ValidationForm::QueryLength,
+            },
             worst_norm,
             summaries,
         })
@@ -100,75 +104,15 @@ impl Gk16 {
         &self.summaries
     }
 
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// The noise-inflation factor `1 / (1 − ‖I‖₂)`.
     pub fn inflation(&self) -> f64 {
         1.0 / (1.0 - self.worst_norm)
     }
-
-    /// Laplace scale applied per coordinate of `query`.
-    pub fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        query.lipschitz_constant() * self.inflation() / self.epsilon
-    }
-
-    /// Evaluates and privatises a query.
-    ///
-    /// # Errors
-    /// Query evaluation errors are propagated.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let laplace = Laplace::new(scale)?;
-        let mut noise = vec![0.0; true_values.len()];
-        laplace.sample_into(&mut noise, rng);
-        let values = true_values.iter().zip(&noise).map(|(v, n)| v + n).collect();
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
-    }
 }
 
 impl Mechanism for Gk16 {
-    fn name(&self) -> &'static str {
-        "gk16"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        Gk16::noise_scale_for(self, query)
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_query_length(query, database)
-    }
-
-    /// Release-relevant state: the scale rule `L · inflation / ε` in its
-    /// original operation order. The per-distribution influence summaries
-    /// are not part of the normal form.
-    fn snapshot_state(&self) -> Option<pufferfish_core::snapshot::MechanismState> {
-        Some(pufferfish_core::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: pufferfish_core::snapshot::ScaleForm::LipschitzRatio {
-                numerator: self.inflation(),
-                denominator: self.epsilon,
-            },
-            validation: pufferfish_core::snapshot::ValidationForm::QueryLength,
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 
@@ -236,7 +180,7 @@ fn explicit_tridiagonal_norm(forward: f64, backward: f64, length: usize) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pufferfish_core::queries::StateFrequencyQuery;
+    use pufferfish_core::queries::{LipschitzQuery, StateFrequencyQuery};
     use pufferfish_markov::IntervalClassBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

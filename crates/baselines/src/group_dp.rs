@@ -1,11 +1,7 @@
 //! Group differential privacy (Definition 2.2 of the paper).
 
-use rand::Rng;
-
-use pufferfish_core::queries::LipschitzQuery;
-use pufferfish_core::{
-    validate_query_length, Laplace, Mechanism, NoisyRelease, PrivacyBudget, PufferfishError, Result,
-};
+use pufferfish_core::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use pufferfish_core::{Mechanism, PrivacyBudget, PufferfishError, Result};
 
 /// The group-DP baseline ("GroupDP" in the experiments): every record in a
 /// correlated group must be protected simultaneously, so the Laplace scale is
@@ -16,9 +12,9 @@ use pufferfish_core::{
 /// when measurement gaps split the data into several shorter chains, `M` is
 /// the length of the longest segment — exactly the preprocessing advantage
 /// the paper grants it in Section 5.3.1.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupDp {
-    epsilon: f64,
+    state: MechanismState,
     largest_group: usize,
 }
 
@@ -34,7 +30,15 @@ impl GroupDp {
             ));
         }
         Ok(GroupDp {
-            epsilon: budget.epsilon(),
+            state: MechanismState {
+                family: "group-dp",
+                epsilon: budget.epsilon(),
+                scale: ScaleForm::LipschitzRatio {
+                    numerator: largest_group as f64,
+                    denominator: budget.epsilon(),
+                },
+                validation: ValidationForm::QueryLength,
+            },
             largest_group,
         })
     }
@@ -53,70 +57,11 @@ impl GroupDp {
     pub fn largest_group(&self) -> usize {
         self.largest_group
     }
-
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Laplace scale applied per coordinate of `query`: `L · M / ε`.
-    pub fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        query.lipschitz_constant() * self.largest_group as f64 / self.epsilon
-    }
-
-    /// Evaluates and privatises a query.
-    ///
-    /// # Errors
-    /// Query evaluation errors are propagated.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let laplace = Laplace::new(scale)?;
-        let mut noise = vec![0.0; true_values.len()];
-        laplace.sample_into(&mut noise, rng);
-        let values = true_values.iter().zip(&noise).map(|(v, n)| v + n).collect();
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
-    }
 }
 
 impl Mechanism for GroupDp {
-    fn name(&self) -> &'static str {
-        "group-dp"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        GroupDp::noise_scale_for(self, query)
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_query_length(query, database)
-    }
-
-    /// Release-relevant state: the scale rule `L · M / ε` in its original
-    /// operation order, so restored scales are bitwise-identical.
-    fn snapshot_state(&self) -> Option<pufferfish_core::snapshot::MechanismState> {
-        Some(pufferfish_core::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: pufferfish_core::snapshot::ScaleForm::LipschitzRatio {
-                numerator: self.largest_group as f64,
-                denominator: self.epsilon,
-            },
-            validation: pufferfish_core::snapshot::ValidationForm::QueryLength,
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pufferfish_core::flu::flu_clique_framework;
 use pufferfish_core::queries::{RelativeFrequencyHistogram, StateCountQuery};
 use pufferfish_core::{
-    MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, WassersteinMechanism,
+    Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget,
+    WassersteinMechanism,
 };
 use pufferfish_markov::{sample_trajectory, MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use pufferfish_baselines::{EntryDp, Gk16, GroupDp};
 use pufferfish_core::queries::RelativeFrequencyHistogram;
 use pufferfish_core::{
-    MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, Result,
+    Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, Result,
 };
 use pufferfish_datasets::{
     aggregate_relative_frequencies, l1_distance, relative_frequencies, ActivityCohort,

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use pufferfish_baselines::{Gk16, GroupDp};
 use pufferfish_core::queries::RelativeFrequencyHistogram;
 use pufferfish_core::{
-    MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, Result,
+    Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, Result,
 };
 use pufferfish_datasets::{ElectricityConfig, ElectricityDataset};
 use pufferfish_markov::MarkovChainClass;

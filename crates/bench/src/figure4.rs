@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use pufferfish_baselines::{EntryDp, Gk16, GroupDp};
 use pufferfish_core::queries::StateFrequencyQuery;
 use pufferfish_core::{
-    MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget, QuiltSearchStrategy,
-    Result,
+    Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget,
+    QuiltSearchStrategy, Result,
 };
 use pufferfish_datasets::SyntheticWorkload;
 use pufferfish_markov::ReversibilityMode;

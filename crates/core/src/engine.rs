@@ -785,33 +785,27 @@ impl ReleaseEngine {
         self.calibrator.query_scoped()
     }
 
-    /// Exports every snapshot-capable cached calibration as a
+    /// Exports every cached calibration's normal form as a
     /// [`CalibrationSnapshot`](crate::CalibrationSnapshot).
     ///
     /// Each shard's read lock is held only long enough to clone its entries;
     /// serialisation (and any file I/O the caller performs) happens with no
     /// lock held, so a running service can snapshot itself without stalling
     /// releases. Entries are sorted by key, so equal caches export
-    /// byte-identical snapshots (modulo the timestamp). Mechanisms whose
-    /// [`Mechanism::snapshot_state`] returns `None` are skipped.
+    /// byte-identical snapshots (modulo the timestamp).
     pub fn export_snapshot(&self) -> crate::snapshot::CalibrationSnapshot {
-        let mut cached: Vec<(CalibrationKey, Arc<dyn Mechanism>)> = Vec::with_capacity(self.len());
+        let mut entries = Vec::with_capacity(self.len());
         for shard in &self.shards {
             let guard = shard.cache.read().expect("calibration cache poisoned");
-            cached.extend(
+            entries.extend(
                 guard
                     .iter()
-                    .map(|(key, mechanism)| (key.clone(), Arc::clone(mechanism))),
+                    .map(|(key, mechanism)| crate::snapshot::SnapshotEntry {
+                        key: key.clone(),
+                        state: mechanism.state().clone(),
+                    }),
             );
         }
-        let mut entries: Vec<crate::snapshot::SnapshotEntry> = cached
-            .into_iter()
-            .filter_map(|(key, mechanism)| {
-                mechanism
-                    .snapshot_state()
-                    .map(|state| crate::snapshot::SnapshotEntry { key, state })
-            })
-            .collect();
         entries.sort_by(|a, b| {
             (
                 a.key.epsilon_bits,

@@ -32,12 +32,15 @@
 //! ## The unified `Mechanism` trait
 //!
 //! Every calibrated mechanism — the four above plus the baselines in
-//! `pufferfish-baselines` — implements the object-safe [`Mechanism`] trait:
-//! `epsilon()`, `noise_scale_for(query)`, `release(query, db, rng)` and
-//! `release_batch`. Calibration stays on the concrete types (each family
-//! consumes different class descriptions), while serving code holds
-//! `Box<dyn Mechanism>` / `Arc<dyn Mechanism>` and never cares which family
-//! produced it.
+//! `pufferfish-baselines` — implements the object-safe [`Mechanism`] trait
+//! by one method, `state()`: the calibrated normal form ([`MechanismState`]:
+//! ε, a query → scale rule and a validation rule) it builds once at
+//! calibration. `epsilon()`, `noise_scale_for(query)`,
+//! `release(query, db, rng)` and `release_batch` are provided methods that
+//! read it, so every family releases through one path. Calibration stays on
+//! the concrete types (each family consumes different class descriptions),
+//! while serving code holds `Box<dyn Mechanism>` / `Arc<dyn Mechanism>` and
+//! never cares which family produced it.
 //!
 //! ## The release engine
 //!
@@ -121,7 +124,7 @@ pub use engine::{CacheStats, ReleaseEngine};
 pub use error::PufferfishError;
 pub use framework::{DiscretePufferfishFramework, DiscreteScenario, Secret};
 pub use laplace::{laplace_error_bound, Laplace};
-pub use mechanism::{l1_error, validate_query_length, Mechanism, NoisyRelease, PrivacyBudget};
+pub use mechanism::{l1_error, Mechanism, NoisyRelease, PrivacyBudget};
 pub use mqm_approx::{MqmApprox, MqmApproxOptions, QuiltSearchStrategy};
 pub use mqm_chain_influence::{
     chain_max_influence, chain_max_influence_cached, ChainInfluenceTables, ChainQuiltShape,

@@ -4,6 +4,7 @@
 use rand::RngCore;
 
 use crate::queries::LipschitzQuery;
+use crate::snapshot::MechanismState;
 use crate::{Laplace, PufferfishError, Result};
 
 /// A validated privacy parameter `epsilon > 0`.
@@ -34,10 +35,16 @@ impl PrivacyBudget {
 /// The unified, object-safe interface every calibrated Pufferfish mechanism
 /// (and every baseline) exposes.
 ///
-/// A `Mechanism` is the *output* of calibration: it knows its privacy
-/// parameter, how much Laplace noise any [`LipschitzQuery`] needs, and how to
-/// release query answers over state-sequence databases. Calibration itself
-/// stays on the concrete types (each family consumes different inputs — a
+/// A `Mechanism` is the *output* of calibration. Every family in the paper
+/// ends in the same step — evaluate the query and add Laplace noise at a
+/// calibrated scale — and differs only in how it calibrates that scale. So
+/// a family keeps one thing: its calibrated normal form, the
+/// [`MechanismState`] (ε, the query → scale rule and the database
+/// validation rule) it builds once at calibration. Implementors define only
+/// [`Mechanism::state`]; the name, ε, noise scale, validation and every
+/// release are provided methods that read it, so all families release
+/// through one path. Calibration itself stays on the concrete types (each
+/// family consumes different inputs — a
 /// [`DiscretePufferfishFramework`](crate::DiscretePufferfishFramework), a
 /// [`MarkovChainClass`](pufferfish_markov::MarkovChainClass), a network
 /// class); the [`engine`](crate::engine) module erases that difference behind
@@ -45,30 +52,40 @@ impl PrivacyBudget {
 ///
 /// Implementors: [`WassersteinMechanism`](crate::WassersteinMechanism),
 /// [`MarkovQuiltMechanism`](crate::MarkovQuiltMechanism),
-/// [`MqmExact`](crate::MqmExact), [`MqmApprox`](crate::MqmApprox) and the
-/// three baselines in `pufferfish-baselines` (`EntryDp`, `GroupDp`, `Gk16`).
+/// [`MqmExact`](crate::MqmExact), [`MqmApprox`](crate::MqmApprox), the
+/// three baselines in `pufferfish-baselines` (`EntryDp`, `GroupDp`, `Gk16`)
+/// and [`MechanismState`] itself, which is what a snapshot restores.
 ///
 /// The trait is object-safe: releases draw randomness through
 /// `&mut dyn RngCore`, so `Box<dyn Mechanism>` works as a uniform handle in
-/// engines, benches and tests. (The concrete types additionally keep their
-/// historical generic `release<R: Rng>` inherent methods, which forward the
-/// same logic.)
+/// engines, benches and tests.
 pub trait Mechanism: Send + Sync {
+    /// The calibrated normal form every other method reads.
+    fn state(&self) -> &MechanismState;
+
     /// A short stable name ("wasserstein", "mqm-exact", …) used in reports
     /// and cache diagnostics.
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.state().family
+    }
 
     /// The privacy parameter ε the mechanism was calibrated for.
-    fn epsilon(&self) -> f64;
+    fn epsilon(&self) -> f64 {
+        self.state().epsilon
+    }
 
     /// The Laplace scale applied to each coordinate of `query`.
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64;
+    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
+        self.state().scale.scale_for(query)
+    }
 
     /// Checks a database against the calibration (length, state range, …).
     ///
     /// # Errors
     /// [`PufferfishError::InvalidDatabase`] on mismatch.
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()>;
+    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
+        self.state().validation.check(query, database)
+    }
 
     /// Evaluates `query` on `database` and adds calibrated Laplace noise.
     ///
@@ -83,22 +100,7 @@ pub trait Mechanism: Send + Sync {
         database: &[usize],
         rng: &mut dyn RngCore,
     ) -> Result<NoisyRelease> {
-        self.validate(query, database)?;
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let values = if scale > 0.0 {
-            let laplace = Laplace::new(scale)?;
-            let mut noise = vec![0.0; true_values.len()];
-            laplace.sample_into(&mut noise, rng);
-            true_values.iter().zip(&noise).map(|(v, n)| v + n).collect()
-        } else {
-            true_values.clone()
-        };
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
+        ReleaseStep::new(self.noise_scale_for(query))?.release(self, query, database, rng)
     }
 
     /// Releases the same query over a batch of databases.
@@ -123,12 +125,11 @@ pub trait Mechanism: Send + Sync {
     /// path the morsel executor calls with windows sliced straight out of a
     /// columnar batch, no per-window materialization.
     ///
-    /// This is the real batched implementation: the noise scale and the
-    /// Laplace distribution are hoisted out of the loop and a single noise
-    /// buffer is refilled per window via [`Laplace::sample_into`]. Each
-    /// window consumes exactly `dimension` draws in window order, so the
-    /// noise stream — and therefore every released bit — matches a sequence
-    /// of scalar [`Mechanism::release`] calls on the same rng.
+    /// The noise scale and the Laplace distribution are computed once for
+    /// the batch and one noise buffer is refilled per window. Each window
+    /// consumes exactly `dimension` draws in window order, so the noise
+    /// stream — and therefore every released bit — matches a sequence of
+    /// scalar [`Mechanism::release`] calls on the same rng.
     ///
     /// # Errors
     /// Fails on the first database that fails validation or evaluation.
@@ -138,47 +139,65 @@ pub trait Mechanism: Send + Sync {
         databases: &[&[usize]],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<NoisyRelease>> {
-        let scale = self.noise_scale_for(query);
+        let mut step = ReleaseStep::new(self.noise_scale_for(query))?;
+        databases
+            .iter()
+            .map(|&database| step.release(self, query, database, rng))
+            .collect()
+    }
+}
+
+/// The per-database release step every [`Mechanism`] release goes through:
+/// one calibrated scale, its Laplace distribution (`None` when the scale is
+/// zero, which releases the exact value) and a reusable noise buffer.
+struct ReleaseStep {
+    scale: f64,
+    laplace: Option<Laplace>,
+    noise: Vec<f64>,
+}
+
+impl ReleaseStep {
+    fn new(scale: f64) -> Result<Self> {
         let laplace = if scale > 0.0 {
             Some(Laplace::new(scale)?)
         } else {
             None
         };
-        let mut noise: Vec<f64> = Vec::new();
-        databases
-            .iter()
-            .map(|&database| {
-                self.validate(query, database)?;
-                let true_values = query.evaluate(database)?;
-                let values = match &laplace {
-                    Some(laplace) => {
-                        noise.resize(true_values.len(), 0.0);
-                        laplace.sample_into(&mut noise, rng);
-                        true_values.iter().zip(&noise).map(|(v, n)| v + n).collect()
-                    }
-                    None => true_values.clone(),
-                };
-                Ok(NoisyRelease {
-                    values,
-                    true_values,
-                    scale,
-                })
-            })
-            .collect()
+        Ok(ReleaseStep {
+            scale,
+            laplace,
+            noise: Vec::new(),
+        })
     }
 
-    /// The mechanism's serializable, release-relevant state — what a
-    /// [`CalibrationSnapshot`](crate::CalibrationSnapshot) persists.
-    ///
-    /// `None` (the default) opts the mechanism out of snapshotting:
-    /// [`ReleaseEngine::export_snapshot`](crate::ReleaseEngine::export_snapshot)
-    /// skips such cache entries. Implementors must return a state whose
-    /// [`restore`](crate::snapshot::MechanismState::restore) produces
-    /// bitwise-identical releases — the round-trip suite in
-    /// `tests/snapshot_roundtrip.rs` enforces this for every built-in
-    /// family.
-    fn snapshot_state(&self) -> Option<crate::snapshot::MechanismState> {
-        None
+    /// Validates `database`, evaluates `query` on it and adds one Laplace
+    /// draw per coordinate.
+    fn release<M: Mechanism + ?Sized>(
+        &mut self,
+        mechanism: &M,
+        query: &dyn LipschitzQuery,
+        database: &[usize],
+        rng: &mut dyn RngCore,
+    ) -> Result<NoisyRelease> {
+        mechanism.validate(query, database)?;
+        let true_values = query.evaluate(database)?;
+        let values = match &self.laplace {
+            Some(laplace) => {
+                self.noise.resize(true_values.len(), 0.0);
+                laplace.sample_into(&mut self.noise, rng);
+                true_values
+                    .iter()
+                    .zip(&self.noise)
+                    .map(|(v, n)| v + n)
+                    .collect()
+            }
+            None => true_values.clone(),
+        };
+        Ok(NoisyRelease {
+            values,
+            true_values,
+            scale: self.scale,
+        })
     }
 }
 
@@ -218,45 +237,6 @@ impl NoisyRelease {
 pub fn l1_error(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "l1_error requires equal-length slices");
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Validates that a database has the length `query` expects — the shared
-/// [`Mechanism::validate`] implementation for mechanisms that do not pin a
-/// state-space size at calibration time (the Wasserstein Mechanism and the
-/// baselines; the Markov Quilt families additionally check the state range).
-///
-/// # Errors
-/// [`PufferfishError::InvalidDatabase`] on length mismatch.
-pub fn validate_query_length(query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-    if database.len() != query.expected_length() {
-        return Err(PufferfishError::InvalidDatabase(format!(
-            "database has length {}, query expects {}",
-            database.len(),
-            query.expected_length()
-        )));
-    }
-    Ok(())
-}
-
-/// Validates that a database consists of states `< num_states` and has the
-/// expected length.
-pub(crate) fn validate_database(
-    database: &[usize],
-    expected_len: usize,
-    num_states: usize,
-) -> Result<()> {
-    if database.len() != expected_len {
-        return Err(PufferfishError::InvalidDatabase(format!(
-            "database has length {}, mechanism was calibrated for {expected_len}",
-            database.len()
-        )));
-    }
-    if let Some(&bad) = database.iter().find(|&&s| s >= num_states) {
-        return Err(PufferfishError::InvalidDatabase(format!(
-            "state {bad} out of range for {num_states} states"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -300,13 +280,15 @@ mod tests {
 
     #[test]
     fn database_validation() {
-        assert!(validate_database(&[0, 1, 2], 3, 3).is_ok());
+        let state_range = crate::snapshot::ValidationForm::StateRange { num_states: 3 };
+        let query = crate::queries::StateCountQuery::new(1, 3);
+        assert!(state_range.check(&query, &[0, 1, 2]).is_ok());
         assert!(matches!(
-            validate_database(&[0, 1], 3, 3),
+            state_range.check(&query, &[0, 1]),
             Err(PufferfishError::InvalidDatabase(_))
         ));
         assert!(matches!(
-            validate_database(&[0, 5, 2], 3, 3),
+            state_range.check(&query, &[0, 5, 2]),
             Err(PufferfishError::InvalidDatabase(_))
         ));
     }

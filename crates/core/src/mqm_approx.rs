@@ -8,17 +8,15 @@
 //! essentially independent of both `|Θ|` and the chain length (Lemma 4.9),
 //! at the price of somewhat more noise than MQMExact.
 
-use rand::Rng;
-
 use pufferfish_markov::{
     class_eigengap_with, class_pi_min_with, MarkovChainClass, ReversibilityMode,
 };
 use pufferfish_parallel::{par_map, Parallelism};
 
-use crate::mechanism::{validate_database, Mechanism, NoisyRelease, PrivacyBudget};
+use crate::mechanism::{Mechanism, PrivacyBudget};
 use crate::mqm_chain_influence::ChainQuiltShape;
-use crate::queries::LipschitzQuery;
-use crate::{Laplace, PufferfishError, Result};
+use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use crate::{PufferfishError, Result};
 
 /// How MQMApprox searches for the best quilt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,13 +55,12 @@ pub struct MqmApproxOptions {
 /// A calibrated MQMApprox mechanism.
 #[derive(Debug, Clone)]
 pub struct MqmApprox {
-    epsilon: f64,
+    state: MechanismState,
     sigma_max: f64,
     pi_min: f64,
     eigengap: f64,
     a_star: usize,
     length: usize,
-    num_states: usize,
     best_shape: ChainQuiltShape,
     best_node: usize,
 }
@@ -176,13 +173,19 @@ impl MqmApprox {
         }
 
         Ok(MqmApprox {
-            epsilon,
+            state: MechanismState {
+                family: "mqm-approx",
+                epsilon,
+                scale: ScaleForm::LipschitzTimes {
+                    multiplier: sigma_max,
+                },
+                validation: ValidationForm::StateRange { num_states },
+            },
             sigma_max,
             pi_min,
             eigengap,
             a_star,
             length,
-            num_states,
             best_shape,
             best_node,
         })
@@ -191,11 +194,6 @@ impl MqmApprox {
     /// The noise multiplier `σ_max`.
     pub fn sigma_max(&self) -> f64 {
         self.sigma_max
-    }
-
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// `π^min_Θ` used for calibration.
@@ -232,35 +230,6 @@ impl MqmApprox {
     /// experiments reuse this as the search radius `ℓ` for MQMExact.
     pub fn optimal_quilt_width(&self) -> usize {
         self.best_shape.card_nearby(self.best_node, self.length)
-    }
-
-    /// Laplace scale applied to each coordinate of `query`.
-    pub fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        query.lipschitz_constant() * self.sigma_max
-    }
-
-    /// Releases a Lipschitz query with ε-Pufferfish privacy.
-    ///
-    /// # Errors
-    /// [`PufferfishError::InvalidDatabase`] on database/query mismatch.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        validate_database(database, query.expected_length(), self.num_states)?;
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let laplace = Laplace::new(scale)?;
-        let mut noise = vec![0.0; true_values.len()];
-        laplace.sample_into(&mut noise, rng);
-        let values = true_values.iter().zip(&noise).map(|(v, n)| v + n).collect();
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
     }
 }
 
@@ -307,35 +276,8 @@ fn a_star(epsilon: f64, pi_min: f64, eigengap: f64) -> usize {
 }
 
 impl Mechanism for MqmApprox {
-    fn name(&self) -> &'static str {
-        "mqm-approx"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        MqmApprox::noise_scale_for(self, query)
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_database(database, query.expected_length(), self.num_states)
-    }
-
-    /// Release-relevant state: `σ_max` (rescaled by the query's Lipschitz
-    /// constant at release time) and the state range.
-    fn snapshot_state(&self) -> Option<crate::snapshot::MechanismState> {
-        Some(crate::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: crate::snapshot::ScaleForm::LipschitzTimes {
-                multiplier: self.sigma_max,
-            },
-            validation: crate::snapshot::ValidationForm::StateRange {
-                num_states: self.num_states,
-            },
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

@@ -1,17 +1,15 @@
 //! MQMExact (Algorithm 3 of the paper): the Markov Quilt Mechanism for
 //! Markov chains with exact max-influence computation.
 
-use rand::Rng;
-
 use pufferfish_markov::{MarkovChain, MarkovChainClass, TransitionPowers};
 use pufferfish_parallel::{try_par_map, Parallelism};
 
-use crate::mechanism::{validate_database, Mechanism, NoisyRelease, PrivacyBudget};
+use crate::mechanism::{Mechanism, PrivacyBudget};
 use crate::mqm_chain_influence::{
     chain_max_influence_cached, ChainInfluenceTables, ChainQuiltShape, InitialDistributionMode,
 };
-use crate::queries::LipschitzQuery;
-use crate::{Laplace, PufferfishError, Result};
+use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use crate::{PufferfishError, Result};
 
 /// Options for [`MqmExact::calibrate`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,10 +63,9 @@ struct PreparedTheta {
 /// (Theorem 4.3 gives ε-Pufferfish privacy).
 #[derive(Debug, Clone)]
 pub struct MqmExact {
-    epsilon: f64,
+    state: MechanismState,
     sigma_max: f64,
     length: usize,
-    num_states: usize,
     selections: Vec<QuiltSelection>,
 }
 
@@ -163,10 +160,18 @@ impl MqmExact {
             )));
         }
         Ok(MqmExact {
-            epsilon,
+            state: MechanismState {
+                family: "mqm-exact",
+                epsilon,
+                scale: ScaleForm::LipschitzTimes {
+                    multiplier: sigma_max,
+                },
+                validation: ValidationForm::StateRange {
+                    num_states: class.num_states(),
+                },
+            },
             sigma_max,
             length,
-            num_states: class.num_states(),
             selections,
         })
     }
@@ -313,11 +318,6 @@ impl MqmExact {
         self.sigma_max
     }
 
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// Chain length the mechanism was calibrated for.
     pub fn length(&self) -> usize {
         self.length
@@ -327,69 +327,11 @@ impl MqmExact {
     pub fn selections(&self) -> &[QuiltSelection] {
         &self.selections
     }
-
-    /// Laplace scale that will be applied to each coordinate of `query`.
-    pub fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        query.lipschitz_constant() * self.sigma_max
-    }
-
-    /// Releases a Lipschitz query over a state sequence with ε-Pufferfish
-    /// privacy.
-    ///
-    /// # Errors
-    /// [`PufferfishError::InvalidDatabase`] when the database does not match
-    /// the calibrated length or state space; query errors are propagated.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        validate_database(database, query.expected_length(), self.num_states)?;
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let laplace = Laplace::new(scale)?;
-        let mut noise = vec![0.0; true_values.len()];
-        laplace.sample_into(&mut noise, rng);
-        let values = true_values.iter().zip(&noise).map(|(v, n)| v + n).collect();
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
-    }
 }
 
 impl Mechanism for MqmExact {
-    fn name(&self) -> &'static str {
-        "mqm-exact"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        MqmExact::noise_scale_for(self, query)
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_database(database, query.expected_length(), self.num_states)
-    }
-
-    /// Release-relevant state: `σ_max` and the state range. The per-θ
-    /// [`QuiltSelection`] diagnostics are not part of the normal form.
-    fn snapshot_state(&self) -> Option<crate::snapshot::MechanismState> {
-        Some(crate::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: crate::snapshot::ScaleForm::LipschitzTimes {
-                multiplier: self.sigma_max,
-            },
-            validation: crate::snapshot::ValidationForm::StateRange {
-                num_states: self.num_states,
-            },
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

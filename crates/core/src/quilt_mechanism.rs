@@ -7,14 +7,12 @@
 //! networks; the Markov-chain specialisations [`crate::MqmExact`] and
 //! [`crate::MqmApprox`] scale to the paper's large time-series workloads.
 
-use rand::Rng;
-
 use pufferfish_bayesnet::{markov_blanket, max_influence, DiscreteBayesianNetwork, MarkovQuilt};
 use pufferfish_parallel::{try_par_map, Parallelism};
 
-use crate::mechanism::{Mechanism, NoisyRelease, PrivacyBudget};
-use crate::queries::LipschitzQuery;
-use crate::{Laplace, PufferfishError, Result};
+use crate::mechanism::{Mechanism, PrivacyBudget};
+use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use crate::{PufferfishError, Result};
 
 /// Options for [`MarkovQuiltMechanism::calibrate`].
 #[derive(Debug, Clone, Default)]
@@ -45,11 +43,9 @@ pub struct NodeCalibration {
 /// A calibrated general Markov Quilt Mechanism.
 #[derive(Debug, Clone)]
 pub struct MarkovQuiltMechanism {
-    epsilon: f64,
+    state: MechanismState,
     sigma_max: f64,
     per_node: Vec<NodeCalibration>,
-    num_nodes: usize,
-    cardinalities: Vec<usize>,
 }
 
 impl MarkovQuiltMechanism {
@@ -139,11 +135,18 @@ impl MarkovQuiltMechanism {
             .fold(0.0f64, |acc, calibration| acc.max(calibration.score));
 
         Ok(MarkovQuiltMechanism {
-            epsilon,
+            state: MechanismState {
+                family: "markov-quilt",
+                epsilon,
+                scale: ScaleForm::LipschitzTimes {
+                    multiplier: sigma_max,
+                },
+                validation: ValidationForm::NodeCardinalities {
+                    cardinalities: (0..num_nodes).map(|n| first.cardinality(n)).collect(),
+                },
+            },
             sigma_max,
             per_node,
-            num_nodes,
-            cardinalities: (0..num_nodes).map(|n| first.cardinality(n)).collect(),
         })
     }
 
@@ -152,107 +155,16 @@ impl MarkovQuiltMechanism {
         self.sigma_max
     }
 
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// The winning quilt and score for each node (the "active" quilts of
     /// Definition 4.5, which the composition theorem relies on).
     pub fn per_node(&self) -> &[NodeCalibration] {
         &self.per_node
     }
-
-    /// Laplace scale applied to each coordinate of `query`.
-    pub fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        query.lipschitz_constant() * self.sigma_max
-    }
-
-    /// Releases a Lipschitz query over an assignment of all network
-    /// variables.
-    ///
-    /// # Errors
-    /// [`PufferfishError::InvalidDatabase`] when the assignment does not
-    /// match the network.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        if database.len() != self.num_nodes {
-            return Err(PufferfishError::InvalidDatabase(format!(
-                "assignment has {} entries, network has {}",
-                database.len(),
-                self.num_nodes
-            )));
-        }
-        for (node, &value) in database.iter().enumerate() {
-            if value >= self.cardinalities[node] {
-                return Err(PufferfishError::InvalidDatabase(format!(
-                    "value {value} out of range for node {node}"
-                )));
-            }
-        }
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale_for(query);
-        let laplace = Laplace::new(scale)?;
-        let mut noise = vec![0.0; true_values.len()];
-        laplace.sample_into(&mut noise, rng);
-        let values = true_values.iter().zip(&noise).map(|(v, n)| v + n).collect();
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
-    }
 }
 
 impl Mechanism for MarkovQuiltMechanism {
-    fn name(&self) -> &'static str {
-        "markov-quilt"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        MarkovQuiltMechanism::noise_scale_for(self, query)
-    }
-
-    fn validate(&self, _query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        if database.len() != self.num_nodes {
-            return Err(PufferfishError::InvalidDatabase(format!(
-                "assignment has {} entries, network has {}",
-                database.len(),
-                self.num_nodes
-            )));
-        }
-        for (node, &value) in database.iter().enumerate() {
-            if value >= self.cardinalities[node] {
-                return Err(PufferfishError::InvalidDatabase(format!(
-                    "value {value} out of range for node {node}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Release-relevant state: `σ_max` and the per-node cardinalities. The
-    /// per-node [`NodeCalibration`] diagnostics are not part of the normal
-    /// form.
-    fn snapshot_state(&self) -> Option<crate::snapshot::MechanismState> {
-        Some(crate::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: crate::snapshot::ScaleForm::LipschitzTimes {
-                multiplier: self.sigma_max,
-            },
-            validation: crate::snapshot::ValidationForm::NodeCardinalities {
-                cardinalities: self.cardinalities.clone(),
-            },
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

@@ -3,11 +3,12 @@
 //!
 //! Calibration is the system's dominant cost — the ∞-Wasserstein sweep and
 //! the Markov Quilt searches take seconds, while a release is a query
-//! evaluation plus Laplace noise. Every cached calibration, however, reduces
-//! to a small *release-relevant normal form*: the privacy parameter, a rule
-//! mapping a query to its Laplace scale ([`ScaleForm`]) and a database
-//! validation rule ([`ValidationForm`]). This module persists exactly that
-//! normal form, so a service restart (or a second process) can
+//! evaluation plus Laplace noise. Every calibrated mechanism, however,
+//! releases through a small *normal form* it carries ([`MechanismState`]):
+//! the privacy parameter, a rule mapping a query to its Laplace scale
+//! ([`ScaleForm`]) and a database validation rule ([`ValidationForm`]). This
+//! module persists exactly that normal form, so a service restart (or a
+//! second process) can
 //! [`import`](crate::ReleaseEngine::import_snapshot) a snapshot and serve
 //! releases that are **bitwise-identical** to a freshly calibrated engine —
 //! without performing a single calibration.
@@ -52,7 +53,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::engine::CalibrationKey;
-use crate::mechanism::{validate_query_length, Mechanism};
+use crate::mechanism::Mechanism;
 use crate::queries::LipschitzQuery;
 use crate::{PufferfishError, Result};
 
@@ -98,8 +99,9 @@ pub enum SnapshotError {
         available: usize,
     },
     /// The body passed its checksum but violates the format's invariants
-    /// (impossible tag values, trailing garbage, non-finite parameters) —
-    /// an encoder bug or a hand-crafted file.
+    /// (impossible tag values, trailing garbage, non-finite parameters,
+    /// scale forms that would skip the noise) — an encoder bug or a
+    /// hand-crafted file.
     Malformed(String),
     /// The snapshot names a mechanism family this build cannot restore.
     UnknownFamily(String),
@@ -155,11 +157,11 @@ impl fmt::Display for SnapshotError {
     }
 }
 
-/// How a restored mechanism maps a query to its Laplace scale.
+/// How a mechanism maps a query to its Laplace scale.
 ///
-/// Each variant reproduces one concrete family's `noise_scale_for` formula
-/// *in the same operation order*, so restored scales are bitwise-identical
-/// to freshly calibrated ones.
+/// Each variant is one family's scale formula, evaluated in the paper's
+/// operation order; a restored state evaluates the same formula, so its
+/// scales are bitwise-identical to a fresh calibration's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScaleForm {
     /// `scale = L(query) × multiplier` — the Markov Quilt families, whose
@@ -198,21 +200,25 @@ impl ScaleForm {
         }
     }
 
-    /// `true` when every parameter is finite (a crafted snapshot could
-    /// otherwise smuggle NaN/∞ scales past calibration's own checks).
-    fn is_finite(&self) -> bool {
+    /// `true` when every parameter is finite and the form adds the noise it
+    /// owes: a positive multiplier, numerator and denominator, and a
+    /// non-negative fixed scale (zero is the Wasserstein Mechanism's exact
+    /// release at `W = 0`). A crafted snapshot could otherwise smuggle a
+    /// NaN/∞ scale, or one that skips the noise, past calibration's checks.
+    fn is_valid(&self) -> bool {
+        let positive = |value: f64| value.is_finite() && value > 0.0;
         match *self {
-            ScaleForm::LipschitzTimes { multiplier } => multiplier.is_finite(),
+            ScaleForm::LipschitzTimes { multiplier } => positive(multiplier),
             ScaleForm::LipschitzRatio {
                 numerator,
                 denominator,
-            } => numerator.is_finite() && denominator.is_finite() && denominator != 0.0,
-            ScaleForm::Fixed { scale } => scale.is_finite(),
+            } => positive(numerator) && positive(denominator),
+            ScaleForm::Fixed { scale } => scale.is_finite() && scale >= 0.0,
         }
     }
 }
 
-/// How a restored mechanism validates a database before releasing.
+/// How a mechanism validates a database before releasing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidationForm {
     /// Length must match the query's expected length (Wasserstein and the
@@ -232,16 +238,59 @@ pub enum ValidationForm {
     },
 }
 
-/// The serializable, release-relevant state of one calibrated mechanism.
+impl ValidationForm {
+    /// Checks `database` against this rule (and, for the length rules,
+    /// against the length `query` expects).
+    ///
+    /// # Errors
+    /// [`PufferfishError::InvalidDatabase`] on mismatch.
+    pub fn check(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
+        let invalid = |detail: String| Err(PufferfishError::InvalidDatabase(detail));
+        if let ValidationForm::NodeCardinalities { cardinalities } = self {
+            if database.len() != cardinalities.len() {
+                return invalid(format!(
+                    "assignment has {} entries, network has {}",
+                    database.len(),
+                    cardinalities.len()
+                ));
+            }
+            for (node, (&value, &cardinality)) in database.iter().zip(cardinalities).enumerate() {
+                if value >= cardinality {
+                    return invalid(format!("value {value} out of range for node {node}"));
+                }
+            }
+            return Ok(());
+        }
+        if database.len() != query.expected_length() {
+            return invalid(format!(
+                "database has length {}, query expects {}",
+                database.len(),
+                query.expected_length()
+            ));
+        }
+        if let ValidationForm::StateRange { num_states } = self {
+            if let Some(&bad) = database.iter().find(|&&s| s >= *num_states) {
+                return invalid(format!("state {bad} out of range for {num_states} states"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The calibrated normal form of one mechanism: everything a release needs.
 ///
-/// Produced by [`Mechanism::snapshot_state`]; [`MechanismState::restore`]
-/// turns it back into a live [`Mechanism`] whose releases are
-/// bitwise-identical to the original's.
+/// Every family builds its state once, at calibration, and releases through
+/// it (see [`Mechanism::state`]). A state is itself a [`Mechanism`]: it is
+/// what a snapshot persists and what [`MechanismState::restore`] serves, so
+/// a restored mechanism releases bitwise-identically to the calibrated
+/// original under the same RNG seed. Calibration *diagnostics* (winning
+/// quilt selections, worst-case secret pairs) are not part of the normal
+/// form and are not restored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MechanismState {
-    /// The family name, matching the original mechanism's
-    /// [`Mechanism::name`] ("wasserstein", "mqm-exact", …).
-    pub family: String,
+    /// The family name ("wasserstein", "mqm-exact", …), reported as
+    /// [`Mechanism::name`].
+    pub family: &'static str,
     /// The privacy parameter ε the mechanism was calibrated for.
     pub epsilon: f64,
     /// The query → Laplace-scale rule.
@@ -250,123 +299,60 @@ pub struct MechanismState {
     pub validation: ValidationForm,
 }
 
-/// Interns a family name to the `'static` string [`Mechanism::name`]
-/// requires, rejecting families this build does not know.
+impl Mechanism for MechanismState {
+    fn state(&self) -> &MechanismState {
+        self
+    }
+}
+
+/// The families this build can restore, under their [`Mechanism::name`].
+const FAMILIES: [&str; 7] = [
+    "wasserstein",
+    "mqm-exact",
+    "mqm-approx",
+    "markov-quilt",
+    "group-dp",
+    "gk16",
+    "entry-dp",
+];
+
+/// Interns a family name to its `'static` spelling, rejecting families this
+/// build does not know.
 fn intern_family(family: &str) -> std::result::Result<&'static str, SnapshotError> {
-    Ok(match family {
-        "wasserstein" => "wasserstein",
-        "mqm-exact" => "mqm-exact",
-        "mqm-approx" => "mqm-approx",
-        "markov-quilt" => "markov-quilt",
-        "group-dp" => "group-dp",
-        "gk16" => "gk16",
-        "entry-dp" => "entry-dp",
-        other => return Err(SnapshotError::UnknownFamily(other.to_string())),
-    })
+    FAMILIES
+        .into_iter()
+        .find(|&known| known == family)
+        .ok_or_else(|| SnapshotError::UnknownFamily(family.to_string()))
 }
 
 impl MechanismState {
-    /// Rebuilds a live mechanism from this state.
+    /// Checks this state and returns it as a live mechanism.
     ///
     /// # Errors
     /// [`SnapshotError::UnknownFamily`] for a family this build cannot
-    /// restore; [`SnapshotError::Malformed`] for non-finite parameters.
+    /// restore; [`SnapshotError::Malformed`] for an invalid ε or a scale form
+    /// that is non-finite or would skip the noise.
     pub fn restore(&self) -> Result<Arc<dyn Mechanism>> {
-        let name = intern_family(&self.family).map_err(PufferfishError::Snapshot)?;
+        self.check().map_err(PufferfishError::Snapshot)?;
+        Ok(Arc::new(self.clone()))
+    }
+
+    /// The invariants of a restorable state.
+    fn check(&self) -> std::result::Result<(), SnapshotError> {
+        intern_family(self.family)?;
         if !self.epsilon.is_finite() || self.epsilon <= 0.0 {
-            return Err(PufferfishError::Snapshot(SnapshotError::Malformed(
-                format!(
-                    "family '{}' carries invalid epsilon {}",
-                    self.family, self.epsilon
-                ),
+            return Err(SnapshotError::Malformed(format!(
+                "family '{}' carries invalid epsilon {}",
+                self.family, self.epsilon
             )));
         }
-        if !self.scale.is_finite() {
-            return Err(PufferfishError::Snapshot(SnapshotError::Malformed(
-                format!("family '{}' carries a non-finite scale form", self.family),
+        if !self.scale.is_valid() {
+            return Err(SnapshotError::Malformed(format!(
+                "family '{}' carries an invalid scale form {:?}",
+                self.family, self.scale
             )));
         }
-        Ok(Arc::new(RestoredMechanism {
-            name,
-            state: self.clone(),
-        }))
-    }
-}
-
-/// A mechanism rebuilt from a [`MechanismState`].
-///
-/// It reports the original family name and ε, applies the identical Laplace
-/// scale to every query and enforces the identical database validation, so
-/// its releases — which go through the shared [`Mechanism::release`]
-/// implementation — are bitwise-identical to the calibrated original's under
-/// the same RNG seed. Calibration *diagnostics* (winning quilt selections,
-/// worst-case secret pairs) are not part of the normal form and are not
-/// restored.
-pub struct RestoredMechanism {
-    name: &'static str,
-    state: MechanismState,
-}
-
-impl Mechanism for RestoredMechanism {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.state.epsilon
-    }
-
-    fn noise_scale_for(&self, query: &dyn LipschitzQuery) -> f64 {
-        self.state.scale.scale_for(query)
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        match &self.state.validation {
-            ValidationForm::QueryLength => validate_query_length(query, database),
-            ValidationForm::StateRange { num_states } => {
-                validate_query_length(query, database)?;
-                if let Some(&bad) = database.iter().find(|&&s| s >= *num_states) {
-                    return Err(PufferfishError::InvalidDatabase(format!(
-                        "state {bad} out of range for {num_states} states"
-                    )));
-                }
-                Ok(())
-            }
-            ValidationForm::NodeCardinalities { cardinalities } => {
-                if database.len() != cardinalities.len() {
-                    return Err(PufferfishError::InvalidDatabase(format!(
-                        "assignment has {} entries, network has {}",
-                        database.len(),
-                        cardinalities.len()
-                    )));
-                }
-                for (node, (&value, &cardinality)) in database.iter().zip(cardinalities).enumerate()
-                {
-                    if value >= cardinality {
-                        return Err(PufferfishError::InvalidDatabase(format!(
-                            "value {value} out of range for node {node}"
-                        )));
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// A restored mechanism re-exports its own state, so an imported cache
-    /// can itself be snapshotted (export → import → export round-trips).
-    fn snapshot_state(&self) -> Option<MechanismState> {
-        Some(self.state.clone())
-    }
-}
-
-impl fmt::Debug for RestoredMechanism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RestoredMechanism")
-            .field("family", &self.name)
-            .field("epsilon", &self.state.epsilon)
-            .field("scale", &self.state.scale)
-            .finish()
+        Ok(())
     }
 }
 
@@ -451,7 +437,8 @@ impl CalibrationSnapshot {
     /// The typed [`SnapshotError`] variants, wrapped in
     /// [`PufferfishError::Snapshot`]: [`SnapshotError::BadMagic`],
     /// [`SnapshotError::UnsupportedVersion`], [`SnapshotError::Truncated`],
-    /// [`SnapshotError::ChecksumMismatch`] and [`SnapshotError::Malformed`].
+    /// [`SnapshotError::ChecksumMismatch`], [`SnapshotError::Malformed`]
+    /// and [`SnapshotError::UnknownFamily`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         Self::decode(bytes).map_err(PufferfishError::Snapshot)
     }
@@ -638,7 +625,7 @@ fn write_key(out: &mut Vec<u8>, key: &CalibrationKey) {
 }
 
 fn write_state(out: &mut Vec<u8>, state: &MechanismState) {
-    write_string(out, &state.family);
+    write_string(out, state.family);
     write_f64(out, state.epsilon);
     match state.scale {
         ScaleForm::LipschitzTimes { multiplier } => {
@@ -739,7 +726,7 @@ impl Reader<'_> {
     }
 
     fn state(&mut self) -> std::result::Result<MechanismState, SnapshotError> {
-        let family = self.string()?;
+        let family = intern_family(&self.string()?)?;
         let epsilon = self.f64()?;
         let scale = match self.u8()? {
             0 => ScaleForm::LipschitzTimes {
@@ -780,12 +767,14 @@ impl Reader<'_> {
                 )))
             }
         };
-        Ok(MechanismState {
+        let state = MechanismState {
             family,
             epsilon,
             scale,
             validation,
-        })
+        };
+        state.check()?;
+        Ok(state)
     }
 }
 
@@ -793,27 +782,73 @@ impl Reader<'_> {
 mod tests {
     use super::*;
     use crate::engine::QuerySignature;
-    use crate::queries::StateFrequencyQuery;
+    use crate::queries::{StateCountQuery, StateFrequencyQuery};
 
+    fn entry(epsilon: f64, query: QuerySignature, state: MechanismState) -> SnapshotEntry {
+        SnapshotEntry {
+            key: CalibrationKey {
+                class_token: 0xDEAD_BEEF,
+                epsilon_bits: epsilon.to_bits(),
+                query,
+            },
+            state,
+        }
+    }
+
+    /// One entry per [`ScaleForm`] and per [`ValidationForm`] variant.
     fn sample_snapshot() -> CalibrationSnapshot {
         CalibrationSnapshot {
             engine_kind: "mqm-approx".to_string(),
             class_token: 0xDEAD_BEEF,
             shard_count: 16,
             created_unix_secs: 1_700_000_000,
-            entries: vec![SnapshotEntry {
-                key: CalibrationKey {
-                    class_token: 0xDEAD_BEEF,
-                    epsilon_bits: 1.0f64.to_bits(),
-                    query: QuerySignature::class_scoped(),
-                },
-                state: MechanismState {
-                    family: "mqm-approx".to_string(),
-                    epsilon: 1.0,
-                    scale: ScaleForm::LipschitzTimes { multiplier: 42.5 },
-                    validation: ValidationForm::StateRange { num_states: 2 },
-                },
-            }],
+            entries: vec![
+                entry(
+                    1.0,
+                    QuerySignature::class_scoped(),
+                    MechanismState {
+                        family: "mqm-approx",
+                        epsilon: 1.0,
+                        scale: ScaleForm::LipschitzTimes { multiplier: 42.5 },
+                        validation: ValidationForm::StateRange { num_states: 2 },
+                    },
+                ),
+                entry(
+                    0.5,
+                    QuerySignature::class_scoped(),
+                    MechanismState {
+                        family: "markov-quilt",
+                        epsilon: 0.5,
+                        scale: ScaleForm::LipschitzTimes { multiplier: 3.25 },
+                        validation: ValidationForm::NodeCardinalities {
+                            cardinalities: vec![2, 3, 2],
+                        },
+                    },
+                ),
+                entry(
+                    2.0,
+                    QuerySignature::class_scoped(),
+                    MechanismState {
+                        family: "group-dp",
+                        epsilon: 2.0,
+                        scale: ScaleForm::LipschitzRatio {
+                            numerator: 120.0,
+                            denominator: 2.0,
+                        },
+                        validation: ValidationForm::QueryLength,
+                    },
+                ),
+                entry(
+                    0.25,
+                    QuerySignature::of(&StateCountQuery::new(1, 4)),
+                    MechanismState {
+                        family: "wasserstein",
+                        epsilon: 0.25,
+                        scale: ScaleForm::Fixed { scale: 8.0 },
+                        validation: ValidationForm::QueryLength,
+                    },
+                ),
+            ],
         }
     }
 
@@ -825,6 +860,11 @@ mod tests {
         assert_eq!(decoded, snapshot);
         // Encoding is deterministic.
         assert_eq!(decoded.to_bytes(), bytes);
+        // ...and pinned across builds: these are the bytes version 1 has
+        // always written for these entries. A change to the encoder or to
+        // `MechanismState` that moves them needs a new SNAPSHOT_VERSION.
+        assert_eq!(bytes.len(), 502);
+        assert_eq!(fnv1a(&bytes), 0x8b1e_0156_9703_98a5);
     }
 
     #[test]
@@ -894,7 +934,7 @@ mod tests {
     #[test]
     fn restored_mechanism_reproduces_scales_and_validation() {
         let state = MechanismState {
-            family: "mqm-exact".to_string(),
+            family: "mqm-exact",
             epsilon: 0.5,
             scale: ScaleForm::LipschitzTimes { multiplier: 7.25 },
             validation: ValidationForm::StateRange { num_states: 2 },
@@ -913,13 +953,13 @@ mod tests {
             .validate(&query, &[0, 1, 0, 1, 0, 1, 0, 9])
             .is_err());
         // The restored mechanism re-exports its own state unchanged.
-        assert_eq!(restored.snapshot_state().unwrap(), state);
+        assert_eq!(restored.state(), &state);
     }
 
     #[test]
     fn restore_rejects_unknown_and_invalid_states() {
         let mut state = MechanismState {
-            family: "time-machine".to_string(),
+            family: "time-machine",
             epsilon: 1.0,
             scale: ScaleForm::Fixed { scale: 1.0 },
             validation: ValidationForm::QueryLength,
@@ -928,7 +968,7 @@ mod tests {
             state.restore(),
             Err(PufferfishError::Snapshot(SnapshotError::UnknownFamily(f))) if f == "time-machine"
         ));
-        state.family = "wasserstein".to_string();
+        state.family = "wasserstein";
         state.epsilon = f64::NAN;
         assert!(state.restore().is_err());
         state.epsilon = 1.0;
@@ -936,6 +976,33 @@ mod tests {
             scale: f64::INFINITY,
         };
         assert!(state.restore().is_err());
+        // Forms that would skip the noise: restored, each would publish the
+        // exact value.
+        for scale in [
+            ScaleForm::LipschitzTimes { multiplier: -3.0 },
+            ScaleForm::LipschitzTimes { multiplier: 0.0 },
+            ScaleForm::LipschitzRatio {
+                numerator: -1.0,
+                denominator: 1.0,
+            },
+            ScaleForm::LipschitzRatio {
+                numerator: 1.0,
+                denominator: -1.0,
+            },
+            ScaleForm::Fixed { scale: -0.5 },
+        ] {
+            state.scale = scale;
+            assert!(
+                matches!(
+                    state.restore(),
+                    Err(PufferfishError::Snapshot(SnapshotError::Malformed(_)))
+                ),
+                "{scale:?} must be refused"
+            );
+        }
+        // W = 0 is a legitimate exact release.
+        state.scale = ScaleForm::Fixed { scale: 0.0 };
+        assert!(state.restore().is_ok());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The Wasserstein Mechanism (Algorithm 1 of the paper): the first privacy
 //! mechanism that applies to any Pufferfish instantiation.
 
-use rand::Rng;
-
 use pufferfish_parallel::{try_par_map, Parallelism};
 use pufferfish_transport::{wasserstein_infinity, DiscreteDistribution};
 
 use crate::framework::DiscretePufferfishFramework;
-use crate::mechanism::{validate_query_length, Mechanism, NoisyRelease, PrivacyBudget};
+use crate::mechanism::{Mechanism, PrivacyBudget};
 use crate::queries::LipschitzQuery;
-use crate::{Laplace, PufferfishError, Result};
+use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
+use crate::{PufferfishError, Result};
 
 /// A calibrated Wasserstein Mechanism.
 ///
@@ -22,7 +21,7 @@ use crate::{Laplace, PufferfishError, Result};
 /// sensitivity).
 #[derive(Debug, Clone)]
 pub struct WassersteinMechanism {
-    epsilon: f64,
+    state: MechanismState,
     wasserstein_parameter: f64,
     /// Index of the (pair, scenario) combination that attained the supremum,
     /// useful for debugging and reporting.
@@ -127,7 +126,14 @@ impl WassersteinMechanism {
         }
 
         Ok(WassersteinMechanism {
-            epsilon: budget.epsilon(),
+            state: MechanismState {
+                family: "wasserstein",
+                epsilon: budget.epsilon(),
+                scale: ScaleForm::Fixed {
+                    scale: worst / budget.epsilon(),
+                },
+                validation: ValidationForm::QueryLength,
+            },
             wasserstein_parameter: worst,
             worst_case,
         })
@@ -140,12 +146,7 @@ impl WassersteinMechanism {
 
     /// The Laplace scale `W / ε` that will be added to the query value.
     pub fn noise_scale(&self) -> f64 {
-        self.wasserstein_parameter / self.epsilon
-    }
-
-    /// The privacy parameter this mechanism was calibrated for.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.wasserstein_parameter / self.state.epsilon
     }
 
     /// The `(secret pair index, scenario index)` attaining the supremum, if
@@ -153,70 +154,11 @@ impl WassersteinMechanism {
     pub fn worst_case(&self) -> Option<(usize, usize)> {
         self.worst_case
     }
-
-    /// Releases the query value computed on `database` with Laplace noise of
-    /// scale `W / ε`.
-    ///
-    /// When `W = 0` (the secret pairs are already indistinguishable) the
-    /// exact value is released.
-    ///
-    /// # Errors
-    /// Query evaluation errors are propagated.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        query: &dyn LipschitzQuery,
-        database: &[usize],
-        rng: &mut R,
-    ) -> Result<NoisyRelease> {
-        let true_values = query.evaluate(database)?;
-        let scale = self.noise_scale();
-        let values = if scale > 0.0 {
-            let laplace = Laplace::new(scale)?;
-            let mut noise = vec![0.0; true_values.len()];
-            laplace.sample_into(&mut noise, rng);
-            true_values.iter().zip(&noise).map(|(v, n)| v + n).collect()
-        } else {
-            true_values.clone()
-        };
-        Ok(NoisyRelease {
-            values,
-            true_values,
-            scale,
-        })
-    }
 }
 
 impl Mechanism for WassersteinMechanism {
-    fn name(&self) -> &'static str {
-        "wasserstein"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The Wasserstein scale is calibrated to the specific released query,
-    /// so it does not rescale by the Lipschitz constant.
-    fn noise_scale_for(&self, _query: &dyn LipschitzQuery) -> f64 {
-        self.noise_scale()
-    }
-
-    fn validate(&self, query: &dyn LipschitzQuery, database: &[usize]) -> Result<()> {
-        validate_query_length(query, database)
-    }
-
-    /// Release-relevant state: the fixed, query-specific scale `W / ε`. The
-    /// worst-case `(pair, scenario)` diagnostic is not part of the normal
-    /// form.
-    fn snapshot_state(&self) -> Option<crate::snapshot::MechanismState> {
-        Some(crate::snapshot::MechanismState {
-            family: Mechanism::name(self).to_string(),
-            epsilon: self.epsilon,
-            scale: crate::snapshot::ScaleForm::Fixed {
-                scale: self.noise_scale(),
-            },
-            validation: crate::snapshot::ValidationForm::QueryLength,
-        })
+    fn state(&self) -> &MechanismState {
+        &self.state
     }
 }
 

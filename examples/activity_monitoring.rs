@@ -5,7 +5,9 @@
 
 use pufferfish_baselines::GroupDp;
 use pufferfish_core::queries::RelativeFrequencyHistogram;
-use pufferfish_core::{MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget};
+use pufferfish_core::{
+    Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget,
+};
 use pufferfish_datasets::{
     relative_frequencies, ActivityCohort, ActivityDataset, ActivitySimulationConfig,
     ACTIVITY_LABELS, ACTIVITY_STATES,

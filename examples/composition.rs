@@ -4,7 +4,7 @@
 //! Run with `cargo run -p pufferfish-bench --release --example composition`.
 
 use pufferfish_core::queries::{RelativeFrequencyHistogram, StateFrequencyQuery};
-use pufferfish_core::{CompositionAccountant, MqmExact, MqmExactOptions, PrivacyBudget};
+use pufferfish_core::{CompositionAccountant, Mechanism, MqmExact, MqmExactOptions, PrivacyBudget};
 use pufferfish_markov::{sample_trajectory, MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

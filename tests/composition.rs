@@ -2,7 +2,7 @@
 //! (Theorem 4.4) across repeated releases on the same database.
 
 use pufferfish_core::queries::{RelativeFrequencyHistogram, StateFrequencyQuery};
-use pufferfish_core::{CompositionAccountant, MqmExact, MqmExactOptions, PrivacyBudget};
+use pufferfish_core::{CompositionAccountant, Mechanism, MqmExact, MqmExactOptions, PrivacyBudget};
 use pufferfish_markov::{sample_trajectory, MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -11,7 +11,7 @@
 
 use pufferfish_core::flu::flu_clique_framework;
 use pufferfish_core::queries::{LipschitzQuery, StateCountQuery, StateFrequencyQuery};
-use pufferfish_core::{MqmExact, MqmExactOptions, PrivacyBudget, WassersteinMechanism};
+use pufferfish_core::{Mechanism, MqmExact, MqmExactOptions, PrivacyBudget, WassersteinMechanism};
 use pufferfish_markov::{MarkovChain, MarkovChainClass, TransitionPowers};
 
 /// Wasserstein Mechanism on the flu clique: the ∞-Wasserstein coupling bound

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use pufferfish_core::queries::StateFrequencyQuery;
-use pufferfish_core::{MqmApprox, MqmApproxOptions, PrivacyBudget};
+use pufferfish_core::{Mechanism, MqmApprox, MqmApproxOptions, PrivacyBudget};
 use pufferfish_datasets::EventStream;
 use pufferfish_markov::{
     estimate_class, ClassEstimationOptions, IntervalMethod, MarkovChain, MarkovChainClass,

@@ -5,7 +5,7 @@
 use pufferfish_baselines::GroupDp;
 use pufferfish_core::flu::{contagion_distribution, flu_clique_framework};
 use pufferfish_core::queries::StateCountQuery;
-use pufferfish_core::{PrivacyBudget, WassersteinMechanism};
+use pufferfish_core::{Mechanism, PrivacyBudget, WassersteinMechanism};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

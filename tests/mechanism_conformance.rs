@@ -15,7 +15,10 @@
 //!   from the cache (hit counter) and matches a cold calibration bit for
 //!   bit;
 //! * **parallel calibration equivalence** — serial and multi-threaded
-//!   calibration produce bitwise-identical noise scales.
+//!   calibration produce bitwise-identical noise scales;
+//! * **concrete-value calls** — called on the concrete types, as the paper
+//!   reproductions call them, every family releases a zero-Lipschitz query
+//!   exactly and refuses a short database.
 
 use std::sync::Arc;
 
@@ -29,7 +32,8 @@ use pufferfish_core::flu::flu_clique_framework;
 use pufferfish_core::queries::{RelativeFrequencyHistogram, StateCountQuery};
 use pufferfish_core::{
     LipschitzQuery, MarkovQuiltMechanism, Mechanism, MqmApprox, MqmApproxOptions, MqmExact,
-    MqmExactOptions, Parallelism, PrivacyBudget, QuiltMechanismOptions, WassersteinMechanism,
+    MqmExactOptions, NoisyRelease, Parallelism, PrivacyBudget, PufferfishError,
+    QuiltMechanismOptions, WassersteinMechanism,
 };
 use pufferfish_markov::{MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;
@@ -64,98 +68,104 @@ fn quilt_network(len: usize) -> DiscreteBayesianNetwork {
     net
 }
 
-/// Every implementor paired with a query + database it can release.
-#[allow(clippy::type_complexity)]
-fn all_mechanisms() -> Vec<(Box<dyn Mechanism>, Box<dyn LipschitzQuery>, Vec<usize>)> {
-    #[allow(clippy::type_complexity)]
-    let mut mechanisms: Vec<(Box<dyn Mechanism>, Box<dyn LipschitzQuery>, Vec<usize>)> = Vec::new();
-
-    // 1. Wasserstein Mechanism on the 4-person flu clique.
+fn wasserstein() -> WassersteinMechanism {
     let framework = flu_clique_framework(4, &[0.1, 0.15, 0.5, 0.15, 0.1]).unwrap();
-    let count = StateCountQuery::new(1, 4);
-    mechanisms.push((
-        Box::new(WassersteinMechanism::calibrate(&framework, &count, budget()).unwrap()),
-        Box::new(count),
-        vec![1, 0, 1, 0],
-    ));
+    WassersteinMechanism::calibrate(&framework, &StateCountQuery::new(1, 4), budget()).unwrap()
+}
 
-    // 2. General Markov Quilt Mechanism on a 6-node chain network.
-    let net = quilt_network(6);
+fn markov_quilt() -> MarkovQuiltMechanism {
     let candidates: Vec<_> = (0..6)
         .map(|node| chain_quilts(6, node, 6).unwrap())
         .collect();
-    mechanisms.push((
-        Box::new(
-            MarkovQuiltMechanism::calibrate(
-                &[net],
-                budget(),
-                QuiltMechanismOptions {
-                    quilt_candidates: Some(candidates),
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        ),
-        Box::new(StateCountQuery::new(1, 6)),
-        vec![0, 1, 1, 0, 0, 1],
-    ));
+    MarkovQuiltMechanism::calibrate(
+        &[quilt_network(6)],
+        budget(),
+        QuiltMechanismOptions {
+            quilt_candidates: Some(candidates),
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
 
-    // 3. MQMExact over the running-example class.
-    mechanisms.push((
-        Box::new(
-            MqmExact::calibrate(
-                &running_class(),
-                CHAIN_LENGTH,
-                budget(),
-                MqmExactOptions::default(),
-            )
-            .unwrap(),
-        ),
-        Box::new(RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap()),
-        chain_database(CHAIN_LENGTH),
-    ));
+fn mqm_exact() -> MqmExact {
+    MqmExact::calibrate(
+        &running_class(),
+        CHAIN_LENGTH,
+        budget(),
+        MqmExactOptions::default(),
+    )
+    .unwrap()
+}
 
-    // 4. MQMApprox over the running-example class.
-    mechanisms.push((
-        Box::new(
-            MqmApprox::calibrate(
-                &running_class(),
-                CHAIN_LENGTH,
-                budget(),
-                MqmApproxOptions::default(),
-            )
-            .unwrap(),
-        ),
-        Box::new(RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap()),
-        chain_database(CHAIN_LENGTH),
-    ));
+fn mqm_approx() -> MqmApprox {
+    MqmApprox::calibrate(
+        &running_class(),
+        CHAIN_LENGTH,
+        budget(),
+        MqmApproxOptions::default(),
+    )
+    .unwrap()
+}
 
-    // 5. EntryDp.
+fn entry_dp() -> EntryDp {
     let histogram = RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap();
-    mechanisms.push((
-        Box::new(EntryDp::for_query(&histogram, budget()).unwrap()),
-        Box::new(histogram),
-        chain_database(CHAIN_LENGTH),
-    ));
+    EntryDp::for_query(&histogram, budget()).unwrap()
+}
 
-    // 6. GroupDp.
-    mechanisms.push((
-        Box::new(GroupDp::calibrate(CHAIN_LENGTH, budget()).unwrap()),
-        Box::new(RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap()),
-        chain_database(CHAIN_LENGTH),
-    ));
+fn group_dp() -> GroupDp {
+    GroupDp::calibrate(CHAIN_LENGTH, budget()).unwrap()
+}
 
-    // 7. Gk16 on a weakly correlated class where it applies.
+/// Gk16 on a weakly correlated class where it applies.
+fn gk16() -> Gk16 {
     let weak = MarkovChainClass::singleton(
         MarkovChain::new(vec![0.5, 0.5], vec![vec![0.55, 0.45], vec![0.45, 0.55]]).unwrap(),
     );
-    mechanisms.push((
-        Box::new(Gk16::calibrate(&weak, CHAIN_LENGTH, budget()).unwrap()),
-        Box::new(RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap()),
-        chain_database(CHAIN_LENGTH),
-    ));
+    Gk16::calibrate(&weak, CHAIN_LENGTH, budget()).unwrap()
+}
 
-    mechanisms
+/// Every implementor paired with a query + database it can release.
+#[allow(clippy::type_complexity)]
+fn all_mechanisms() -> Vec<(Box<dyn Mechanism>, Box<dyn LipschitzQuery>, Vec<usize>)> {
+    let histogram = || Box::new(RelativeFrequencyHistogram::new(2, CHAIN_LENGTH).unwrap());
+    vec![
+        // Wasserstein Mechanism on the 4-person flu clique.
+        (
+            Box::new(wasserstein()),
+            Box::new(StateCountQuery::new(1, 4)),
+            vec![1, 0, 1, 0],
+        ),
+        // General Markov Quilt Mechanism on a 6-node chain network.
+        (
+            Box::new(markov_quilt()),
+            Box::new(StateCountQuery::new(1, 6)),
+            vec![0, 1, 1, 0, 0, 1],
+        ),
+        // MQMExact and MQMApprox over the running-example class.
+        (
+            Box::new(mqm_exact()),
+            histogram(),
+            chain_database(CHAIN_LENGTH),
+        ),
+        (
+            Box::new(mqm_approx()),
+            histogram(),
+            chain_database(CHAIN_LENGTH),
+        ),
+        // The three baselines.
+        (
+            Box::new(entry_dp()),
+            histogram(),
+            chain_database(CHAIN_LENGTH),
+        ),
+        (
+            Box::new(group_dp()),
+            histogram(),
+            chain_database(CHAIN_LENGTH),
+        ),
+        (Box::new(gk16()), histogram(), chain_database(CHAIN_LENGTH)),
+    ]
 }
 
 #[test]
@@ -503,4 +513,102 @@ fn degenerate_class_parameters_yield_typed_errors() {
         MqmApproxOptions::default()
     )
     .is_ok());
+}
+
+/// Counts the events in state 1 with a chosen Lipschitz constant. Unlike
+/// every built-in query, its `evaluate` accepts a database of any length,
+/// so only the mechanism's own validation can refuse a short one.
+struct AnyLengthCount {
+    lipschitz: f64,
+    length: usize,
+}
+
+impl LipschitzQuery for AnyLengthCount {
+    fn lipschitz_constant(&self) -> f64 {
+        self.lipschitz
+    }
+    fn output_dimension(&self) -> usize {
+        1
+    }
+    fn expected_length(&self) -> usize {
+        self.length
+    }
+    fn evaluate(&self, database: &[usize]) -> pufferfish_core::Result<Vec<f64>> {
+        Ok(vec![database.iter().filter(|&&s| s == 1).count() as f64])
+    }
+    fn name(&self) -> &str {
+        "any-length-count"
+    }
+}
+
+/// A family answers a call the same way however the caller holds it: the
+/// calls below go to the concrete values with a `StdRng`, as the paper
+/// reproductions in `crates/bench` make them, and must behave like the
+/// trait-object calls above.
+///
+/// A zero-Lipschitz query owes no noise under every `L`-rescaled family:
+/// the release is exact, at scale 0.
+#[test]
+fn concrete_values_release_a_zero_lipschitz_query_exactly() {
+    fn assert_exact(family: &str, release: pufferfish_core::Result<NoisyRelease>) {
+        let release = release.unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert_eq!(release.scale, 0.0, "{family}");
+        assert_eq!(release.values, release.true_values, "{family}");
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    let chain = AnyLengthCount {
+        lipschitz: 0.0,
+        length: CHAIN_LENGTH,
+    };
+    let database = chain_database(CHAIN_LENGTH);
+    let nodes = AnyLengthCount {
+        lipschitz: 0.0,
+        length: 6,
+    };
+    assert_exact(
+        "markov-quilt",
+        markov_quilt().release(&nodes, &[0, 1, 1, 0, 0, 1], &mut rng),
+    );
+    assert_exact(
+        "mqm-exact",
+        mqm_exact().release(&chain, &database, &mut rng),
+    );
+    assert_exact(
+        "mqm-approx",
+        mqm_approx().release(&chain, &database, &mut rng),
+    );
+    assert_exact("group-dp", group_dp().release(&chain, &database, &mut rng));
+    assert_exact("gk16", gk16().release(&chain, &database, &mut rng));
+}
+
+/// Every family refuses a database one event short, even when the query
+/// would evaluate it.
+#[test]
+fn concrete_values_refuse_a_database_one_event_short() {
+    fn assert_refused(family: &str, release: pufferfish_core::Result<NoisyRelease>) {
+        assert!(
+            matches!(release, Err(PufferfishError::InvalidDatabase(_))),
+            "{family}: expected InvalidDatabase, got {release:?}"
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(4);
+    let query = |length| AnyLengthCount {
+        lipschitz: 1.0 / length as f64,
+        length,
+    };
+    let (chain, flu, nodes) = (query(CHAIN_LENGTH), query(4), query(6));
+    let short = &chain_database(CHAIN_LENGTH)[1..];
+    assert_refused(
+        "wasserstein",
+        wasserstein().release(&flu, &[0, 1, 0], &mut rng),
+    );
+    assert_refused(
+        "markov-quilt",
+        markov_quilt().release(&nodes, &[0, 1, 1, 0, 0], &mut rng),
+    );
+    assert_refused("mqm-exact", mqm_exact().release(&chain, short, &mut rng));
+    assert_refused("mqm-approx", mqm_approx().release(&chain, short, &mut rng));
+    assert_refused("entry-dp", entry_dp().release(&chain, short, &mut rng));
+    assert_refused("group-dp", group_dp().release(&chain, short, &mut rng));
+    assert_refused("gk16", gk16().release(&chain, short, &mut rng));
 }

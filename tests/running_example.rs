@@ -4,8 +4,8 @@
 
 use pufferfish_core::queries::StateFrequencyQuery;
 use pufferfish_core::{
-    ChainQuiltShape, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget,
-    QuiltSearchStrategy,
+    ChainQuiltShape, Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions,
+    PrivacyBudget, QuiltSearchStrategy,
 };
 use pufferfish_markov::{
     class_eigengap, class_pi_min, MarkovChain, MarkovChainClass, ReversibilityMode,

@@ -12,17 +12,19 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use pufferfish_baselines::{Gk16, GroupDp};
+use pufferfish_baselines::{EntryDp, Gk16, GroupDp};
+use pufferfish_bayesnet::{Dag, DiscreteBayesianNetwork};
 use pufferfish_core::engine::{
-    markov_class_token, FnCalibrator, MqmApproxCalibrator, MqmExactCalibrator, TokenHasher,
-    WassersteinCalibrator,
+    markov_class_token, FnCalibrator, MqmApproxCalibrator, MqmExactCalibrator, QuiltCalibrator,
+    TokenHasher, WassersteinCalibrator,
 };
 use pufferfish_core::queries::{
     LipschitzQuery, RelativeFrequencyHistogram, StateCountQuery, StateFrequencyQuery,
 };
+use pufferfish_core::snapshot::ScaleForm;
 use pufferfish_core::{
     CalibrationSnapshot, Mechanism, MqmApproxOptions, MqmExactOptions, Parallelism, PrivacyBudget,
-    PufferfishError, ReleaseEngine, SnapshotError,
+    PufferfishError, QuiltMechanismOptions, ReleaseEngine, SnapshotError,
 };
 use pufferfish_markov::{IntervalClassBuilder, MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;
@@ -41,12 +43,37 @@ fn interval_class() -> MarkovChainClass {
         .unwrap()
 }
 
-/// The five snapshot-capable engine constructions the properties sweep.
-const FAMILIES: [&str; 5] = ["mqm-exact", "mqm-approx", "gk16", "group-dp", "wasserstein"];
+/// The engine constructions the properties sweep: one per mechanism family.
+const FAMILIES: [&str; 7] = [
+    "mqm-exact",
+    "mqm-approx",
+    "gk16",
+    "group-dp",
+    "wasserstein",
+    "markov-quilt",
+    "entry-dp",
+];
+
+/// The node count of the Markov Quilt family's chain network.
+const QUILT_NODES: usize = 6;
+
+/// A binary chain network over `nodes` nodes (node cardinality 2).
+fn chain_network(nodes: usize) -> DiscreteBayesianNetwork {
+    let mut network = DiscreteBayesianNetwork::new(Dag::chain(nodes), vec![2; nodes]).unwrap();
+    network.set_cpd(0, vec![vec![0.7, 0.3]]).unwrap();
+    for node in 1..nodes {
+        network
+            .set_cpd(node, vec![vec![0.8, 0.2], vec![0.35, 0.65]])
+            .unwrap();
+    }
+    network
+}
 
 /// Builds a fresh engine of the given family with the given shard count.
 /// The Wasserstein family is query-scoped and uses the 3-person flu
-/// framework; the others calibrate for chains of `length`.
+/// framework; entry DP is query-scoped too; the Markov Quilt family
+/// calibrates over a `QUILT_NODES`-node chain network; the others calibrate
+/// for chains of `length`.
 fn engine_for(family: &str, length: usize, shards: usize) -> ReleaseEngine {
     match family {
         "mqm-exact" => ReleaseEngine::with_shards(
@@ -87,6 +114,22 @@ fn engine_for(family: &str, length: usize, shards: usize) -> ReleaseEngine {
                 shards,
             )
         }
+        "markov-quilt" => ReleaseEngine::with_shards(
+            QuiltCalibrator::new(
+                vec![chain_network(QUILT_NODES)],
+                QuiltMechanismOptions::default(),
+            ),
+            shards,
+        ),
+        "entry-dp" => {
+            let token = TokenHasher::new("entry-dp").mix(&length).finish();
+            ReleaseEngine::with_shards(
+                FnCalibrator::new("entry-dp", token, |query, budget| {
+                    Ok(Arc::new(EntryDp::for_query(query, budget)?) as Arc<dyn Mechanism>)
+                }),
+                shards,
+            )
+        }
         other => panic!("unknown family {other}"),
     }
 }
@@ -116,7 +159,7 @@ proptest! {
     /// calibrates.
     #[test]
     fn roundtrip_is_bitwise_identical_across_families(
-        family_index in 0usize..5,
+        family_index in 0usize..FAMILIES.len(),
         epsilon_milli in 100u64..3_000,
         cold_shards in 1usize..8,
         warm_shards in 1usize..8,
@@ -125,7 +168,11 @@ proptest! {
     ) {
         let family = FAMILIES[family_index];
         let epsilon = epsilon_milli as f64 / 1000.0;
-        let length = if family == "wasserstein" { 3 } else { length };
+        let length = match family {
+            "wasserstein" => 3,
+            "markov-quilt" => QUILT_NODES,
+            _ => length,
+        };
         let budget = PrivacyBudget::new(epsilon).unwrap();
         let (query, databases) = workload(family, length);
 
@@ -346,7 +393,7 @@ fn unknown_family_is_refused_atomically() {
     let budget = PrivacyBudget::new(1.0).unwrap();
     source.mechanism(&query, budget).unwrap();
     let mut snapshot = source.export_snapshot();
-    snapshot.entries[0].state.family = "quantum-annealer".to_string();
+    snapshot.entries[0].state.family = "quantum-annealer";
 
     let target = engine_for("group-dp", 30, 2);
     assert!(matches!(
@@ -357,4 +404,31 @@ fn unknown_family_is_refused_atomically() {
         target.is_empty(),
         "no entry may be imported from a refused snapshot"
     );
+}
+
+/// A snapshot whose scale form would skip the noise (a negative
+/// multiplier: every release would publish the exact value) is refused on
+/// its way in: a typed error, and nothing imported.
+#[test]
+fn noise_skipping_scale_form_is_refused_on_import() {
+    let source = engine_for("mqm-approx", 30, 2);
+    let query = StateFrequencyQuery::new(1, 30);
+    source
+        .mechanism(&query, PrivacyBudget::new(1.0).unwrap())
+        .unwrap();
+    let mut snapshot = source.export_snapshot();
+    snapshot.entries[0].state.scale = ScaleForm::LipschitzTimes { multiplier: -3.0 };
+    let bytes = snapshot.to_bytes();
+
+    let target = engine_for("mqm-approx", 30, 2);
+    let imported = CalibrationSnapshot::from_bytes(&bytes)
+        .and_then(|decoded| target.import_snapshot(&decoded));
+    assert!(
+        matches!(
+            imported,
+            Err(PufferfishError::Snapshot(SnapshotError::Malformed(_)))
+        ),
+        "got {imported:?}"
+    );
+    assert_eq!(target.len(), 0, "no entry may be imported");
 }

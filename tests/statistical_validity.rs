@@ -28,6 +28,7 @@
 use pufferfish_baselines::GroupDp;
 use pufferfish_core::engine::{MqmExactCalibrator, ReleaseEngine};
 use pufferfish_core::queries::{LipschitzQuery, StateCountQuery, StateFrequencyQuery};
+use pufferfish_core::snapshot::{MechanismState, ScaleForm, ValidationForm};
 use pufferfish_core::{
     Mechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PrivacyBudget,
     WassersteinMechanism,
@@ -181,22 +182,17 @@ fn imported_snapshot_noise_follows_the_calibrated_scale_without_calibrating() {
 fn harness_detects_wrong_scales() {
     struct HalfScaleLier;
 
+    /// Reports scale 2 at ε = 1.
+    static REPORTED: MechanismState = MechanismState {
+        family: "half-scale-lier",
+        epsilon: 1.0,
+        scale: ScaleForm::Fixed { scale: 2.0 },
+        validation: ValidationForm::QueryLength,
+    };
+
     impl Mechanism for HalfScaleLier {
-        fn name(&self) -> &'static str {
-            "half-scale-lier"
-        }
-        fn epsilon(&self) -> f64 {
-            1.0
-        }
-        fn noise_scale_for(&self, _query: &dyn LipschitzQuery) -> f64 {
-            2.0
-        }
-        fn validate(
-            &self,
-            _query: &dyn LipschitzQuery,
-            _database: &[usize],
-        ) -> pufferfish_core::Result<()> {
-            Ok(())
+        fn state(&self) -> &MechanismState {
+            &REPORTED
         }
         fn release(
             &self,
