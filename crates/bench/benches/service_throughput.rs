@@ -1,4 +1,4 @@
-//! Concurrent-throughput benchmark for the sharded release engine and the
+//! Concurrent-throughput benchmark for the release engine and the
 //! service front-end, emitting `BENCH_service.json` at the workspace root.
 //!
 //! Four measurements:
@@ -7,11 +7,11 @@
 //!   N concurrent threads: distinct keys never serialise behind one another
 //!   (locks are not held across calibration), so concurrent cold misses
 //!   approach the speed of the slowest single calibration.
-//! * **stampede** — 8 threads racing the *same* cold key: the in-flight
-//!   guard coalesces the herd into exactly one calibration.
+//! * **stampede** — 8 threads racing the *same* cold key: the key's slot
+//!   mutex coalesces the herd into exactly one calibration.
 //! * **warm-engine** — requests/sec against the warm cache for growing
-//!   thread counts, hammering the shared engine directly. Warm hits take a
-//!   shard read lock only, so throughput scales with threads instead of
+//!   thread counts, hammering the shared engine directly. Warm hits take the
+//!   cache's read lock only, so throughput scales with threads instead of
 //!   collapsing behind a global mutex.
 //! * **warm-service** — the same requests end-to-end through the
 //!   [`ReleaseService`] (admission queue + budget accounting + worker pool)
@@ -297,9 +297,8 @@ fn main() {
         "  \"bench\": \"service_throughput\"".to_string(),
         format!(
             "  \"config\": {{\"mechanism\": \"mqm-exact\", \"chain_length\": {CHAIN_LENGTH}, \
-             \"shards\": {}, \"host_parallelism\": {}, \"warm_requests\": {WARM_REQUESTS}, \
+             \"host_parallelism\": {}, \"warm_requests\": {WARM_REQUESTS}, \
              \"service_requests\": {SERVICE_REQUESTS}}}",
-            engine().shard_count(),
             host_parallelism()
         ),
     ];

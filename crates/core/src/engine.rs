@@ -10,13 +10,13 @@
 //! repeated releases from the cache. Hit/miss counters make the amortisation
 //! observable (and testable).
 //!
-//! The engine is built for concurrent serving: the cache is split into
-//! shards keyed by the calibration-key hash, each behind an [`RwLock`], so
-//! warm releases from many threads share read locks; cold keys are protected
-//! by a per-key in-flight guard so a thundering herd of identical misses
-//! performs exactly one calibration, and no lock is ever held across a
-//! calibration. One `Arc<ReleaseEngine>` is the intended unit of sharing —
-//! see [`ReleaseEngine`] for a multi-threaded example.
+//! The engine is built for concurrent serving: the cache is one map behind
+//! an [`RwLock`], so warm releases from many threads share its read lock.
+//! Each key owns a slot whose mutex its calibration runs under, so a
+//! thundering herd of identical misses performs exactly one calibration,
+//! misses on other keys never wait on it, and no engine-wide lock is held
+//! across a calibration. One `Arc<ReleaseEngine>` is the intended unit of
+//! sharing — see [`ReleaseEngine`] for a multi-threaded example.
 //!
 //! The calibration inputs of the four mechanism families are incompatible
 //! (framework vs. chain class vs. network class); a [`Calibrator`] object
@@ -24,11 +24,10 @@
 //! [`Calibrator::class_token`] for the cache key, and produces a calibrated
 //! [`Mechanism`] on demand.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, TryLockError};
 
 use rand::RngCore;
 
@@ -320,73 +319,45 @@ pub struct CacheStats {
     pub coalesced: u64,
 }
 
-/// Synchronisation record for one in-flight calibration: waiters block on the
-/// condvar until the leader flips `done` (after publishing to the cache).
-struct InFlight {
-    done: Mutex<bool>,
-    ready: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            done: Mutex::new(false),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn complete(&self) {
-        *self.done.lock().expect("in-flight flag poisoned") = true;
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().expect("in-flight flag poisoned");
-        while !*done {
-            done = self.ready.wait(done).expect("in-flight flag poisoned");
-        }
-    }
-}
-
-/// One cache shard: a read-write-locked key→mechanism map plus the in-flight
-/// calibration registry for the keys that hash here.
+/// One cache entry: its key's calibrated mechanism, set once, and the mutex
+/// that key's calibration runs under. The mutex guards no data, so a
+/// poisoned one (a calibration that panicked) is simply taken over.
 #[derive(Default)]
-struct Shard {
-    cache: RwLock<HashMap<CalibrationKey, Arc<dyn Mechanism>>>,
-    in_flight: Mutex<HashMap<CalibrationKey, Arc<InFlight>>>,
+struct Slot {
+    mechanism: OnceLock<Arc<dyn Mechanism>>,
+    calibrating: Mutex<()>,
 }
 
-/// What [`ReleaseEngine::mechanism`] decided to do about a miss.
-enum MissRole {
-    /// This thread registered the in-flight entry and must calibrate.
-    Leader(Arc<InFlight>),
-    /// Another thread is calibrating the same key; wait for it.
-    Waiter(Arc<InFlight>),
+/// Whether `slot` is still `cache`'s slot for `key`: a failed leader removes
+/// its slot, and an import replaces it.
+fn is_current(
+    cache: &HashMap<CalibrationKey, Arc<Slot>>,
+    key: &CalibrationKey,
+    slot: &Arc<Slot>,
+) -> bool {
+    cache
+        .get(key)
+        .is_some_and(|current| Arc::ptr_eq(current, slot))
 }
 
-/// Default shard count: enough to make cross-key lock collisions rare on
-/// typical worker-pool sizes without wasting memory on tiny engines.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// A sharded calibration cache plus release front-end over one
-/// [`Calibrator`].
+/// A calibration cache plus release front-end over one [`Calibrator`].
 ///
 /// The engine is designed to be shared: every method takes `&self`, so one
-/// `Arc<ReleaseEngine>` can serve any number of request threads. Internally
-/// the cache is split into [`DEFAULT_SHARDS`] shards keyed by the hash of the
-/// [`CalibrationKey`]; each shard holds its entries behind an [`RwLock`], so
-/// warm-cache releases on different threads proceed under concurrent read
-/// locks and never serialise against each other.
+/// `Arc<ReleaseEngine>` can serve any number of request threads. The cache
+/// is one map from [`CalibrationKey`] to a per-key slot behind an
+/// [`RwLock`], so warm-cache releases on different threads proceed under
+/// concurrent read locks and never serialise against each other.
 ///
 /// **Calibration stampede control.** A cold key is calibrated exactly once:
-/// the first thread to miss registers an in-flight guard for the key and
-/// calibrates *without holding any lock* (calibration can take seconds);
-/// every other thread that misses the same key meanwhile blocks on the guard
-/// and is served the leader's result, counted in [`CacheStats::coalesced`].
-/// Misses on *different* keys — even in the same shard — calibrate
-/// concurrently. If the leader's calibration fails, the error is returned to
-/// the leader, waiters retry (one becomes the new leader), and nothing is
-/// cached, so transient failures do not poison a key.
+/// the first thread to miss takes the key's slot mutex and calibrates
+/// holding only that mutex (calibration can take seconds); every other
+/// thread that misses the same key meanwhile blocks on it and is served the
+/// leader's result, counted in [`CacheStats::coalesced`]. Misses on
+/// *different* keys calibrate concurrently. If the leader's calibration
+/// fails, the error is returned to the leader, the slot is removed, waiters
+/// retry (one becomes the new leader), and nothing is cached, so transient
+/// failures do not poison a key. If the leader panics, its caller sees the
+/// panic and the next thread to take the slot calibrates again.
 ///
 /// # Example: one engine, many threads
 ///
@@ -427,7 +398,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// ```
 pub struct ReleaseEngine {
     calibrator: Box<dyn Calibrator>,
-    shards: Vec<Shard>,
+    cache: RwLock<HashMap<CalibrationKey, Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -452,23 +423,11 @@ struct EngineMetrics {
 }
 
 impl ReleaseEngine {
-    /// Creates an engine over the given calibrator with [`DEFAULT_SHARDS`]
-    /// cache shards.
+    /// Creates an engine over the given calibrator with an empty cache.
     pub fn new(calibrator: impl Calibrator + 'static) -> Self {
-        ReleaseEngine::with_shards(calibrator, DEFAULT_SHARDS)
-    }
-
-    /// Creates an engine with an explicit shard count (clamped to ≥ 1).
-    ///
-    /// More shards reduce lock collisions between *different* hot keys;
-    /// requests for the *same* key scale regardless because hits only take
-    /// the shard's read lock. Shard count is a tuning knob, never a
-    /// correctness one.
-    pub fn with_shards(calibrator: impl Calibrator + 'static, shards: usize) -> Self {
-        let shards = shards.max(1);
         ReleaseEngine {
             calibrator: Box::new(calibrator),
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            cache: RwLock::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -526,11 +485,6 @@ impl ReleaseEngine {
         self.calibrator.kind()
     }
 
-    /// Number of cache shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The cache key the engine would use for `(query, budget)`.
     ///
     /// Class-scoped calibrators (see [`Calibrator::query_scoped`]) use a
@@ -548,20 +502,14 @@ impl ReleaseEngine {
         }
     }
 
-    /// The shard the given key lives in.
-    fn shard(&self, key: &CalibrationKey) -> &Shard {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
     /// Returns the calibrated mechanism for `(query, budget)`, calibrating
     /// on a cache miss and serving the memoised mechanism on a hit.
     ///
     /// Concurrent misses on the same key are coalesced: one thread
-    /// calibrates, the rest wait and share the result, so each key costs
-    /// exactly one calibration no matter how many threads race for it. No
-    /// lock is ever held across the calibration itself.
+    /// calibrates under the key's slot mutex, the rest wait on it and share
+    /// the result, so each key costs exactly one calibration no matter how
+    /// many threads race for it. No engine-wide lock is held across the
+    /// calibration itself.
     ///
     /// # Errors
     /// Calibration failures are propagated to the leader (waiters retry, and
@@ -572,86 +520,79 @@ impl ReleaseEngine {
         budget: PrivacyBudget,
     ) -> Result<Arc<dyn Mechanism>> {
         let key = self.key_for(query, budget);
-        let shard = self.shard(&key);
+        if let Some(mechanism) = self
+            .cache
+            .read()
+            .expect("calibration cache poisoned")
+            .get(&key)
+            .and_then(|slot| slot.mechanism.get())
+        {
+            return Ok(self.hit(mechanism));
+        }
         loop {
-            if let Some(mechanism) = shard
-                .cache
-                .read()
-                .expect("calibration cache poisoned")
-                .get(&key)
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(metrics) = self.telemetry.get() {
-                    metrics.hits.inc();
-                }
-                return Ok(Arc::clone(mechanism));
-            }
-
-            let role = {
-                let mut in_flight = shard.in_flight.lock().expect("in-flight registry poisoned");
-                // Re-check under the registry lock: a leader may have
-                // published and deregistered between our read miss above and
-                // this point.
-                if let Some(mechanism) = shard
-                    .cache
-                    .read()
+            let slot = Arc::clone(
+                self.cache
+                    .write()
                     .expect("calibration cache poisoned")
-                    .get(&key)
-                {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(metrics) = self.telemetry.get() {
-                        metrics.hits.inc();
-                    }
-                    return Ok(Arc::clone(mechanism));
-                }
-                match in_flight.get(&key) {
-                    Some(guard) => MissRole::Waiter(Arc::clone(guard)),
-                    None => {
-                        let guard = Arc::new(InFlight::new());
-                        in_flight.insert(key.clone(), Arc::clone(&guard));
-                        MissRole::Leader(guard)
-                    }
-                }
-            };
-
-            match role {
-                MissRole::Leader(guard) => {
-                    // Calibrate with no locks held: other keys (and other
-                    // shards) proceed undisturbed while this runs.
-                    let result = self.calibrator.calibrate(query, budget);
-                    if let Ok(mechanism) = &result {
-                        shard
-                            .cache
-                            .write()
-                            .expect("calibration cache poisoned")
-                            .insert(key.clone(), Arc::clone(mechanism));
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        if let Some(metrics) = self.telemetry.get() {
-                            metrics.misses.inc();
-                        }
-                    }
-                    shard
-                        .in_flight
-                        .lock()
-                        .expect("in-flight registry poisoned")
-                        .remove(&key);
-                    // Release waiters only after the cache is published (or
-                    // the failure decided), so they observe the final state.
-                    guard.complete();
-                    return result;
-                }
-                MissRole::Waiter(guard) => {
+                    .entry(key.clone())
+                    .or_default(),
+            );
+            // A poisoned slot mutex only means an earlier leader panicked
+            // mid-calibration; the slot is still empty, so take it over.
+            let _calibrating = match slot.calibrating.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
                     if let Some(metrics) = self.telemetry.get() {
                         metrics.coalesced.inc();
                     }
-                    guard.wait();
-                    // Loop: normally the next cache read hits (counted as a
-                    // hit); if the leader failed, this thread retries and may
-                    // become the new leader.
+                    slot.calibrating
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
                 }
+            };
+            if let Some(mechanism) = slot.mechanism.get() {
+                return Ok(self.hit(mechanism));
             }
+            if !is_current(
+                &self.cache.read().expect("calibration cache poisoned"),
+                &key,
+                &slot,
+            ) {
+                // A failed leader removed this slot (or an import replaced
+                // it): start again.
+                continue;
+            }
+            return match self.calibrator.calibrate(query, budget) {
+                Ok(mechanism) => {
+                    // Only the holder of this slot's mutex fills it, and it
+                    // was empty above.
+                    let _ = slot.mechanism.set(Arc::clone(&mechanism));
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    if let Some(metrics) = self.telemetry.get() {
+                        metrics.misses.inc();
+                    }
+                    Ok(mechanism)
+                }
+                Err(error) => {
+                    let mut cache = self.cache.write().expect("calibration cache poisoned");
+                    if is_current(&cache, &key, &slot) {
+                        cache.remove(&key);
+                    }
+                    Err(error)
+                }
+            };
         }
+    }
+
+    /// Counts one cache hit and hands out the cached mechanism.
+    fn hit(&self, mechanism: &Arc<dyn Mechanism>) -> Arc<dyn Mechanism> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(metrics) = self.telemetry.get() {
+            metrics.hits.inc();
+        }
+        Arc::clone(mechanism)
     }
 
     /// The calibrated Laplace noise scale a release of `query` at `budget`
@@ -758,18 +699,15 @@ impl ReleaseEngine {
         self.coalesced.store(0, Ordering::Relaxed);
     }
 
-    /// Number of distinct calibrations currently cached, summed over shards.
+    /// Number of distinct calibrations currently cached (slots still being
+    /// calibrated are not counted).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .cache
-                    .read()
-                    .expect("calibration cache poisoned")
-                    .len()
-            })
-            .sum()
+        self.cache
+            .read()
+            .expect("calibration cache poisoned")
+            .values()
+            .filter(|slot| slot.mechanism.get().is_some())
+            .count()
     }
 
     /// `true` when no calibration is cached.
@@ -788,24 +726,24 @@ impl ReleaseEngine {
     /// Exports every cached calibration's normal form as a
     /// [`CalibrationSnapshot`](crate::CalibrationSnapshot).
     ///
-    /// Each shard's read lock is held only long enough to clone its entries;
+    /// The cache's read lock is held only long enough to clone its entries;
     /// serialisation (and any file I/O the caller performs) happens with no
     /// lock held, so a running service can snapshot itself without stalling
     /// releases. Entries are sorted by key, so equal caches export
     /// byte-identical snapshots (modulo the timestamp).
     pub fn export_snapshot(&self) -> crate::snapshot::CalibrationSnapshot {
-        let mut entries = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let guard = shard.cache.read().expect("calibration cache poisoned");
-            entries.extend(
-                guard
-                    .iter()
-                    .map(|(key, mechanism)| crate::snapshot::SnapshotEntry {
-                        key: key.clone(),
-                        state: mechanism.state().clone(),
-                    }),
-            );
-        }
+        let mut entries: Vec<_> = self
+            .cache
+            .read()
+            .expect("calibration cache poisoned")
+            .iter()
+            .filter_map(|(key, slot)| {
+                Some(crate::snapshot::SnapshotEntry {
+                    key: key.clone(),
+                    state: slot.mechanism.get()?.state().clone(),
+                })
+            })
+            .collect();
         entries.sort_by(|a, b| {
             (
                 a.key.epsilon_bits,
@@ -827,7 +765,7 @@ impl ReleaseEngine {
         crate::snapshot::CalibrationSnapshot {
             engine_kind: self.kind().to_string(),
             class_token: self.calibrator.class_token(),
-            shard_count: self.shard_count() as u32,
+            shard_count: 1,
             created_unix_secs: crate::snapshot::unix_now(),
             entries,
         }
@@ -836,7 +774,7 @@ impl ReleaseEngine {
     /// Imports a snapshot's calibrations into this engine's cache,
     /// returning the number of entries loaded.
     ///
-    /// Every entry is restored *before* any shard lock is taken: a snapshot
+    /// Every entry is restored *before* the cache lock is taken: a snapshot
     /// that fails validation leaves the cache — and the hit/miss counters —
     /// completely untouched (no partially imported, silently smaller cache).
     /// Imported entries do not count as misses; releases served from them
@@ -871,25 +809,24 @@ impl ReleaseEngine {
             .map(|entry| Ok((entry.key.clone(), entry.state.restore()?)))
             .collect::<Result<_>>()?;
         let count = restored.len();
+        let mut cache = self.cache.write().expect("calibration cache poisoned");
         for (key, mechanism) in restored {
-            self.shard(&key)
-                .cache
-                .write()
-                .expect("calibration cache poisoned")
-                .insert(key, mechanism);
+            let slot = Slot {
+                mechanism: OnceLock::from(mechanism),
+                calibrating: Mutex::default(),
+            };
+            cache.insert(key, Arc::new(slot));
         }
         Ok(count)
     }
 
-    /// Drops every cached calibration (counters are preserved).
+    /// Drops every cached calibration (counters are preserved). Slots still
+    /// being calibrated stay, so misses on them keep coalescing.
     pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            shard
-                .cache
-                .write()
-                .expect("calibration cache poisoned")
-                .clear();
-        }
+        self.cache
+            .write()
+            .expect("calibration cache poisoned")
+            .retain(|_, slot| slot.mechanism.get().is_none());
     }
 }
 
@@ -898,7 +835,6 @@ impl std::fmt::Debug for ReleaseEngine {
         let stats = self.stats();
         f.debug_struct("ReleaseEngine")
             .field("kind", &self.kind())
-            .field("shards", &self.shard_count())
             .field("cached", &self.len())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
@@ -1426,11 +1362,11 @@ mod tests {
 
     #[test]
     fn counter_reset_and_introspection() {
-        let engine = ReleaseEngine::with_shards(
-            MqmApproxCalibrator::new(test_class(), 80, MqmApproxOptions::default()),
-            4,
-        );
-        assert_eq!(engine.shard_count(), 4);
+        let engine = ReleaseEngine::new(MqmApproxCalibrator::new(
+            test_class(),
+            80,
+            MqmApproxOptions::default(),
+        ));
         assert!(engine.is_empty());
         let budget = PrivacyBudget::new(1.0).unwrap();
         let query = StateFrequencyQuery::new(1, 80);
@@ -1482,6 +1418,183 @@ mod tests {
         assert!(engine.mechanism(&query, budget).is_ok());
         assert_eq!(engine.stats().misses, 1);
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn distinct_keys_calibrate_concurrently() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // The ε = 1 calibration finishes only once the ε = 2 one has run, so
+        // a lock spanning keys would make it time out.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let done_rx = Mutex::new(done_rx);
+        let class = test_class();
+        let engine = ReleaseEngine::new(FnCalibrator::new("gated", 11, move |_q, budget| {
+            let first = budget.epsilon() < 1.5;
+            if first {
+                started_tx.send(()).expect("test thread listens");
+                done_rx
+                    .lock()
+                    .expect("receiver lock")
+                    .recv_timeout(Duration::from_secs(10))
+                    .map_err(|_| PufferfishError::CannotCalibrate("ε = 2 never ran".into()))?;
+            }
+            let mechanism = MqmApprox::calibrate(&class, 80, budget, MqmApproxOptions::default())?;
+            if !first {
+                done_tx.send(()).expect("ε = 1 calibration listens");
+            }
+            Ok(Arc::new(mechanism) as Arc<dyn Mechanism>)
+        }));
+        let query = StateFrequencyQuery::new(1, 80);
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(|| engine.mechanism(&query, PrivacyBudget::new(1.0).unwrap()));
+            started_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the ε = 1 calibration started");
+            engine
+                .mechanism(&query, PrivacyBudget::new(2.0).unwrap())
+                .unwrap();
+            slow.join().unwrap().expect("ε = 1 calibrated beside ε = 2");
+        });
+        assert_eq!(
+            engine.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2,
+                coalesced: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_failed_leader_fails_alone_under_a_stampede() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let class = test_class();
+        let counted = Arc::clone(&attempts);
+        let engine = ReleaseEngine::new(FnCalibrator::new("flaky", 7, move |_q, budget| {
+            if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                Err(PufferfishError::CannotCalibrate("transient".to_string()))
+            } else {
+                Ok(Arc::new(MqmApprox::calibrate(
+                    &class,
+                    80,
+                    budget,
+                    MqmApproxOptions::default(),
+                )?) as Arc<dyn Mechanism>)
+            }
+        }));
+        let budget = PrivacyBudget::new(1.0).unwrap();
+        let threads = 8;
+        let barrier = Barrier::new(threads);
+
+        let outcomes: Vec<Result<u64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let query = StateFrequencyQuery::new(1, 80);
+                        barrier.wait();
+                        engine
+                            .mechanism(&query, budget)
+                            .map(|mechanism| mechanism.noise_scale_for(&query).to_bits())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        let (failed, served): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_err);
+        assert_eq!(failed.len(), 1, "only the failed leader sees its error");
+        let scales: Vec<u64> = served.into_iter().map(Result::unwrap).collect();
+        assert_eq!(scales.len(), threads - 1);
+        assert!(scales.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(engine.stats().misses, 1);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2);
+        assert_eq!(engine.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_calibration_does_not_wedge_its_key() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, Barrier};
+        use std::time::{Duration, Instant};
+
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let go_rx = Mutex::new(go_rx);
+        let class = test_class();
+        let counted = Arc::clone(&calls);
+        let engine = Arc::new(ReleaseEngine::new(FnCalibrator::new(
+            "panicky",
+            12,
+            move |_q, budget| {
+                if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                    // Hold the first calibration until every other caller
+                    // waits on it, then panic.
+                    let _ = go_rx
+                        .lock()
+                        .expect("receiver lock")
+                        .recv_timeout(Duration::from_secs(10));
+                    panic!("calibrator bug");
+                }
+                Ok(Arc::new(MqmApprox::calibrate(
+                    &class,
+                    80,
+                    budget,
+                    MqmApproxOptions::default(),
+                )?) as Arc<dyn Mechanism>)
+            },
+        )));
+        let budget = PrivacyBudget::new(1.0).unwrap();
+        let threads = 8;
+        let barrier = Arc::new(Barrier::new(threads));
+        let (done_tx, done_rx) = mpsc::channel();
+
+        // Detached threads: a wedged caller must fail this test, not hang it
+        // in a scope join.
+        for _ in 0..threads {
+            let engine = Arc::clone(&engine);
+            let barrier = Arc::clone(&barrier);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let query = StateFrequencyQuery::new(1, 80);
+                barrier.wait();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    engine
+                        .mechanism(&query, budget)
+                        .map(|mechanism| mechanism.noise_scale_for(&query).to_bits())
+                }));
+                let _ = done_tx.send(outcome.ok());
+            });
+        }
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.stats().coalesced < threads as u64 - 1 {
+            assert!(Instant::now() < deadline, "callers never queued on the key");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        go_tx.send(()).unwrap();
+
+        let outcomes: Vec<Option<Result<u64>>> = (0..threads)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .expect("a caller is still blocked on the panicked key")
+            })
+            .collect();
+        let panicked = outcomes.iter().filter(|outcome| outcome.is_none()).count();
+        assert_eq!(panicked, 1, "only the panicking leader's caller panics");
+        let scales: Vec<u64> = outcomes.into_iter().flatten().map(Result::unwrap).collect();
+        assert_eq!(scales.len(), threads - 1);
+        assert!(scales.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(engine.stats().misses, 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(engine.len(), 1);
     }
 
     #[test]

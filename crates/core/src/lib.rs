@@ -49,10 +49,11 @@
 //! cache keyed by `(distribution class, ε, query Lipschitz signature)`:
 //! a [`engine::ReleaseEngine`] wraps a [`engine::Calibrator`] and serves
 //! repeated releases from memoised mechanisms, with observable hit/miss
-//! counters. The cache is sharded with per-key in-flight coalescing, so one
-//! `Arc<ReleaseEngine>` serves many request threads without a global lock
-//! (the `pufferfish-service` crate builds a full request/response front-end
-//! on top). Calibration inner loops are parallelised (deterministically —
+//! counters. The cache is one read-write-locked map of per-key slots, and
+//! concurrent misses on a key coalesce on that key's slot, so one
+//! `Arc<ReleaseEngine>` serves many request threads and no lock spanning
+//! keys is held while calibrating (the `pufferfish-service` crate builds a
+//! full request/response front-end on top). Calibration inner loops are parallelised (deterministically —
 //! identical noise scales on every thread count) through
 //! [`pufferfish_parallel::Parallelism`], selectable on every options struct.
 //!

@@ -381,8 +381,8 @@ pub struct CalibrationSnapshot {
     /// Class token of the exporting engine's calibrator; importing engines
     /// must match it.
     pub class_token: u64,
-    /// Shard count of the exporting engine (informational — an importing
-    /// engine may use any shard count).
+    /// Informational only, kept so the format stays at version 1: the
+    /// engine's cache is one map, export writes 1 and import ignores it.
     pub shard_count: u32,
     /// Unix timestamp (seconds) when the snapshot was exported.
     pub created_unix_secs: u64,

@@ -145,7 +145,7 @@ impl ReleaseObserver for ServiceMonitor {
 }
 
 /// Builds a fresh engine for a freshly fitted class — the caller decides
-/// calibrator family, shard count and options.
+/// calibrator family and options.
 pub type EngineFactory = dyn Fn(&MarkovChainClass) -> std::result::Result<Arc<ReleaseEngine>, PufferfishError>
     + Send
     + Sync;

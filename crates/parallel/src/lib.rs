@@ -15,6 +15,10 @@
 //! calibration conformance tests assert. Parallelism only changes wall-clock
 //! time, never output.
 //!
+//! The query executor runs its [`Morsel`]s — contiguous index ranges from
+//! [`morsels`] — through the same scheduler: [`try_par_map`] over the morsel
+//! list, so the next idle worker takes the next morsel.
+//!
 //! For *serving* workloads — threads that outlive any single enumeration and
 //! drain a queue until shutdown — the crate additionally provides
 //! [`WorkerPool`], the long-lived counterpart to [`par_run`] used by the
@@ -26,10 +30,11 @@
 mod morsel;
 mod pool;
 
-pub use morsel::{morsel_run, morsels, try_morsel_run, Morsel};
+pub use morsel::{morsels, Morsel};
 pub use pool::WorkerPool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// How a calibration loop should be executed.
@@ -47,21 +52,21 @@ pub enum Parallelism {
 impl Parallelism {
     /// The number of worker threads this policy yields for `items` units of
     /// work (never more threads than items, never zero).
+    ///
+    /// [`Parallelism::Auto`] reads the host's thread count once per process:
+    /// the query costs tens of microseconds, and every [`par_run`] asks.
     pub fn effective_threads(self, items: usize) -> usize {
+        static HOST_THREADS: OnceLock<usize> = OnceLock::new();
         let requested = match self {
             Parallelism::Serial => 1,
-            Parallelism::Auto => thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Parallelism::Auto => *HOST_THREADS.get_or_init(|| {
+                thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
             Parallelism::Threads(n) => n.max(1),
         };
         requested.min(items.max(1))
-    }
-
-    /// `true` when this policy may use more than one thread for `items`
-    /// units of work.
-    pub fn is_parallel(self, items: usize) -> bool {
-        self.effective_threads(items) > 1
     }
 }
 
@@ -76,7 +81,7 @@ impl Parallelism {
 /// independent of the schedule.
 ///
 /// # Panics
-/// Propagates panics from `f`.
+/// Re-raises the first worker panic with its original payload.
 pub fn par_run<R, F>(policy: Parallelism, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -110,9 +115,13 @@ where
             })
             .collect();
         for worker in workers {
-            let local = worker.join().expect("parallel worker panicked");
-            for (index, value) in local {
-                results[index] = Some(value);
+            match worker.join() {
+                Ok(local) => {
+                    for (index, value) in local {
+                        results[index] = Some(value);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
@@ -206,6 +215,13 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).effective_threads(100), 1);
         assert_eq!(Parallelism::Threads(4).effective_threads(2), 2);
         assert!(Parallelism::Auto.effective_threads(1_000) >= 1);
-        assert!(!Parallelism::Serial.is_parallel(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 panicked deliberately")]
+    fn par_run_propagates_the_workers_own_panic() {
+        par_run(Parallelism::Threads(4), 16, |i| {
+            assert_ne!(i, 5, "item 5 panicked deliberately");
+        });
     }
 }

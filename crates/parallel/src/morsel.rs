@@ -1,43 +1,23 @@
-//! Morsel-driven work-stealing execution.
+//! Morsels: the query executor's unit of work.
 //!
-//! [`par_run`](crate::par_run) hands out *single items* from one shared
-//! atomic counter. That is the right shape when items are uniform, but a
-//! query executor's work units are wildly skewed — one giant group-by cell
-//! next to dozens of tiny ones — and per-item dispatch on a shared counter
-//! costs a contended RMW per window. The morsel scheduler (HoneyComb-style)
-//! fixes both:
+//! A query executor's work is skewed — one giant group-by cell next to
+//! dozens of tiny ones — so it is cut into [`Morsel`]s, contiguous **index
+//! ranges** over a flat domain of `total` items, rather than one unit per
+//! cell. Dispatch cost is amortised over a whole cache-friendly chunk, and a
+//! giant cell spreads over many morsels.
 //!
-//! * the work unit is a [`Morsel`] — a contiguous **index range** over a
-//!   flat domain of `total` items — so dispatch cost is amortised over a
-//!   whole cache-friendly chunk;
-//! * morsels are dealt into **per-worker deques** up front (contiguous
-//!   blocks, preserving locality); a worker pops from the *front* of its own
-//!   deque and, when empty, **steals** from the *back* of a victim's, so a
-//!   straggler morsel never strands the work queued behind it.
-//!
-//! **Determinism contract:** identical to the rest of this crate. Each
-//! worker tags every result with its morsel index and the results are
-//! stitched back into index order after the scope joins, so the returned
-//! vector — and therefore any serial fold over it — is **bitwise-identical**
-//! on any thread count and any steal schedule. Stealing changes wall-clock
-//! time, never output.
-//!
-//! Like [`par_run`], execution uses [`std::thread::scope`] so closures may
-//! borrow from the caller; the long-lived [`WorkerPool`](crate::WorkerPool)
-//! shape (detached `'static` threads) is deliberately not used here — a
-//! morsel run is one bounded enumeration, not a service.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-use crate::Parallelism;
+//! Morsels run through [`try_par_map`](crate::try_par_map) over the list
+//! from [`morsels`]: a shared counter hands the next morsel to the next idle
+//! worker, so a straggler morsel never strands the work queued behind it.
+//! Results come back **in morsel order**, so the output — and any serial
+//! fold over it — is bitwise-identical on any thread count and schedule.
 
 /// One unit of schedulable work: a contiguous index range `start..end` over
 /// the run's flat domain, plus its position in the overall schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Morsel {
-    /// Position of this morsel in schedule order (results are assembled by
-    /// this index, which is what makes output schedule-independent).
+    /// Position of this morsel in domain order, which is also its position
+    /// in the list [`morsels`] returns and in the results of a run over it.
     pub index: usize,
     /// First item covered (inclusive).
     pub start: usize,
@@ -73,118 +53,13 @@ pub fn morsels(total: usize, size: usize) -> Vec<Morsel> {
         .collect()
 }
 
-/// Runs `f` over every morsel of `total` items under the given policy and
-/// returns the results **in morsel order**.
-///
-/// Morsels are dealt to per-worker deques as contiguous blocks: with `w`
-/// workers and `m` morsels, worker `k` initially owns morsels
-/// `[k·⌈m/w⌉, (k+1)·⌈m/w⌉)`. A worker drains its own deque front-to-back and
-/// steals from the back of the next non-empty victim's deque (scanning
-/// round-robin from its own index) once its deque is empty, so an
-/// adversarially slow early morsel cannot serialise the morsels dealt behind
-/// it. No new work is ever produced mid-run, so workers exit when every
-/// deque is empty.
-///
-/// # Panics
-/// Propagates the first panic raised by `f` on any worker.
-pub fn morsel_run<R, F>(policy: Parallelism, total: usize, morsel_size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Morsel) -> R + Sync,
-{
-    let schedule = morsels(total, morsel_size);
-    let threads = policy.effective_threads(schedule.len());
-    if threads <= 1 || schedule.len() <= 1 {
-        return schedule.into_iter().map(f).collect();
-    }
-
-    // Deal contiguous blocks of morsels, one deque per worker.
-    let per_worker = schedule.len().div_ceil(threads);
-    let deques: Vec<Mutex<VecDeque<Morsel>>> = schedule
-        .chunks(per_worker)
-        .map(|block| Mutex::new(block.iter().copied().collect()))
-        .collect();
-    let workers = deques.len(); // ≤ threads; every deque starts non-empty
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(schedule.len());
-    results.resize_with(schedule.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let f = &f;
-                let deques = &deques;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        // Own work first (front), then steal (back), scanning
-                        // victims round-robin starting after ourselves.
-                        let next = (0..workers).find_map(|offset| {
-                            let victim = (me + offset) % workers;
-                            let mut deque = deques[victim].lock().expect("morsel deque poisoned");
-                            if victim == me {
-                                deque.pop_front()
-                            } else {
-                                deque.pop_back()
-                            }
-                        });
-                        match next {
-                            Some(morsel) => local.push((morsel.index, f(morsel))),
-                            None => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => {
-                    for (index, value) in local {
-                        results[index] = Some(value);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every morsel was executed exactly once"))
-        .collect()
-}
-
-/// Maps a fallible `f` over every morsel, reporting the **first** error in
-/// morsel order — matching what a serial front-to-back run would have
-/// reported, even when a later morsel errors first in wall-clock time.
-///
-/// # Errors
-/// The error of the lowest-indexed failing morsel.
-///
-/// # Panics
-/// Propagates the first panic raised by `f` on any worker.
-pub fn try_morsel_run<R, E, F>(
-    policy: Parallelism,
-    total: usize,
-    morsel_size: usize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(Morsel) -> Result<R, E> + Sync,
-{
-    morsel_run(policy, total, morsel_size, f)
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{par_map, try_par_map, Parallelism};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -213,7 +88,7 @@ mod tests {
             Parallelism::Threads(16),
         ] {
             for size in [1, 2, 5, 64] {
-                let sums = morsel_run(policy, 100, size, |m| {
+                let sums = par_map(policy, &morsels(100, size), |m| {
                     (m.start..m.end).map(|i| i * i).sum::<usize>()
                 });
                 let total: usize = sums.iter().sum();
@@ -225,29 +100,25 @@ mod tests {
 
     #[test]
     fn stolen_schedules_are_bitwise_identical_to_serial() {
-        let serial = morsel_run(Parallelism::Serial, 500, 7, |m| {
+        let logs = |m: &Morsel| {
             (m.start..m.end)
                 .map(|i| ((i as f64).sin() + 1.5).ln())
                 .collect::<Vec<f64>>()
-        });
-        let stolen = morsel_run(Parallelism::Threads(5), 500, 7, |m| {
-            (m.start..m.end)
-                .map(|i| ((i as f64).sin() + 1.5).ln())
-                .collect::<Vec<f64>>()
-        });
-        for (a, b) in serial.iter().flatten().zip(stolen.iter().flatten()) {
+        };
+        let serial = par_map(Parallelism::Serial, &morsels(500, 7), logs);
+        let threaded = par_map(Parallelism::Threads(5), &morsels(500, 7), logs);
+        for (a, b) in serial.iter().flatten().zip(threaded.iter().flatten()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
     fn slow_first_morsel_is_routed_around_by_stealing() {
-        // 8 morsels, 2 workers: worker 0 initially owns morsels 0..4,
-        // worker 1 owns 4..8. Morsel 0 blocks its worker long enough that
-        // the other worker must finish its own block and steal morsels
-        // 1..4; they therefore run on a different thread than morsel 0.
+        // 8 morsels, 2 workers. Morsel 0 blocks its worker long enough that
+        // the shared counter hands every later morsel to the other, idle
+        // worker; they therefore run on a different thread than morsel 0.
         let owners: Mutex<HashMap<usize, ThreadId>> = Mutex::new(HashMap::new());
-        morsel_run(Parallelism::Threads(2), 8, 1, |m| {
+        par_map(Parallelism::Threads(2), &morsels(8, 1), |m| {
             if m.index == 0 {
                 std::thread::sleep(Duration::from_millis(400));
             }
@@ -270,7 +141,7 @@ mod tests {
     #[test]
     fn every_morsel_runs_exactly_once_under_contention() {
         let runs = AtomicUsize::new(0);
-        let results = morsel_run(Parallelism::Threads(8), 257, 3, |m| {
+        let results = par_map(Parallelism::Threads(8), &morsels(257, 3), |m| {
             runs.fetch_add(1, Ordering::SeqCst);
             m.index
         });
@@ -280,23 +151,25 @@ mod tests {
 
     #[test]
     fn empty_and_single_morsel_inputs() {
-        let empty: Vec<usize> = morsel_run(Parallelism::Threads(4), 0, 8, |m| m.len());
+        let empty: Vec<usize> = par_map(Parallelism::Threads(4), &morsels(0, 8), Morsel::len);
         assert!(empty.is_empty());
-        let single = morsel_run(Parallelism::Threads(4), 5, 8, |m| (m.start, m.end));
+        let single = par_map(Parallelism::Threads(4), &morsels(5, 8), |m| {
+            (m.start, m.end)
+        });
         assert_eq!(single, vec![(0, 5)]);
     }
 
     #[test]
     #[should_panic(expected = "morsel 3 panicked deliberately")]
     fn worker_panics_propagate_to_the_caller() {
-        morsel_run(Parallelism::Threads(4), 16, 2, |m| {
+        par_map(Parallelism::Threads(4), &morsels(16, 2), |m| {
             assert_ne!(m.index, 3, "morsel 3 panicked deliberately");
         });
     }
 
     #[test]
     fn try_run_reports_the_first_error_in_morsel_order() {
-        let result = try_morsel_run(Parallelism::Threads(8), 90, 3, |m| {
+        let result = try_par_map(Parallelism::Threads(8), &morsels(90, 3), |m| {
             if m.index % 7 == 4 {
                 Err(m.index)
             } else {
@@ -305,7 +178,7 @@ mod tests {
         });
         assert_eq!(result, Err(4));
         let ok: Result<Vec<usize>, usize> =
-            try_morsel_run(Parallelism::Threads(2), 10, 3, |m| Ok(m.index));
+            try_par_map(Parallelism::Threads(2), &morsels(10, 3), |m| Ok(m.index));
         assert_eq!(ok.unwrap(), vec![0, 1, 2, 3]);
     }
 }

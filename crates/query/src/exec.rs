@@ -4,10 +4,10 @@
 //!
 //! * the plan's windows form one **flat domain** (global window indices in
 //!   cell-major sweep order, see [`TableBatch`]) that is partitioned into
-//!   (cell × window-chunk) **morsels** and scheduled through the
-//!   work-stealing [`morsel`](pufferfish_parallel) module — a giant cell no
+//!   (cell × window-chunk) **morsels** and run through
+//!   [`try_par_map`](pufferfish_parallel::try_par_map) — a giant cell no
 //!   longer serialises the tail behind it, because its windows are split
-//!   across many morsels that idle workers steal;
+//!   across many morsels that the next idle worker takes;
 //! * windows are **borrowed slices** of the batch's state column, released
 //!   through [`Mechanism::release_batch_refs`] with batched
 //!   [`Laplace::sample_into`](pufferfish_core::Laplace::sample_into) noise —
@@ -18,7 +18,7 @@
 //!   cell's `rel`-th window re-seeds and skips `rel × dimension` draws to
 //!   land at its offset in the stream. Results are assembled by morsel
 //!   index, so output is **bitwise-identical** on any thread count, any
-//!   morsel size and any steal schedule — and bitwise-identical to calling
+//!   morsel size and any schedule — and bitwise-identical to calling
 //!   the chosen mechanism directly with the same seed (the property the
 //!   equivalence suites assert).
 //!
@@ -26,7 +26,7 @@
 //! [`Mechanism::release_batch_refs`]: pufferfish_core::Mechanism::release_batch_refs
 
 use pufferfish_core::NoisyRelease;
-use pufferfish_parallel::{try_morsel_run, Parallelism};
+use pufferfish_parallel::{morsels, try_par_map, Parallelism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +59,8 @@ pub struct ExecOptions {
     /// Windows per morsel. `None` (the default) derives a size from the
     /// table shape: single-threaded runs use one morsel (no re-seed
     /// overhead at all), multi-threaded runs target ~4 morsels per worker,
-    /// clamped to `1..=256`, so skewed cells split into stealable chunks.
+    /// clamped to `1..=256`, so skewed cells split into chunks that idle
+    /// workers take.
     pub morsel_windows: Option<usize>,
 }
 
@@ -185,8 +186,8 @@ pub fn execute_plan(
     )
 }
 
-/// Executes a plan: the global window domain is split into morsels,
-/// scheduled work-stealing across workers, and each morsel releases its
+/// Executes a plan: the global window domain is split into morsels, each
+/// taken by the next idle worker, and each morsel releases its
 /// windows as borrowed batch slices at the right offset of its cell's
 /// deterministic noise stream.
 ///
@@ -217,7 +218,8 @@ pub fn execute_plan_with(
     let threads = options.parallelism.effective_threads(total);
     let morsel_windows = options.effective_morsel_windows(total, threads);
 
-    let per_morsel = try_morsel_run(options.parallelism, total, morsel_windows, |morsel| {
+    let schedule = morsels(total, morsel_windows);
+    let per_morsel = try_par_map(options.parallelism, &schedule, |morsel| {
         let mut out: Vec<NoisyRelease> = Vec::with_capacity(morsel.len());
         let mut window = morsel.start;
         // A morsel may span a cell boundary; release each covered cell's

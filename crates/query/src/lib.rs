@@ -38,10 +38,10 @@
 //! * [`execute_plan`] (and its tunable form [`execute_plan_with`]) slices
 //!   windows straight out of the plan's columnar [`TableBatch`] and
 //!   schedules them as (cell × window-chunk) morsels through
-//!   `pufferfish-parallel`'s work-stealing scheduler, deterministically
+//!   `pufferfish-parallel`'s scoped scheduler, deterministically
 //!   seeded per cell ([`cell_seed`]) with computable per-morsel RNG offsets,
 //!   so planned execution is **bitwise-identical** to direct mechanism calls
-//!   under the same seed — on any thread count, morsel size or steal
+//!   under the same seed — on any thread count, morsel size or
 //!   schedule;
 //! * [`QueryService`] fronts the pipeline with per-user admission: the
 //!   plan's total ε (Theorem 4.4 sequential composition within a cell,

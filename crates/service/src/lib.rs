@@ -6,8 +6,8 @@
 //! into a request/response service that can saturate every core:
 //!
 //! * [`ReleaseService`] — the front-end: a bounded admission queue feeding a
-//!   [`pufferfish_parallel::WorkerPool`], every worker driving one shared,
-//!   sharded [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
+//!   [`pufferfish_parallel::WorkerPool`], every worker driving one shared
+//!   [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
 //!   stampede-coalesced there). Submitters get a [`Ticket`] and wait for
 //!   their [`pufferfish_core::NoisyRelease`], or hand over a reply the
 //!   worker calls with it ([`ReleaseService::try_submit_with`]); a full
@@ -54,7 +54,7 @@
 //! use pufferfish_markov::IntervalClassBuilder;
 //! use pufferfish_service::{ReleaseRequest, ReleaseService, ServiceConfig};
 //!
-//! // One sharded engine, shared by every worker.
+//! // One engine, shared by every worker.
 //! let class = IntervalClassBuilder::symmetric(0.4).grid_points(2).build().unwrap();
 //! let engine = ReleaseEngine::shared(MqmApproxCalibrator::new(
 //!     class,

@@ -2,7 +2,7 @@
 //!
 //! Architecture: submitters pass admission control (per-user ε-budget, then
 //! the bounded queue) and hand over a reply; a [`WorkerPool`] drains the
-//! queue, drives the sharded engine (one `Arc<ReleaseEngine>` shared by all
+//! queue, drives the engine (one `Arc<ReleaseEngine>` shared by all
 //! workers — calibrations are cached and stampede-coalesced there), and
 //! calls the reply with the outcome. In-process callers get a [`Ticket`],
 //! which is one such reply; the network front-end's reply pushes the
@@ -162,7 +162,7 @@ struct Job {
     /// stamped only while telemetry is attached: a job is staged if and
     /// only if telemetry was attached when it was admitted. The worker
     /// turns the two stamps into the admission and queue-wait stages (the
-    /// endpoints live on different threads, so an RAII span cannot time
+    /// endpoints live on different threads, so no one thread can time
     /// either stage).
     stamps: Option<(Instant, Instant)>,
     /// The caller's request trace, when one rides along (the network
@@ -1134,6 +1134,67 @@ mod tests {
         let release = service.release(request("p", 0.5, 2)).unwrap();
         assert_eq!(release.values.len(), 1);
         // Drop (not shutdown): swallows the dead worker's panic.
+        drop(service);
+    }
+
+    #[test]
+    fn a_panicking_calibration_does_not_wedge_the_surviving_worker() {
+        use pufferfish_core::engine::FnCalibrator;
+        use pufferfish_core::{Mechanism, MqmApprox};
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let class = IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        let engine = ReleaseEngine::shared(FnCalibrator::class_scoped(
+            "panicky",
+            13,
+            move |_q, budget| {
+                if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("calibrator bug");
+                }
+                Ok(Arc::new(MqmApprox::calibrate(
+                    &class,
+                    60,
+                    budget,
+                    MqmApproxOptions::default(),
+                )?) as Arc<dyn Mechanism>)
+            },
+        ));
+        let service = ReleaseService::start(
+            engine,
+            ServiceConfig {
+                workers: Parallelism::Threads(2),
+                queue_capacity: 8,
+                per_user_epsilon: 10.0,
+            },
+        )
+        .unwrap();
+        // The first worker panics mid-calibration and dies.
+        assert!(matches!(
+            service.release(request("p", 0.5, 1)),
+            Err(ServiceError::ServiceClosed)
+        ));
+        // The surviving worker calibrates the same key again instead of
+        // waiting on the dead leader.
+        let (reply_tx, reply_rx) = mpsc::channel();
+        service
+            .try_submit_with(request("p", 0.5, 2), None, move |result| {
+                let _ = reply_tx.send(result);
+            })
+            .unwrap();
+        let Ok(reply) = reply_rx.recv_timeout(Duration::from_secs(10)) else {
+            // Dropping the service would join the wedged worker.
+            std::mem::forget(service);
+            panic!("the second release is wedged behind the panicked calibration");
+        };
+        assert_eq!(reply.unwrap().values.len(), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(service.engine().stats().misses, 1);
         drop(service);
     }
 

@@ -11,12 +11,12 @@
 //!   single relaxed atomic add — the registry mutex is never touched on the
 //!   hot path. [`Registry::snapshot`] and [`Registry::render_text`] expose
 //!   everything in one stable, sorted pass.
-//! - **Request tracing** ([`StageHistograms`], [`Span`], [`RequestTrace`],
-//!   [`FlightRecorder`]): RAII spans that time a request stage (decode →
-//!   admission → queue wait → engine → mechanism sample → encode) straight
-//!   into per-stage histograms, optionally accumulating into a per-request
-//!   [`RequestTrace`] carried along the existing ticket plumbing — no
-//!   thread-locals. The [`FlightRecorder`] keeps the last N slow requests'
+//! - **Request tracing** ([`StageHistograms`], [`RequestTrace`],
+//!   [`FlightRecorder`]): each request stage (decode → admission → queue
+//!   wait → engine → mechanism sample → encode) is measured by the
+//!   component that runs it and recorded into per-stage histograms,
+//!   optionally accumulating into a per-request [`RequestTrace`] carried
+//!   along the existing ticket plumbing — no thread-locals. The [`FlightRecorder`] keeps the last N slow requests'
 //!   stage breakdowns in a fixed ring for post-hoc "why was that one slow".
 //! - **ε-audit ledger** ([`EpsilonLedger`]): an append-only, per-record
 //!   FNV-1a-checksummed binary log of every privacy-budget event — charge,
@@ -50,4 +50,4 @@ pub use ledger::{
 pub use registry::{
     Counter, Gauge, HistogramHandle, HistogramSummary, MetricSample, MetricValue, Registry,
 };
-pub use span::{FlightRecorder, RequestTrace, Span, Stage, StageHistograms, TraceReport};
+pub use span::{FlightRecorder, RequestTrace, Stage, StageHistograms, TraceReport};

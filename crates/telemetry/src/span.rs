@@ -1,18 +1,18 @@
-//! Per-request tracing: RAII stage spans, cross-thread request traces, and
+//! Per-request tracing: stage histograms, cross-thread request traces, and
 //! a ring-buffer flight recorder for slow requests.
 //!
 //! A request's life through the serving stack is a fixed pipeline of
 //! [`Stage`]s: decode → admission → queue wait → engine → mechanism sample
-//! → encode. Each stage is timed by a [`Span`] (an RAII timer that records
-//! into the stage's registry histogram on drop) and, optionally, into a
-//! per-request [`RequestTrace`] — a small block of atomics that rides the
-//! request through the worker pool via the existing ticket plumbing, so no
-//! thread-local state can leak between requests that share a worker.
+//! → encode. The component that owns a stage measures its duration and
+//! records it with [`StageHistograms::record`] into the stage's registry
+//! histogram and, optionally, into a per-request [`RequestTrace`] — a small
+//! block of atomics that rides the request through the worker pool via the
+//! existing ticket plumbing, so no thread-local state can leak between
+//! requests that share a worker.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::registry::{HistogramHandle, Registry};
 
@@ -102,27 +102,7 @@ impl StageHistograms {
         }
     }
 
-    /// Starts an RAII span over `stage`: the elapsed nanoseconds are
-    /// recorded into the stage histogram when the span drops.
-    #[must_use]
-    pub fn enter(&self, stage: Stage) -> Span<'_> {
-        self.enter_traced(stage, None)
-    }
-
-    /// [`StageHistograms::enter`], additionally recording into `trace` so
-    /// the flight recorder can reconstruct this request's breakdown.
-    #[must_use]
-    pub fn enter_traced<'a>(&'a self, stage: Stage, trace: Option<&'a RequestTrace>) -> Span<'a> {
-        Span {
-            histogram: &self.stages[stage.index()],
-            trace,
-            stage,
-            start: Instant::now(),
-        }
-    }
-
-    /// Records an externally measured duration (for stages whose endpoints
-    /// live on different threads, like queue wait).
+    /// Records a measured duration of `stage`, in nanoseconds.
     pub fn record(&self, stage: Stage, nanos: u64) {
         self.stages[stage.index()].record(nanos);
     }
@@ -131,26 +111,6 @@ impl StageHistograms {
     #[must_use]
     pub fn handle(&self, stage: Stage) -> &HistogramHandle {
         &self.stages[stage.index()]
-    }
-}
-
-/// An RAII timer over one [`Stage`]: created by
-/// [`StageHistograms::enter`], records on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    histogram: &'a HistogramHandle,
-    trace: Option<&'a RequestTrace>,
-    stage: Stage,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.histogram.record(nanos);
-        if let Some(trace) = self.trace {
-            trace.record(self.stage, nanos);
-        }
     }
 }
 
@@ -316,10 +276,7 @@ mod tests {
     fn spans_record_into_stage_histograms() {
         let registry = Registry::new();
         let stages = StageHistograms::register(&registry, "stage");
-        {
-            let _span = stages.enter(Stage::Engine);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        stages.record(Stage::Engine, 1_000_000);
         let snapshot = stages.handle(Stage::Engine).snapshot();
         assert_eq!(snapshot.count(), 1);
         assert!(snapshot.max() >= 1_000_000, "max {} < 1ms", snapshot.max());
@@ -335,11 +292,13 @@ mod tests {
         let registry = Registry::new();
         let stages = StageHistograms::register(&registry, "stage");
         let trace = RequestTrace::new(42);
-        drop(stages.enter_traced(Stage::Decode, Some(&trace)));
+        stages.record(Stage::Decode, 300);
+        trace.record(Stage::Decode, 300);
         stages.record(Stage::QueueWait, 500);
         trace.record(Stage::QueueWait, 500);
         trace.record(Stage::QueueWait, 250);
         let nanos = trace.stage_nanos();
+        assert_eq!(nanos[Stage::Decode.index()], 300);
         assert_eq!(nanos[Stage::QueueWait.index()], 750);
         assert_eq!(trace.seq(), 42);
         assert_eq!(trace.total_nanos(), nanos.iter().sum::<u64>());

@@ -1,4 +1,4 @@
-//! Concurrent serving walkthrough: one sharded engine, a worker-pool
+//! Concurrent serving walkthrough: one shared engine, a worker-pool
 //! service with per-user budgets, and continual release over event streams.
 //!
 //! Run with `cargo run -p pufferfish-bench --release --example concurrent_service`.
@@ -24,7 +24,7 @@ fn main() {
         .build()
         .expect("valid interval class");
 
-    // --- 1. A sharded engine shared by a pool of service workers. ---------
+    // --- 1. One engine shared by a pool of service workers. ---------------
     let engine = ReleaseEngine::shared(MqmApproxCalibrator::new(
         class.clone(),
         length,
@@ -93,8 +93,7 @@ fn main() {
 
     let stats = engine.stats();
     println!(
-        "engine: {} shard(s), {} calibration(s), {} hit(s), {} coalesced — served {}",
-        engine.shard_count(),
+        "engine: {} calibration(s), {} hit(s), {} coalesced — served {}",
         stats.misses,
         stats.hits,
         stats.coalesced,

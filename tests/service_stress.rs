@@ -1,4 +1,4 @@
-//! Concurrency stress suite for the sharded release engine and the serving
+//! Concurrency stress suite for the release engine and the serving
 //! layer: one shared engine hammered from many threads, with exact
 //! accounting assertions (calibrate-once per key, bitwise-stable noise
 //! scales, no budget overdraw). Deliberately loom-free — plain OS threads,

@@ -1,7 +1,7 @@
 //! Snapshot round-trip properties and negative paths.
 //!
 //! The persistence contract of the calibration store is exact: for every
-//! mechanism family, every ε and every shard-count combination,
+//! mechanism family and every ε,
 //! `export → encode → decode → import` must reproduce releases **bitwise**
 //! and probe scales **bitwise**, with the importing engine performing zero
 //! calibrations. The property tests below drive that contract through the
@@ -69,66 +69,61 @@ fn chain_network(nodes: usize) -> DiscreteBayesianNetwork {
     network
 }
 
-/// Builds a fresh engine of the given family with the given shard count.
+/// Builds a fresh engine of the given family.
 /// The Wasserstein family is query-scoped and uses the 3-person flu
 /// framework; entry DP is query-scoped too; the Markov Quilt family
 /// calibrates over a `QUILT_NODES`-node chain network; the others calibrate
 /// for chains of `length`.
-fn engine_for(family: &str, length: usize, shards: usize) -> ReleaseEngine {
+fn engine_for(family: &str, length: usize) -> ReleaseEngine {
     match family {
-        "mqm-exact" => ReleaseEngine::with_shards(
-            MqmExactCalibrator::new(chain_class(), length, MqmExactOptions::default()),
-            shards,
-        ),
-        "mqm-approx" => ReleaseEngine::with_shards(
-            MqmApproxCalibrator::new(interval_class(), length, MqmApproxOptions::default()),
-            shards,
-        ),
+        "mqm-exact" => ReleaseEngine::new(MqmExactCalibrator::new(
+            chain_class(),
+            length,
+            MqmExactOptions::default(),
+        )),
+        "mqm-approx" => ReleaseEngine::new(MqmApproxCalibrator::new(
+            interval_class(),
+            length,
+            MqmApproxOptions::default(),
+        )),
         "gk16" => {
             let class = interval_class();
             let token = TokenHasher::new("gk16")
                 .mix(&markov_class_token(&class))
                 .mix(&length)
                 .finish();
-            ReleaseEngine::with_shards(
-                FnCalibrator::class_scoped("gk16", token, move |_q, budget| {
+            ReleaseEngine::new(FnCalibrator::class_scoped(
+                "gk16",
+                token,
+                move |_q, budget| {
                     Ok(Arc::new(Gk16::calibrate(&class, length, budget)?) as Arc<dyn Mechanism>)
-                }),
-                shards,
-            )
+                },
+            ))
         }
         "group-dp" => {
             let token = TokenHasher::new("group-dp").mix(&length).finish();
-            ReleaseEngine::with_shards(
-                FnCalibrator::class_scoped("group-dp", token, move |_q, budget| {
+            ReleaseEngine::new(FnCalibrator::class_scoped(
+                "group-dp",
+                token,
+                move |_q, budget| {
                     Ok(Arc::new(GroupDp::calibrate(length, budget)?) as Arc<dyn Mechanism>)
-                }),
-                shards,
-            )
+                },
+            ))
         }
         "wasserstein" => {
             let framework =
                 pufferfish_core::flu::flu_clique_framework(3, &[0.5, 0.1, 0.1, 0.3]).unwrap();
-            ReleaseEngine::with_shards(
-                WassersteinCalibrator::new(framework, Parallelism::Serial),
-                shards,
-            )
+            ReleaseEngine::new(WassersteinCalibrator::new(framework, Parallelism::Serial))
         }
-        "markov-quilt" => ReleaseEngine::with_shards(
-            QuiltCalibrator::new(
-                vec![chain_network(QUILT_NODES)],
-                QuiltMechanismOptions::default(),
-            ),
-            shards,
-        ),
+        "markov-quilt" => ReleaseEngine::new(QuiltCalibrator::new(
+            vec![chain_network(QUILT_NODES)],
+            QuiltMechanismOptions::default(),
+        )),
         "entry-dp" => {
             let token = TokenHasher::new("entry-dp").mix(&length).finish();
-            ReleaseEngine::with_shards(
-                FnCalibrator::new("entry-dp", token, |query, budget| {
-                    Ok(Arc::new(EntryDp::for_query(query, budget)?) as Arc<dyn Mechanism>)
-                }),
-                shards,
-            )
+            ReleaseEngine::new(FnCalibrator::new("entry-dp", token, |query, budget| {
+                Ok(Arc::new(EntryDp::for_query(query, budget)?) as Arc<dyn Mechanism>)
+            }))
         }
         other => panic!("unknown family {other}"),
     }
@@ -155,14 +150,11 @@ proptest! {
 
     /// export → to_bytes → from_bytes → import reproduces `release_batch`
     /// bitwise and `noise_scale_estimate` bitwise, across mechanism
-    /// families, ε values and shard counts — and the importing engine never
-    /// calibrates.
+    /// families and ε values — and the importing engine never calibrates.
     #[test]
     fn roundtrip_is_bitwise_identical_across_families(
         family_index in 0usize..FAMILIES.len(),
         epsilon_milli in 100u64..3_000,
-        cold_shards in 1usize..8,
-        warm_shards in 1usize..8,
         length in 24usize..48,
         seed in 0u64..1_000_000,
     ) {
@@ -177,7 +169,7 @@ proptest! {
         let (query, databases) = workload(family, length);
 
         // Cold: calibrate at two ε values (the snapshot must carry both).
-        let cold = engine_for(family, length, cold_shards);
+        let cold = engine_for(family, length);
         let other_budget = PrivacyBudget::new(epsilon * 2.0).unwrap();
         cold.mechanism(&*query, budget).unwrap();
         cold.mechanism(&*query, other_budget).unwrap();
@@ -187,10 +179,10 @@ proptest! {
             .unwrap();
         let cold_scale = cold.noise_scale_estimate(&*query, other_budget).unwrap();
 
-        // Through bytes, into a differently sharded engine.
+        // Through bytes, into a fresh engine.
         let snapshot = CalibrationSnapshot::from_bytes(&cold.export_snapshot().to_bytes()).unwrap();
         prop_assert_eq!(snapshot.len(), 2);
-        let warm = engine_for(family, length, warm_shards);
+        let warm = engine_for(family, length);
         prop_assert_eq!(warm.import_snapshot(&snapshot).unwrap(), 2);
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -221,7 +213,7 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         let epsilon = epsilon_milli as f64 / 1000.0;
-        let engine = engine_for("mqm-approx", 30, 4);
+        let engine = engine_for("mqm-approx", 30);
         let query = StateFrequencyQuery::new(1, 30);
         engine
             .mechanism(&query, PrivacyBudget::new(epsilon).unwrap())
@@ -317,7 +309,7 @@ fn truncated_file_is_typed_and_never_empties_the_cache() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("truncated.pfsnap");
 
-    let engine = engine_for("mqm-exact", 30, 2);
+    let engine = engine_for("mqm-exact", 30);
     let query = StateFrequencyQuery::new(1, 30);
     let budget = PrivacyBudget::new(1.0).unwrap();
     engine.mechanism(&query, budget).unwrap();
@@ -362,14 +354,14 @@ fn truncated_file_is_typed_and_never_empties_the_cache() {
 /// mismatch) is refused wholesale: typed error, cache untouched.
 #[test]
 fn class_mismatch_is_refused_without_touching_the_cache() {
-    let source = engine_for("mqm-exact", 30, 2);
+    let source = engine_for("mqm-exact", 30);
     let query = StateFrequencyQuery::new(1, 30);
     let budget = PrivacyBudget::new(1.0).unwrap();
     source.mechanism(&query, budget).unwrap();
     let snapshot = source.export_snapshot();
 
     // Same family, different length ⇒ different class token.
-    let other = engine_for("mqm-exact", 40, 2);
+    let other = engine_for("mqm-exact", 40);
     other
         .mechanism(&StateFrequencyQuery::new(1, 40), budget)
         .unwrap();
@@ -388,14 +380,14 @@ fn class_mismatch_is_refused_without_touching_the_cache() {
 /// any entry is imported.
 #[test]
 fn unknown_family_is_refused_atomically() {
-    let source = engine_for("group-dp", 30, 2);
+    let source = engine_for("group-dp", 30);
     let query = StateFrequencyQuery::new(1, 30);
     let budget = PrivacyBudget::new(1.0).unwrap();
     source.mechanism(&query, budget).unwrap();
     let mut snapshot = source.export_snapshot();
     snapshot.entries[0].state.family = "quantum-annealer";
 
-    let target = engine_for("group-dp", 30, 2);
+    let target = engine_for("group-dp", 30);
     assert!(matches!(
         target.import_snapshot(&snapshot),
         Err(PufferfishError::Snapshot(SnapshotError::UnknownFamily(f))) if f == "quantum-annealer"
@@ -411,7 +403,7 @@ fn unknown_family_is_refused_atomically() {
 /// its way in: a typed error, and nothing imported.
 #[test]
 fn noise_skipping_scale_form_is_refused_on_import() {
-    let source = engine_for("mqm-approx", 30, 2);
+    let source = engine_for("mqm-approx", 30);
     let query = StateFrequencyQuery::new(1, 30);
     source
         .mechanism(&query, PrivacyBudget::new(1.0).unwrap())
@@ -420,7 +412,7 @@ fn noise_skipping_scale_form_is_refused_on_import() {
     snapshot.entries[0].state.scale = ScaleForm::LipschitzTimes { multiplier: -3.0 };
     let bytes = snapshot.to_bytes();
 
-    let target = engine_for("mqm-approx", 30, 2);
+    let target = engine_for("mqm-approx", 30);
     let imported = CalibrationSnapshot::from_bytes(&bytes)
         .and_then(|decoded| target.import_snapshot(&decoded));
     assert!(
