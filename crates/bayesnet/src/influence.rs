@@ -105,6 +105,7 @@ pub fn max_influence(
 mod tests {
     use super::*;
     use crate::Dag;
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
@@ -220,5 +221,58 @@ mod tests {
             max_influence_single(&net, 1, &[1]),
             Err(BayesNetError::InvalidQuilt(_))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Max-influence is >= 0 (or +inf) for every node and target set of
+        /// random chain networks and two-member classes of them: the
+        /// invariant the Markov Quilt Mechanism's exact quilt prune rests on.
+        #[test]
+        fn max_influence_is_never_negative(
+            len in 2usize..6,
+            k in 2usize..4,
+            members in 1usize..3,
+            draws in collection::vec((0.0f64..1.0, 0u8..4), 24),
+        ) {
+            let row = |cells: &[(f64, u8)]| -> Vec<f64> {
+                let weights: Vec<f64> =
+                    cells.iter().map(|&(w, kind)| if kind == 0 { 0.0 } else { w + 1e-3 }).collect();
+                let sum: f64 = weights.iter().sum();
+                if sum > 0.0 {
+                    weights.iter().map(|w| w / sum).collect()
+                } else {
+                    vec![1.0 / k as f64; k]
+                }
+            };
+            let networks: Vec<DiscreteBayesianNetwork> = (0..members)
+                .map(|m| {
+                    let cells = &draws[12 * m..12 * (m + 1)];
+                    let mut net =
+                        DiscreteBayesianNetwork::new(Dag::chain(len), vec![k; len]).unwrap();
+                    net.set_cpd(0, vec![row(&cells[..k])]).unwrap();
+                    let transition: Vec<Vec<f64>> =
+                        (0..k).map(|r| row(&cells[k * (r + 1)..k * (r + 2)])).collect();
+                    for node in 1..len {
+                        net.set_cpd(node, transition.clone()).unwrap();
+                    }
+                    net
+                })
+                .collect();
+            for node in 0..len {
+                let others: Vec<usize> = (0..len).filter(|&n| n != node).collect();
+                for mask in 0..1usize << others.len() {
+                    let target: Vec<usize> = others
+                        .iter()
+                        .enumerate()
+                        .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                        .map(|(_, &n)| n)
+                        .collect();
+                    let influence = max_influence(&networks, node, &target).unwrap();
+                    prop_assert!(influence >= 0.0, "node {node}, target {target:?}: {influence}");
+                }
+            }
+        }
     }
 }

@@ -18,7 +18,9 @@
 //!   correlation is described by a Bayesian network, with the Markov-chain
 //!   specialisations [`MqmExact`] (Algorithm 3) and [`MqmApprox`]
 //!   (Algorithm 4) that power the paper's experiments on activity and power
-//!   consumption data.
+//!   consumption data. All three choose each node's quilt with one scorer
+//!   (`best_quilt` in `mqm_chain_influence.rs`), which skips, exactly, the
+//!   quilts that can no longer beat the best score.
 //! * Sequential composition of the Markov Quilt Mechanism (Theorem 4.4) via
 //!   [`CompositionAccountant`].
 //! * Robustness against adversaries whose beliefs lie *outside* Θ

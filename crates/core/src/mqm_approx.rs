@@ -7,14 +7,18 @@
 //! `{X_{i-a}, X_{i+b}}` in closed form. This keeps the mechanism's cost
 //! essentially independent of both `|Θ|` and the chain length (Lemma 4.9),
 //! at the price of somewhat more noise than MQMExact.
+//!
+//! Each node's quilt is chosen by the scorer Algorithms 2–4 share
+//! (`best_quilt` in `mqm_chain_influence.rs`), with the closed-form bound
+//! as the influence.
 
 use pufferfish_markov::{
     class_eigengap_with, class_pi_min_with, MarkovChainClass, ReversibilityMode,
 };
-use pufferfish_parallel::{par_map, Parallelism};
+use pufferfish_parallel::{try_par_map, Parallelism};
 
 use crate::mechanism::{Mechanism, PrivacyBudget};
-use crate::mqm_chain_influence::ChainQuiltShape;
+use crate::mqm_chain_influence::{best_quilt, ChainQuiltShape};
 use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
 use crate::{PufferfishError, Result};
 
@@ -148,19 +152,22 @@ impl MqmApprox {
 
         // Per-node scores are independent pure math: map (in parallel for
         // the full-search strategies) and fold in node order, reproducing
-        // the serial first-strict-maximum selection bit for bit.
-        let scores: Vec<(f64, ChainQuiltShape)> = par_map(options.parallelism, &nodes, |&i| {
-            best_score_for_node(i, length, epsilon, pi_min, eigengap, width_cap)
-        });
+        // the serial first-strict-maximum selection bit for bit. The width
+        // cap also bounds the offsets.
+        let scores = try_par_map(options.parallelism, &nodes, |&i| {
+            let candidates = ChainQuiltShape::candidates(i, length, width_cap, width_cap);
+            best_quilt(epsilon, candidates, |&shape| {
+                Ok(influence_bound(shape, pi_min, eigengap))
+            })
+        })?;
 
-        let mut sigma_max: f64 = 0.0;
-        let mut best_node = nodes[0];
-        let mut best_shape = ChainQuiltShape::Trivial;
-        for (&i, &(sigma_i, shape)) in nodes.iter().zip(&scores) {
+        let (mut best_node, mut best_shape, mut sigma_max) =
+            (nodes[0], ChainQuiltShape::Trivial, 0.0);
+        for (&i, best) in nodes.iter().zip(scores) {
+            let (sigma_i, _, shape) =
+                best.expect("the trivial quilt (bound 0) qualifies for ε > 0");
             if sigma_i > sigma_max {
-                sigma_max = sigma_i;
-                best_node = i;
-                best_shape = shape;
+                (best_node, best_shape, sigma_max) = (i, shape, sigma_i);
             }
         }
 
@@ -309,54 +316,6 @@ fn influence_bound(shape: ChainQuiltShape, pi_min: f64, eigengap: f64) -> f64 {
     }
 }
 
-/// `(σ_i, best shape)` for node `i` under the closed-form bound.
-fn best_score_for_node(
-    i: usize,
-    length: usize,
-    epsilon: f64,
-    pi_min: f64,
-    eigengap: f64,
-    width_cap: usize,
-) -> (f64, ChainQuiltShape) {
-    let mut best = length as f64 / epsilon;
-    let mut best_shape = ChainQuiltShape::Trivial;
-    let mut consider = |shape: ChainQuiltShape| {
-        if !shape.fits(i, length) {
-            return;
-        }
-        let card = shape.card_nearby(i, length);
-        if card > width_cap {
-            return;
-        }
-        let influence = influence_bound(shape, pi_min, eigengap);
-        if influence < epsilon {
-            let score = card as f64 / (epsilon - influence);
-            if score < best {
-                best = score;
-                best_shape = shape;
-            }
-        }
-    };
-
-    let left_limit = (i - 1).min(width_cap);
-    let right_limit = (length - i).min(width_cap);
-    for a in 1..=left_limit {
-        for b in 1..=right_limit {
-            if a + b - 1 > width_cap {
-                continue;
-            }
-            consider(ChainQuiltShape::TwoSided { a, b });
-        }
-    }
-    for a in 1..=left_limit {
-        consider(ChainQuiltShape::LeftOnly { a });
-    }
-    for b in 1..=right_limit {
-        consider(ChainQuiltShape::RightOnly { b });
-    }
-    (best, best_shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +360,31 @@ mod tests {
         assert!(near.is_finite());
         assert!(far < near);
         assert!(far > 0.0);
+    }
+
+    #[test]
+    fn influence_bound_is_never_negative() {
+        // The invariant the scorer's exact prune rests on.
+        let distances: Vec<usize> = (0..=60).chain([100, 1_000, 100_000, 10_000_000]).collect();
+        for pi_min in [1e-9, 0.01, 0.1, 0.2, 0.5, 1.0] {
+            for eigengap in [1e-6, 0.01, 0.1, 0.75, 1.0, 2.0] {
+                for &a in &distances {
+                    for &b in &distances {
+                        let shape = match (a, b) {
+                            (0, 0) => ChainQuiltShape::Trivial,
+                            (a, 0) => ChainQuiltShape::LeftOnly { a },
+                            (0, b) => ChainQuiltShape::RightOnly { b },
+                            (a, b) => ChainQuiltShape::TwoSided { a, b },
+                        };
+                        let bound = influence_bound(shape, pi_min, eigengap);
+                        assert!(
+                            bound >= 0.0,
+                            "{shape:?} at π {pi_min}, g {eigengap}: {bound}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

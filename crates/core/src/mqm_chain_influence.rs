@@ -1,6 +1,9 @@
 //! Exact max-influence of a node on its Markov quilt in a Markov chain —
 //! Equation (5) of the paper, plus the Appendix C.4 closed-form maximisation
-//! over initial distributions.
+//! over initial distributions — and the per-node quilt choice that
+//! Algorithms 2–4 share: [`best_quilt`] scores the candidates of every
+//! Markov Quilt Mechanism, and [`ChainQuiltShape::candidates`] enumerates
+//! them for the two chain mechanisms.
 
 use pufferfish_markov::TransitionPowers;
 
@@ -56,6 +59,87 @@ impl ChainQuiltShape {
             ChainQuiltShape::Trivial => i >= 1 && i <= t,
         }
     }
+
+    /// `(a, b)`: the distances to the left and right quilt nodes, 0 for a
+    /// side the quilt does not have.
+    pub(crate) fn offsets(&self) -> (usize, usize) {
+        match *self {
+            ChainQuiltShape::TwoSided { a, b } => (a, b),
+            ChainQuiltShape::LeftOnly { a } => (a, 0),
+            ChainQuiltShape::RightOnly { b } => (0, b),
+            ChainQuiltShape::Trivial => (0, 0),
+        }
+    }
+
+    /// The `(card(X_N), shape)` candidates of the (1-based) node `i` in a
+    /// chain of length `t`, in the order both chain mechanisms score them:
+    /// the trivial quilt first, then two-sided quilts (`a` outer, `b`
+    /// inner), then left-only, then right-only quilts.
+    ///
+    /// Offsets run up to `max_offset` and stay inside the chain, so every
+    /// shape fits; non-trivial shapes with `card(X_N) > width_cap` are
+    /// dropped.
+    pub(crate) fn candidates(
+        i: usize,
+        t: usize,
+        max_offset: usize,
+        width_cap: usize,
+    ) -> impl Iterator<Item = (usize, ChainQuiltShape)> {
+        let (left, right) = ((i - 1).min(max_offset), (t - i).min(max_offset));
+        let quilts = (1..=left)
+            .flat_map(move |a| (1..=right).map(move |b| Self::TwoSided { a, b }))
+            .chain((1..=left).map(|a| Self::LeftOnly { a }))
+            .chain((1..=right).map(|b| Self::RightOnly { b }))
+            .map(move |shape| (shape.card_nearby(i, t), shape))
+            .filter(move |&(card, _)| card <= width_cap);
+        std::iter::once((t, Self::Trivial)).chain(quilts)
+    }
+}
+
+/// The per-node quilt choice of Algorithms 2–4: among `candidates`
+/// (`(card(X_N), quilt)` pairs), the first strict minimum of the score
+/// `card / (ε − e)` over the quilts whose max-influence `e = influence(quilt)`
+/// is below ε. Returns `(score, e, quilt)`, or `None` when no candidate has
+/// `e < ε`.
+///
+/// A candidate whose `card / ε` already reaches the best score is skipped
+/// without computing its influence. The skip is exact:
+/// * every influence function the mechanisms pass returns a value ≥ 0 or
+///   `+∞` — [`chain_max_influence`], [`chain_max_influence_cached`] and
+///   `pufferfish_bayesnet::max_influence` start their maximum at 0, and
+///   MQMApprox's closed-form bound is 0, a sum of `ln((π + d) / (π − d))`
+///   terms with `π − d > 0`, or `+∞`;
+/// * for `0 ≤ e < ε` the rounded `ε − e` lies in `(0, ε]`, and IEEE division
+///   is monotone, so a skipped candidate's score is ≥ `card / ε` ≥ the best
+///   score, which the strict `<` rejects anyway (as it does any `e ≥ ε`).
+///
+/// The winner, its score and its influence are therefore bitwise those of
+/// the unpruned scan. A skipped candidate's influence is never computed, so
+/// an error it would raise does not surface.
+///
+/// # Errors
+/// The first error `influence` returns.
+pub(crate) fn best_quilt<Q>(
+    epsilon: f64,
+    candidates: impl IntoIterator<Item = (usize, Q)>,
+    mut influence: impl FnMut(&Q) -> Result<f64>,
+) -> Result<Option<(f64, f64, Q)>> {
+    let mut best: Option<(f64, f64, Q)> = None;
+    for (card, quilt) in candidates {
+        let card = card as f64;
+        let best_score = best.as_ref().map(|&(score, _, _)| score);
+        if best_score.is_some_and(|best_score| card / epsilon >= best_score) {
+            continue;
+        }
+        let e = influence(&quilt)?;
+        if e < epsilon {
+            let score = card / (epsilon - e);
+            if best_score.is_none_or(|best_score| score < best_score) {
+                best = Some((score, e, quilt));
+            }
+        }
+    }
+    Ok(best)
 }
 
 /// How to treat the initial distribution when maximising the influence over
@@ -92,10 +176,7 @@ pub fn chain_max_influence(
     // Left offsets must stay inside the chain; right offsets are bounded by
     // the cached powers and checked there. Chain-length bounds are the
     // caller's responsibility (MqmExact enumerates only fitting quilts).
-    let left_offset = match shape {
-        ChainQuiltShape::TwoSided { a, .. } | ChainQuiltShape::LeftOnly { a } => a,
-        _ => 0,
-    };
+    let (left_offset, _) = shape.offsets();
     if i == 0 || (left_offset > 0 && i <= left_offset) {
         return Err(PufferfishError::InvalidQuery(format!(
             "quilt {shape:?} does not fit node {i}"
@@ -234,10 +315,7 @@ pub fn chain_max_influence_cached(
     shape: ChainQuiltShape,
     mode: InitialDistributionMode,
 ) -> Result<f64> {
-    let left_offset = match shape {
-        ChainQuiltShape::TwoSided { a, .. } | ChainQuiltShape::LeftOnly { a } => a,
-        _ => 0,
-    };
+    let (left_offset, right_offset) = shape.offsets();
     if i == 0 || (left_offset > 0 && i <= left_offset) {
         return Err(PufferfishError::InvalidQuery(format!(
             "quilt {shape:?} does not fit node {i}"
@@ -246,10 +324,6 @@ pub fn chain_max_influence_cached(
     if matches!(shape, ChainQuiltShape::Trivial) {
         return Ok(0.0);
     }
-    let right_offset = match shape {
-        ChainQuiltShape::TwoSided { b, .. } | ChainQuiltShape::RightOnly { b } => b,
-        _ => 0,
-    };
     if left_offset > tables.max_offset() || right_offset > tables.max_offset() {
         return Err(PufferfishError::InvalidQuery(format!(
             "quilt {shape:?} exceeds the cached offset horizon {}",
@@ -403,6 +477,7 @@ fn forward_log_ratio(powers: &TransitionPowers, b: usize, x: usize, x_prime: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pufferfish_markov::MarkovChain;
 
     fn close(a: f64, b: f64) -> bool {
@@ -635,6 +710,131 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    prop_compose! {
+        /// A random 2- or 3-state chain; entries drawn with kind 0 are zero,
+        /// so chains may be reducible, periodic or start off-support.
+        fn random_chain()(k in 2usize..4, draws in collection::vec((0.0f64..1.0, 0u8..4), 12))
+            -> MarkovChain {
+            let row = |cells: &[(f64, u8)]| -> Vec<f64> {
+                let weights: Vec<f64> =
+                    cells.iter().map(|&(w, kind)| if kind == 0 { 0.0 } else { w + 1e-3 }).collect();
+                let sum: f64 = weights.iter().sum();
+                if sum > 0.0 {
+                    weights.iter().map(|w| w / sum).collect()
+                } else {
+                    vec![1.0 / k as f64; k]
+                }
+            };
+            let transition = (0..k).map(|r| row(&draws[k * (r + 1)..k * (r + 2)])).collect();
+            MarkovChain::new(row(&draws[..k]), transition).unwrap()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The invariant `best_quilt`'s prune rests on: both influence paths
+        /// return a value >= 0 (or +inf) for every fitting shape.
+        #[test]
+        fn chain_influences_are_never_negative(chain in random_chain(), t in 2usize..8) {
+            let powers = TransitionPowers::new(&chain, t - 1, t).unwrap();
+            let tables = ChainInfluenceTables::new(&powers, t - 1).unwrap();
+            use InitialDistributionMode::{AllInitials, FixedInitial};
+            for mode in [FixedInitial, AllInitials] {
+                for i in 1..=t {
+                    for (_, shape) in ChainQuiltShape::candidates(i, t, t, t) {
+                        let direct = chain_max_influence(&powers, i, shape, mode).unwrap();
+                        let cached =
+                            chain_max_influence_cached(&powers, &tables, i, shape, mode).unwrap();
+                        prop_assert!(direct >= 0.0, "{shape:?} at node {i}, {mode:?}: {direct}");
+                        prop_assert!(cached >= 0.0, "{shape:?} at node {i}, {mode:?}: {cached}");
+                    }
+                }
+            }
+        }
+
+        /// `best_quilt` agrees bitwise with an unpruned first-strict-minimum
+        /// scan, and evaluates no more influences than the scan does.
+        #[test]
+        fn best_quilt_matches_an_unpruned_scan(
+            epsilon in 0.01f64..10.0,
+            t in 1usize..12,
+            draws in collection::vec((0usize..64, 0u8..7, 0.0f64..1.0), 1..40),
+        ) {
+            // Cards in 1..=t; influences of 0, small, tied, just below ε,
+            // at ε, above ε and +inf.
+            let candidates: Vec<(usize, f64)> = draws
+                .iter()
+                .map(|&(card, kind, x)| {
+                    let influence = match kind {
+                        0 => 0.0,
+                        1 => x * 1e-3 * epsilon,
+                        2 => (x * 4.0).floor() / 4.0 * epsilon,
+                        3 => f64::from_bits(epsilon.to_bits() - 1),
+                        4 => epsilon,
+                        5 => epsilon * (1.0 + x),
+                        _ => f64::INFINITY,
+                    };
+                    (1 + card % t, influence)
+                })
+                .collect();
+
+            let mut scan: Option<(f64, f64, usize)> = None;
+            for (index, &(card, e)) in candidates.iter().enumerate() {
+                if e < epsilon {
+                    let score = card as f64 / (epsilon - e);
+                    if scan.is_none_or(|(best, _, _)| score < best) {
+                        scan = Some((score, e, index));
+                    }
+                }
+            }
+
+            let mut calls = 0;
+            let indexed = candidates.iter().enumerate().map(|(index, &(card, _))| (card, index));
+            let pruned = best_quilt(epsilon, indexed, |&index| {
+                calls += 1;
+                Ok(candidates[index].1)
+            })
+            .unwrap();
+            let bits = |best: Option<(f64, f64, usize)>| {
+                best.map(|(score, e, index)| (score.to_bits(), e.to_bits(), index))
+            };
+            prop_assert_eq!(bits(pruned), bits(scan));
+            prop_assert!(calls <= candidates.len());
+        }
+    }
+
+    #[test]
+    fn candidates_come_in_scoring_order_and_respect_the_caps() {
+        for (i, t, max_offset, width_cap) in [
+            (1, 1, 1, 1),
+            (2, 3, 2, 3),
+            (8, 100, 99, 100),
+            (50, 100, 12, 12),
+            (5, 9, 3, 5),
+        ] {
+            let mut expected = vec![(t, ChainQuiltShape::Trivial)];
+            let (left, right) = ((i - 1).min(max_offset), (t - i).min(max_offset));
+            for a in 1..=left {
+                for b in 1..=right {
+                    expected.push((a + b - 1, ChainQuiltShape::TwoSided { a, b }));
+                }
+            }
+            expected.extend((1..=left).map(|a| (t - i + a, ChainQuiltShape::LeftOnly { a })));
+            expected.extend((1..=right).map(|b| (i + b - 1, ChainQuiltShape::RightOnly { b })));
+            expected
+                .retain(|&(card, shape)| shape == ChainQuiltShape::Trivial || card <= width_cap);
+
+            let candidates: Vec<_> =
+                ChainQuiltShape::candidates(i, t, max_offset, width_cap).collect();
+            assert_eq!(candidates, expected, "node {i} of {t}");
+            for (card, shape) in candidates {
+                assert!(shape.fits(i, t), "{shape:?} at node {i} of {t}");
+                assert_eq!(card, shape.card_nearby(i, t));
             }
         }
     }

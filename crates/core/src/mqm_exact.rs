@@ -1,12 +1,17 @@
 //! MQMExact (Algorithm 3 of the paper): the Markov Quilt Mechanism for
 //! Markov chains with exact max-influence computation.
+//!
+//! Each node's quilt is chosen by the scorer Algorithms 2–4 share
+//! (`best_quilt` in `mqm_chain_influence.rs`), over the chain candidates
+//! that module enumerates.
 
 use pufferfish_markov::{MarkovChain, MarkovChainClass, TransitionPowers};
 use pufferfish_parallel::{try_par_map, Parallelism};
 
 use crate::mechanism::{Mechanism, PrivacyBudget};
 use crate::mqm_chain_influence::{
-    chain_max_influence_cached, ChainInfluenceTables, ChainQuiltShape, InitialDistributionMode,
+    best_quilt, chain_max_influence_cached, ChainInfluenceTables, ChainQuiltShape,
+    InitialDistributionMode,
 };
 use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
 use crate::{PufferfishError, Result};
@@ -15,7 +20,10 @@ use crate::{PufferfishError, Result};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MqmExactOptions {
     /// Maximum size of the nearby set of any non-trivial candidate quilt
-    /// (the `ℓ` of Algorithm 3). `None` searches all `O(T²)` quilts.
+    /// (the `ℓ` of Algorithm 3). `None` makes every quilt a candidate.
+    ///
+    /// Every quilt up to the cap is a candidate, but only those that can
+    /// still beat the best score so far have their max-influence computed.
     pub max_quilt_width: Option<usize>,
     /// Search only the middle node `X_{⌈T/2⌉}`.
     ///
@@ -106,52 +114,49 @@ impl MqmExact {
         // Stage 2: one flat sweep over every (θ, node) pair, so the full
         // thread budget applies whether the work is dominated by many
         // chains (interval grids) or many nodes (singleton classes). The
-        // fold below walks (θ-major, node-minor) order, reproducing the
-        // nested serial loops' first-strict-maximum selection exactly.
+        // jobs are θ-major, so each θ below folds its own run of scores in
+        // node order, reproducing the nested serial loops' first-strict-
+        // maximum selection exactly.
         let jobs: Vec<(usize, usize)> = prepared
             .iter()
             .enumerate()
             .flat_map(|(theta_index, prep)| prep.nodes.iter().map(move |&node| (theta_index, node)))
             .collect();
-        let scores: Vec<(f64, ChainQuiltShape)> =
-            try_par_map(options.parallelism, &jobs, |&(theta_index, node)| {
-                let prep = &prepared[theta_index];
-                Self::best_quilt_for_node(
-                    &prep.powers,
-                    &prep.tables,
-                    node,
-                    length,
-                    epsilon,
-                    width_cap,
-                    mode,
-                    prep.virtual_shift,
-                    prep.max_offset,
-                )
-            })?;
+        let scores = try_par_map(options.parallelism, &jobs, |&(theta_index, node)| {
+            let prep = &prepared[theta_index];
+            let candidates = ChainQuiltShape::candidates(node, length, prep.max_offset, width_cap);
+            best_quilt(epsilon, candidates, |&shape| {
+                // The stationary shortcut evaluates at a small virtual index
+                // just past the left offset.
+                let eval_index = if prep.virtual_shift {
+                    shape.offsets().0 + 1
+                } else {
+                    node
+                };
+                chain_max_influence_cached(&prep.powers, &prep.tables, eval_index, shape, mode)
+            })
+        })?;
 
         let mut sigma_max: f64 = 0.0;
         let mut selections = Vec::with_capacity(class.len());
+        let mut scores = scores.into_iter();
         for (theta_index, prep) in prepared.iter().enumerate() {
-            let mut worst_score: f64 = 0.0;
-            let mut worst_node = prep.nodes[0];
-            let mut worst_shape = ChainQuiltShape::Trivial;
-            for (&(job_theta, node), &(score, shape)) in jobs.iter().zip(&scores) {
-                if job_theta != theta_index {
-                    continue;
-                }
-                if score > worst_score {
-                    worst_score = score;
-                    worst_node = node;
-                    worst_shape = shape;
+            let (mut node, mut shape, mut score) = (prep.nodes[0], ChainQuiltShape::Trivial, 0.0);
+            let run = scores.by_ref().take(prep.nodes.len());
+            for (&i, best) in prep.nodes.iter().zip(run) {
+                let (sigma_i, _, quilt) =
+                    best.expect("the trivial quilt (influence 0) qualifies for ε > 0");
+                if sigma_i > score {
+                    (node, shape, score) = (i, quilt, sigma_i);
                 }
             }
+            sigma_max = sigma_max.max(score);
             selections.push(QuiltSelection {
                 theta_index,
-                node: worst_node,
-                shape: worst_shape,
-                score: worst_score,
+                node,
+                shape,
+                score,
             });
-            sigma_max = sigma_max.max(worst_score);
         }
 
         if !sigma_max.is_finite() || sigma_max <= 0.0 {
@@ -239,78 +244,6 @@ impl MqmExact {
             virtual_shift,
             max_offset,
         })
-    }
-
-    /// Returns `(σ_i, best shape)` for node `i`.
-    #[allow(clippy::too_many_arguments)]
-    fn best_quilt_for_node(
-        powers: &TransitionPowers,
-        tables: &ChainInfluenceTables,
-        i: usize,
-        length: usize,
-        epsilon: f64,
-        width_cap: usize,
-        mode: InitialDistributionMode,
-        virtual_shift: bool,
-        max_offset: usize,
-    ) -> Result<(f64, ChainQuiltShape)> {
-        let mut best = length as f64 / epsilon; // trivial quilt score
-        let mut best_shape = ChainQuiltShape::Trivial;
-
-        let mut consider =
-            |shape: ChainQuiltShape, powers: &TransitionPowers, eval_i: usize| -> Result<()> {
-                if !shape.fits(i, length) {
-                    return Ok(());
-                }
-                let card = shape.card_nearby(i, length);
-                if card > width_cap {
-                    return Ok(());
-                }
-                let influence = chain_max_influence_cached(powers, tables, eval_i, shape, mode)?;
-                if influence < epsilon {
-                    let score = card as f64 / (epsilon - influence);
-                    if score < best {
-                        best = score;
-                        best_shape = shape;
-                    }
-                }
-                Ok(())
-            };
-
-        let left_limit = (i - 1).min(max_offset);
-        let right_limit = (length - i).min(max_offset);
-
-        // When evaluating at a virtual index (stationary shortcut), the left
-        // offset must stay below the virtual index. The virtual index is
-        // max_offset + 1 (or the chain end), which accommodates every offset
-        // we enumerate.
-        let eval_index = |a: usize| -> usize {
-            if virtual_shift {
-                (a + 1).max(1).min(powers.horizon().max(a + 1))
-            } else {
-                i
-            }
-        };
-
-        // Two-sided quilts.
-        for a in 1..=left_limit {
-            for b in 1..=right_limit {
-                let shape = ChainQuiltShape::TwoSided { a, b };
-                if shape.card_nearby(i, length) > width_cap {
-                    continue;
-                }
-                consider(shape, powers, eval_index(a))?;
-            }
-        }
-        // One-sided quilts.
-        for a in 1..=left_limit {
-            consider(ChainQuiltShape::LeftOnly { a }, powers, eval_index(a))?;
-        }
-        for b in 1..=right_limit {
-            consider(ChainQuiltShape::RightOnly { b }, powers, eval_index(0))?;
-        }
-
-        Ok((best, best_shape))
     }
 
     /// The noise multiplier `σ_max`.
@@ -423,18 +356,18 @@ mod tests {
         let powers = TransitionPowers::new(&chain, 2, 3).unwrap();
         let tables = ChainInfluenceTables::new(&powers, 2).unwrap();
         let epsilon = 10.0;
-        let (best, shape) = MqmExact::best_quilt_for_node(
-            &powers,
-            &tables,
-            2,
-            3,
-            epsilon,
-            3,
-            InitialDistributionMode::FixedInitial,
-            false,
-            2,
-        )
-        .unwrap();
+        let (best, _, shape) =
+            best_quilt(epsilon, ChainQuiltShape::candidates(2, 3, 2, 3), |&shape| {
+                chain_max_influence_cached(
+                    &powers,
+                    &tables,
+                    2,
+                    shape,
+                    InitialDistributionMode::FixedInitial,
+                )
+            })
+            .unwrap()
+            .unwrap();
         assert!((best - 0.1558).abs() < 1e-3, "best score {best}");
         assert_eq!(shape, ChainQuiltShape::TwoSided { a: 1, b: 1 });
     }

@@ -6,11 +6,15 @@
 //! inference over the network class. It is intended for moderately sized
 //! networks; the Markov-chain specialisations [`crate::MqmExact`] and
 //! [`crate::MqmApprox`] scale to the paper's large time-series workloads.
+//!
+//! Each node's quilt is chosen by the scorer Algorithms 2–4 share
+//! (`best_quilt` in `mqm_chain_influence.rs`).
 
 use pufferfish_bayesnet::{markov_blanket, max_influence, DiscreteBayesianNetwork, MarkovQuilt};
 use pufferfish_parallel::{try_par_map, Parallelism};
 
 use crate::mechanism::{Mechanism, PrivacyBudget};
+use crate::mqm_chain_influence::best_quilt;
 use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
 use crate::{PufferfishError, Result};
 
@@ -51,9 +55,16 @@ pub struct MarkovQuiltMechanism {
 impl MarkovQuiltMechanism {
     /// Calibrates the mechanism for a class of networks sharing one DAG.
     ///
+    /// Every node's candidates are validated up front. A candidate whose
+    /// `card(X_N) / ε` already reaches the node's best score cannot win, so
+    /// its max-influence is not computed, and an inference error it would
+    /// raise does not surface.
+    ///
     /// # Errors
     /// * [`PufferfishError::InvalidFramework`] for an empty class, networks
     ///   with mismatched structures, or malformed candidate quilt sets.
+    /// * [`PufferfishError::CannotCalibrate`] when a node has no candidates,
+    ///   or every candidate has max-influence ≥ ε.
     /// * Substrate errors from inference are propagated.
     pub fn calibrate(
         networks: &[DiscreteBayesianNetwork],
@@ -96,38 +107,27 @@ impl MarkovQuiltMechanism {
                     "a candidate quilt for node {node} targets a different node"
                 )));
             }
-
-            let mut best: Option<NodeCalibration> = None;
-            for quilt in candidates {
-                let influence = max_influence(networks, node, quilt.quilt())?;
-                let score = if influence < epsilon {
-                    quilt.card_nearby() as f64 / (epsilon - influence)
-                } else {
-                    f64::INFINITY
-                };
-                let better = best
-                    .as_ref()
-                    .map(|current| score < current.score)
-                    .unwrap_or(true);
-                if better {
-                    best = Some(NodeCalibration {
-                        node,
-                        quilt,
-                        max_influence: influence,
-                        score,
-                    });
-                }
-            }
-            let best = best.ok_or_else(|| {
-                PufferfishError::CannotCalibrate(format!("node {node} has no candidate quilts"))
-            })?;
-            if !best.score.is_finite() {
+            if candidates.is_empty() {
                 return Err(PufferfishError::CannotCalibrate(format!(
-                    "every candidate quilt for node {node} has max-influence >= epsilon; \
-                     include the trivial quilt to guarantee calibration"
+                    "node {node} has no candidate quilts"
                 )));
             }
-            Ok(best)
+            let candidates = candidates.into_iter().map(|q| (q.card_nearby(), q));
+            let best = best_quilt(epsilon, candidates, |quilt| {
+                Ok(max_influence(networks, node, quilt.quilt())?)
+            })?;
+            match best {
+                Some((score, max_influence, quilt)) if score.is_finite() => Ok(NodeCalibration {
+                    node,
+                    quilt,
+                    max_influence,
+                    score,
+                }),
+                _ => Err(PufferfishError::CannotCalibrate(format!(
+                    "every candidate quilt for node {node} has max-influence >= epsilon; \
+                     include the trivial quilt to guarantee calibration"
+                ))),
+            }
         })?;
 
         let sigma_max = per_node

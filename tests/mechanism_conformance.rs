@@ -16,6 +16,8 @@
 //!   bit;
 //! * **parallel calibration equivalence** — serial and multi-threaded
 //!   calibration produce bitwise-identical noise scales;
+//! * **pinned calibration** — the Markov Quilt families' `σ_max` bits and
+//!   quilt diagnostics match constants fixed across commits;
 //! * **concrete-value calls** — called on the concrete types, as the paper
 //!   reproductions call them, every family releases a zero-Lipschitz query
 //!   exactly and refuses a short database.
@@ -35,7 +37,7 @@ use pufferfish_core::{
     MqmExactOptions, NoisyRelease, Parallelism, PrivacyBudget, PufferfishError,
     QuiltMechanismOptions, WassersteinMechanism,
 };
-use pufferfish_markov::{MarkovChain, MarkovChainClass};
+use pufferfish_markov::{IntervalClassBuilder, MarkovChain, MarkovChainClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,11 +60,19 @@ fn chain_database(length: usize) -> Vec<usize> {
 }
 
 fn quilt_network(len: usize) -> DiscreteBayesianNetwork {
+    chain_network(len, [0.8, 0.2], [[0.9, 0.1], [0.4, 0.6]])
+}
+
+fn chain_network(
+    len: usize,
+    initial: [f64; 2],
+    transition: [[f64; 2]; 2],
+) -> DiscreteBayesianNetwork {
     let dag = Dag::chain(len);
     let mut net = DiscreteBayesianNetwork::new(dag, vec![2; len]).unwrap();
-    net.set_cpd(0, vec![vec![0.8, 0.2]]).unwrap();
+    net.set_cpd(0, vec![initial.to_vec()]).unwrap();
     for node in 1..len {
-        net.set_cpd(node, vec![vec![0.9, 0.1], vec![0.4, 0.6]])
+        net.set_cpd(node, transition.iter().map(|row| row.to_vec()).collect())
             .unwrap();
     }
     net
@@ -472,6 +482,124 @@ fn parallel_calibration_is_bitwise_identical_to_serial() {
             reference.sigma_max().to_bits()
         );
     }
+}
+
+/// `σ_max` bits and every calibration diagnostic, pinned so that a change to
+/// the quilt searches cannot move them unnoticed. The constants come from
+/// the build before the three searches shared one scorer.
+#[test]
+fn calibrated_sigma_bits_are_pinned() {
+    use pufferfish_core::ChainQuiltShape::{RightOnly, TwoSided};
+    use pufferfish_core::QuiltSearchStrategy::{Auto, Full};
+
+    // (class, ε, MQMExact σ bits, MQMExact (node, shape, score bits) per θ,
+    // MQMApprox (σ bits, worst node, best quilt) under Auto and Full).
+    let chain_pins = [
+        (
+            running_class(),
+            1.0,
+            0x402a_0b39_8e76_36d0_u64,
+            vec![
+                (8, TwoSided { a: 5, b: 5 }, 0x402a_0b39_8e76_36d0_u64),
+                (6, RightOnly { b: 4 }, 0x4025_47c7_5fde_4567),
+            ],
+            [
+                (0x4037_8186_4810_bdce_u64, 50, TwoSided { a: 11, b: 10 }),
+                (0x4037_8186_4810_bdce, 13, TwoSided { a: 11, b: 10 }),
+            ],
+        ),
+        (
+            // The benchmark's analyst class.
+            IntervalClassBuilder::symmetric(0.4)
+                .grid_points(2)
+                .build()
+                .unwrap(),
+            0.05,
+            0x4065_5e15_f648_d0a0,
+            vec![
+                (5, RightOnly { b: 4 }, 0x4065_5e15_f648_d0a0),
+                (1, RightOnly { b: 1 }, 0x4034_0000_0000_0000),
+                (1, RightOnly { b: 1 }, 0x4034_0000_0000_0000),
+                (5, RightOnly { b: 4 }, 0x4065_5e15_f648_d0a0),
+            ],
+            [
+                (0x407a_3757_34d8_9802, 50, TwoSided { a: 10, b: 9 }),
+                (0x407a_3757_34d8_9802, 12, TwoSided { a: 10, b: 9 }),
+            ],
+        ),
+    ];
+    for (class, epsilon, exact_sigma, exact_selections, approx_pins) in chain_pins {
+        let budget = PrivacyBudget::new(epsilon).unwrap();
+        let exact = MqmExact::calibrate(&class, 100, budget, MqmExactOptions::default()).unwrap();
+        assert_eq!(
+            exact.sigma_max().to_bits(),
+            exact_sigma,
+            "MQMExact at ε {epsilon}"
+        );
+        let selections: Vec<_> = exact
+            .selections()
+            .iter()
+            .enumerate()
+            .map(|(theta, s)| {
+                assert_eq!(s.theta_index, theta);
+                (s.node, s.shape, s.score.to_bits())
+            })
+            .collect();
+        assert_eq!(selections, exact_selections, "MQMExact at ε {epsilon}");
+
+        for (strategy, pin) in [Auto, Full { max_width: None }]
+            .into_iter()
+            .zip(approx_pins)
+        {
+            let options = MqmApproxOptions {
+                strategy,
+                ..Default::default()
+            };
+            let approx = MqmApprox::calibrate(&class, 100, budget, options).unwrap();
+            let diagnostics = (
+                approx.sigma_max().to_bits(),
+                approx.worst_node(),
+                approx.best_quilt(),
+            );
+            assert_eq!(diagnostics, pin, "MQMApprox {strategy:?} at ε {epsilon}");
+        }
+    }
+
+    // The general mechanism on a weakly correlated 5-node chain, with every
+    // chain quilt as a candidate: (quilt, influence bits, score bits).
+    let net = chain_network(5, [0.6, 0.4], [[0.55, 0.45], [0.4, 0.6]]);
+    let candidates = (0..5).map(|node| chain_quilts(5, node, 5).unwrap());
+    let options = QuiltMechanismOptions {
+        quilt_candidates: Some(candidates.collect()),
+        ..Default::default()
+    };
+    let general = MarkovQuiltMechanism::calibrate(&[net], budget(), options).unwrap();
+    let per_node: Vec<_> = general
+        .per_node()
+        .iter()
+        .enumerate()
+        .map(|(node, c)| {
+            assert_eq!(c.node, node);
+            (
+                c.quilt.quilt().to_vec(),
+                c.max_influence.to_bits(),
+                c.score.to_bits(),
+            )
+        })
+        .collect();
+    let pinned = vec![
+        (
+            vec![1],
+            0x3fd4_618b_c21c_5ebd_u64,
+            0x3ff7_79dd_0a04_724e_u64,
+        ),
+        (vec![0, 2], 0x3fe4_e689_ba7f_9f50, 0x4007_106e_4ef3_3339),
+        (vec![1, 3], 0x3fe4_01d5_7027_3015, 0x4005_5898_636f_1ca3),
+        (vec![2, 4], 0x3fe4_532f_6094_95f6, 0x4005_ed55_767c_6ee7),
+        (vec![3], 0x3fd4_5d3c_cbbf_6e71, 0x3ff7_778b_a563_d1e7),
+    ];
+    assert_eq!(per_node, pinned, "general mechanism");
+    assert_eq!(general.sigma_max().to_bits(), 0x4007_106e_4ef3_3339);
 }
 
 #[test]
