@@ -176,8 +176,8 @@ pub fn chain_max_influence(
     // Left offsets must stay inside the chain; right offsets are bounded by
     // the cached powers and checked there. Chain-length bounds are the
     // caller's responsibility (MqmExact enumerates only fitting quilts).
-    let (left_offset, _) = shape.offsets();
-    if i == 0 || (left_offset > 0 && i <= left_offset) {
+    let (a, b) = shape.offsets();
+    if i == 0 || (a > 0 && i <= a) {
         return Err(PufferfishError::InvalidQuery(format!(
             "quilt {shape:?} does not fit node {i}"
         )));
@@ -185,58 +185,98 @@ pub fn chain_max_influence(
     if matches!(shape, ChainQuiltShape::Trivial) {
         return Ok(0.0);
     }
+    // The reference path: the backward and forward log-ratios are scanned
+    // on the fly.
+    SecretPairs::new(powers, i, mode)?.max_influence(
+        powers,
+        (a > 0).then_some(|x, x_prime| backward_log_ratio(powers, a, x, x_prime)),
+        (b > 0).then_some(|x, x_prime| forward_log_ratio(powers, b, x, x_prime)),
+    )
+}
 
-    let k = powers.num_states();
-    // Values of X_i that are feasible secrets (positive marginal probability).
-    let feasible: Vec<usize> = match mode {
-        InitialDistributionMode::FixedInitial => {
-            let marginal = powers.marginal(i)?;
-            (0..k).filter(|&x| marginal[x] > ZERO_MASS).collect()
-        }
-        InitialDistributionMode::AllInitials => (0..k).collect(),
-    };
-    if feasible.len() < 2 {
-        // With at most one feasible value there is no secret pair to protect.
-        return Ok(0.0);
+/// The ordered pairs of secrets Equation (5) maximises over at one
+/// evaluation index `i`: the feasible values of `X_i` (positive marginal
+/// probability) and, once a quilt with a left side needs it, the marginal
+/// log-ratio of every pair. Neither depends on the quilt, so a quilt search
+/// that keeps the pairs of its current index pays each marginal term's `ln`
+/// once per index instead of once per quilt.
+pub(crate) struct SecretPairs {
+    index: usize,
+    mode: InitialDistributionMode,
+    num_states: usize,
+    feasible: Vec<usize>,
+    /// `marginal[x * k + x']` = `marginal_log_ratio(i, x, x')`, tabulated
+    /// the first time a quilt with a left side is evaluated.
+    marginal: Vec<f64>,
+}
+
+impl SecretPairs {
+    fn new(powers: &TransitionPowers, i: usize, mode: InitialDistributionMode) -> Result<Self> {
+        let k = powers.num_states();
+        let feasible = match mode {
+            InitialDistributionMode::FixedInitial => {
+                let marginal = powers.marginal(i)?;
+                (0..k).filter(|&x| marginal[x] > ZERO_MASS).collect()
+            }
+            InitialDistributionMode::AllInitials => (0..k).collect(),
+        };
+        Ok(SecretPairs {
+            index: i,
+            mode,
+            num_states: k,
+            feasible,
+            marginal: Vec::new(),
+        })
     }
 
-    let mut worst: f64 = 0.0;
-    for &x in &feasible {
-        for &x_prime in &feasible {
-            if x == x_prime {
-                continue;
+    /// Equation (5)'s one secret-pair loop: the maximum over ordered pairs
+    /// `(x, x')` of the marginal plus `backward` log-ratio (for a quilt with
+    /// a left side) plus the `forward` log-ratio (with a right side), or
+    /// `+∞` as soon as a term it adds is infinite.
+    fn max_influence(
+        &mut self,
+        powers: &TransitionPowers,
+        backward: Option<impl Fn(usize, usize) -> Result<f64>>,
+        forward: Option<impl Fn(usize, usize) -> Result<f64>>,
+    ) -> Result<f64> {
+        if self.feasible.len() < 2 {
+            // With at most one feasible value there is no secret pair to protect.
+            return Ok(0.0);
+        }
+        let k = self.num_states;
+        if backward.is_some() && self.marginal.is_empty() {
+            self.marginal = vec![0.0; k * k];
+            for &x in &self.feasible {
+                for &x_prime in self.feasible.iter().filter(|&&x_prime| x_prime != x) {
+                    self.marginal[x * k + x_prime] =
+                        marginal_log_ratio(powers, self.index, x, x_prime, self.mode)?;
+                }
             }
-            let mut total = 0.0;
-
-            // Backward (left) part: needs the marginal correction term.
-            match shape {
-                ChainQuiltShape::TwoSided { a, .. } | ChainQuiltShape::LeftOnly { a } => {
-                    let marginal_term = marginal_log_ratio(powers, i, x, x_prime, mode)?;
-                    let backward_term = backward_log_ratio(powers, a, x, x_prime)?;
+        }
+        let mut worst: f64 = 0.0;
+        for &x in &self.feasible {
+            for &x_prime in self.feasible.iter().filter(|&&x_prime| x_prime != x) {
+                let mut total = 0.0;
+                if let Some(backward) = &backward {
+                    let marginal_term = self.marginal[x * k + x_prime];
+                    let backward_term = backward(x, x_prime)?;
                     if marginal_term.is_infinite() || backward_term.is_infinite() {
                         return Ok(f64::INFINITY);
                     }
                     total += marginal_term + backward_term;
                 }
-                _ => {}
-            }
-
-            // Forward (right) part.
-            match shape {
-                ChainQuiltShape::TwoSided { b, .. } | ChainQuiltShape::RightOnly { b } => {
-                    let forward_term = forward_log_ratio(powers, b, x, x_prime)?;
+                if let Some(forward) = &forward {
+                    let forward_term = forward(x, x_prime)?;
                     if forward_term.is_infinite() {
                         return Ok(f64::INFINITY);
                     }
                     total += forward_term;
                 }
-                _ => {}
+                worst = worst.max(total);
             }
-
-            worst = worst.max(total);
         }
+        Ok(worst)
     }
-    Ok(worst)
 }
 
 /// Precomputed backward/forward log-ratio tables for every quilt offset of
@@ -252,8 +292,8 @@ pub fn chain_max_influence(
 ///
 /// [`chain_max_influence_cached`] consumes the table and produces **bitwise
 /// identical** results to [`chain_max_influence`] (asserted by the unit
-/// tests): the entries are produced by the very same scan functions, and the
-/// pair loop is folded in the same order.
+/// tests): the entries are produced by the very same scan functions, and
+/// both run the same secret-pair loop.
 #[derive(Debug, Clone)]
 pub struct ChainInfluenceTables {
     num_states: usize,
@@ -299,6 +339,49 @@ impl ChainInfluenceTables {
     pub fn max_offset(&self) -> usize {
         self.back.len()
     }
+
+    /// [`chain_max_influence_cached`] through `pairs`, the secret pairs of
+    /// the last index evaluated: they are reused when `i` is that index and
+    /// replaced otherwise. `pairs` must come from the same `powers` and
+    /// `mode`.
+    pub(crate) fn influence(
+        &self,
+        powers: &TransitionPowers,
+        pairs: &mut Option<SecretPairs>,
+        i: usize,
+        shape: ChainQuiltShape,
+        mode: InitialDistributionMode,
+    ) -> Result<f64> {
+        let (a, b) = shape.offsets();
+        if i == 0 || (a > 0 && i <= a) {
+            return Err(PufferfishError::InvalidQuery(format!(
+                "quilt {shape:?} does not fit node {i}"
+            )));
+        }
+        if matches!(shape, ChainQuiltShape::Trivial) {
+            return Ok(0.0);
+        }
+        if a > self.max_offset() || b > self.max_offset() {
+            return Err(PufferfishError::InvalidQuery(format!(
+                "quilt {shape:?} exceeds the cached offset horizon {}",
+                self.max_offset()
+            )));
+        }
+        if pairs.as_ref().is_none_or(|pairs| pairs.index != i) {
+            *pairs = Some(SecretPairs::new(powers, i, mode)?);
+        }
+        let k = self.num_states;
+        pairs.as_mut().expect("pairs set above").max_influence(
+            powers,
+            (a > 0).then(|| lookup(&self.back[a - 1], k)),
+            (b > 0).then(|| lookup(&self.fwd[b - 1], k)),
+        )
+    }
+}
+
+/// A pair's entry in a `k × k` log-ratio table.
+fn lookup(table: &[f64], k: usize) -> impl Fn(usize, usize) -> Result<f64> + '_ {
+    move |x, x_prime| Ok(table[x * k + x_prime])
 }
 
 /// [`chain_max_influence`] evaluated through precomputed
@@ -315,63 +398,7 @@ pub fn chain_max_influence_cached(
     shape: ChainQuiltShape,
     mode: InitialDistributionMode,
 ) -> Result<f64> {
-    let (left_offset, right_offset) = shape.offsets();
-    if i == 0 || (left_offset > 0 && i <= left_offset) {
-        return Err(PufferfishError::InvalidQuery(format!(
-            "quilt {shape:?} does not fit node {i}"
-        )));
-    }
-    if matches!(shape, ChainQuiltShape::Trivial) {
-        return Ok(0.0);
-    }
-    if left_offset > tables.max_offset() || right_offset > tables.max_offset() {
-        return Err(PufferfishError::InvalidQuery(format!(
-            "quilt {shape:?} exceeds the cached offset horizon {}",
-            tables.max_offset()
-        )));
-    }
-
-    let k = tables.num_states;
-    let feasible: Vec<usize> = match mode {
-        InitialDistributionMode::FixedInitial => {
-            let marginal = powers.marginal(i)?;
-            (0..k).filter(|&x| marginal[x] > ZERO_MASS).collect()
-        }
-        InitialDistributionMode::AllInitials => (0..k).collect(),
-    };
-    if feasible.len() < 2 {
-        return Ok(0.0);
-    }
-
-    let back_table = (left_offset > 0).then(|| &tables.back[left_offset - 1]);
-    let fwd_table = (right_offset > 0).then(|| &tables.fwd[right_offset - 1]);
-
-    let mut worst: f64 = 0.0;
-    for &x in &feasible {
-        for &x_prime in &feasible {
-            if x == x_prime {
-                continue;
-            }
-            let mut total = 0.0;
-            if let Some(back) = back_table {
-                let marginal_term = marginal_log_ratio(powers, i, x, x_prime, mode)?;
-                let backward_term = back[x * k + x_prime];
-                if marginal_term.is_infinite() || backward_term.is_infinite() {
-                    return Ok(f64::INFINITY);
-                }
-                total += marginal_term + backward_term;
-            }
-            if let Some(fwd) = fwd_table {
-                let forward_term = fwd[x * k + x_prime];
-                if forward_term.is_infinite() {
-                    return Ok(f64::INFINITY);
-                }
-                total += forward_term;
-            }
-            worst = worst.max(total);
-        }
-    }
-    Ok(worst)
+    tables.influence(powers, &mut None, i, shape, mode)
 }
 
 /// `log P(X_i = x') / P(X_i = x)`, maximised over the initial distribution
@@ -731,6 +758,55 @@ mod tests {
             };
             let transition = (0..k).map(|r| row(&draws[k * (r + 1)..k * (r + 2)])).collect();
             MarkovChain::new(row(&draws[..k]), transition).unwrap()
+        }
+    }
+
+    prop_compose! {
+        /// A random 2- or 3-state chain, as `(initial, transition rows)`,
+        /// with every probability positive.
+        fn positive_chain()(k in 2usize..4, draws in collection::vec(0.0f64..1.0, 12))
+            -> (Vec<f64>, Vec<Vec<f64>>) {
+            let row = |cells: &[f64]| -> Vec<f64> {
+                let sum: f64 = cells.iter().map(|w| w + 0.05).sum();
+                cells.iter().map(|w| (w + 0.05) / sum).collect()
+            };
+            let transition = (0..k).map(|r| row(&draws[k * (r + 1)..k * (r + 2)])).collect();
+            (row(&draws[..k]), transition)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Equation (5) against an independent reference: brute-force
+        /// enumeration of the same chain built as a Bayesian network, for
+        /// every fitting quilt at every node.
+        #[test]
+        fn closed_form_matches_bayesnet_enumeration(rows in positive_chain(), t in 2usize..7) {
+            let (initial, transition) = rows;
+            let k = initial.len();
+            let chain = MarkovChain::new(initial.clone(), transition.clone()).unwrap();
+            let powers = TransitionPowers::new(&chain, t - 1, t).unwrap();
+            let dag = pufferfish_bayesnet::Dag::chain(t);
+            let mut net = pufferfish_bayesnet::DiscreteBayesianNetwork::new(dag, vec![k; t]).unwrap();
+            net.set_cpd(0, vec![initial]).unwrap();
+            for node in 1..t {
+                net.set_cpd(node, transition.clone()).unwrap();
+            }
+            for i in 1..=t {
+                for (_, shape) in ChainQuiltShape::candidates(i, t, t, t) {
+                    let (a, b) = shape.offsets();
+                    let quilt: Vec<usize> = [(a > 0).then(|| i - 1 - a), (b > 0).then(|| i - 1 + b)]
+                        .into_iter()
+                        .flatten()
+                        .collect();
+                    let exact =
+                        chain_max_influence(&powers, i, shape, InitialDistributionMode::FixedInitial)
+                            .unwrap();
+                    let brute = pufferfish_bayesnet::max_influence_single(&net, i - 1, &quilt).unwrap();
+                    prop_assert!(close(exact, brute), "{shape:?} at node {i}: exact {exact} vs brute {brute}");
+                }
+            }
         }
     }
 

@@ -10,8 +10,7 @@ use pufferfish_parallel::{try_par_map, Parallelism};
 
 use crate::mechanism::{Mechanism, PrivacyBudget};
 use crate::mqm_chain_influence::{
-    best_quilt, chain_max_influence_cached, ChainInfluenceTables, ChainQuiltShape,
-    InitialDistributionMode,
+    best_quilt, ChainInfluenceTables, ChainQuiltShape, InitialDistributionMode,
 };
 use crate::snapshot::{MechanismState, ScaleForm, ValidationForm};
 use crate::{PufferfishError, Result};
@@ -125,6 +124,9 @@ impl MqmExact {
         let scores = try_par_map(options.parallelism, &jobs, |&(theta_index, node)| {
             let prep = &prepared[theta_index];
             let candidates = ChainQuiltShape::candidates(node, length, prep.max_offset, width_cap);
+            // Candidates come `a`-major, so keeping the secret pairs of the
+            // last evaluation index serves each run of quilts that share it.
+            let mut pairs = None;
             best_quilt(epsilon, candidates, |&shape| {
                 // The stationary shortcut evaluates at a small virtual index
                 // just past the left offset.
@@ -133,7 +135,8 @@ impl MqmExact {
                 } else {
                     node
                 };
-                chain_max_influence_cached(&prep.powers, &prep.tables, eval_index, shape, mode)
+                prep.tables
+                    .influence(&prep.powers, &mut pairs, eval_index, shape, mode)
             })
         })?;
 
@@ -271,6 +274,7 @@ impl Mechanism for MqmExact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mqm_chain_influence::chain_max_influence_cached;
     use crate::queries::{RelativeFrequencyHistogram, StateFrequencyQuery};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

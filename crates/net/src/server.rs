@@ -44,9 +44,7 @@ use pufferfish_service::{
     ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest, ReleaseService,
     ServiceError, ServiceTelemetry, StreamBackend,
 };
-use pufferfish_telemetry::{
-    Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage, StageHistograms,
-};
+use pufferfish_telemetry::{Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage};
 
 use crate::frame::{
     decode, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireMetric, WireMetricValue,
@@ -179,15 +177,13 @@ impl Default for TelemetryOptions {
 }
 
 /// The net layer's resolved metric handles: wire byte counters plus the
-/// decode/encode slices of the shared `stage_*_ns` family (the service
-/// records admission and the worker stages into the same histograms).
+/// telemetry the server attached to its release service, whose registry,
+/// `stage_*_ns` family and flight recorder the connection threads share.
 #[derive(Clone)]
 struct NetTelemetry {
-    registry: Arc<Registry>,
     rx_bytes: Counter,
     tx_bytes: Counter,
-    stages: StageHistograms,
-    recorder: Option<Arc<FlightRecorder>>,
+    service: Arc<ServiceTelemetry>,
 }
 
 struct Inner {
@@ -281,23 +277,19 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let telemetry = telemetry.map(|options| {
-            let service_telemetry = match &options.recorder {
-                Some(recorder) => ServiceTelemetry::with_recorder(
-                    Arc::clone(&options.registry),
-                    Arc::clone(recorder),
-                ),
-                None => ServiceTelemetry::new(Arc::clone(&options.registry)),
-            };
-            release.enable_telemetry(Arc::new(service_telemetry));
+            let registry = options.registry;
+            let service = Arc::new(match options.recorder {
+                Some(recorder) => ServiceTelemetry::with_recorder(Arc::clone(&registry), recorder),
+                None => ServiceTelemetry::new(Arc::clone(&registry)),
+            });
+            release.enable_telemetry(Arc::clone(&service));
             if let Some(endpoint) = &progressive {
-                endpoint.engine.enable_telemetry(&options.registry);
+                endpoint.engine.enable_telemetry(&registry);
             }
             NetTelemetry {
-                rx_bytes: options.registry.counter("net_rx_bytes_total"),
-                tx_bytes: options.registry.counter("net_tx_bytes_total"),
-                stages: StageHistograms::register(&options.registry, "stage"),
-                recorder: options.recorder,
-                registry: options.registry,
+                rx_bytes: registry.counter("net_rx_bytes_total"),
+                tx_bytes: registry.counter("net_tx_bytes_total"),
+                service,
             }
         });
         let inner = Arc::new(Inner {
@@ -424,14 +416,14 @@ fn refuse_connection(mut stream: TcpStream, max_frame_len: u32) {
 }
 
 /// What the writer receives: a frame ready now, a finished release pushed
-/// by its reply (carrying the request trace so the writer can record the
+/// by its reply (carrying the request trace so the writer can lap the
 /// encode stage and finish it), or the reader's notice that it stopped.
 enum Outgoing {
     Now(u64, Frame),
     Done(
         u64,
         Result<NoisyRelease, ServiceError>,
-        Option<Arc<RequestTrace>>,
+        Option<RequestTrace>,
     ),
     ReaderStopped,
 }
@@ -493,18 +485,21 @@ fn read_loop(
                 break;
             }
             // Decode is timed only when telemetry is attached — the
-            // uninstrumented reader never touches a clock.
-            let decode_started = inner.telemetry.as_ref().map(|_| Instant::now());
+            // uninstrumented reader never touches a clock. The frame's
+            // trace starts with the decode and goes wherever the frame does.
+            let decode_started = inner
+                .telemetry
+                .as_ref()
+                .map(|watch| (watch, Instant::now()));
             match decode(&buffer, config.max_frame_len) {
                 Ok((envelope, consumed)) => {
-                    let decode_ns = decode_started.map(|started| {
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                    let trace = decode_started.map(|(watch, started)| {
+                        let mut trace = RequestTrace::started_at(envelope.seq, started);
+                        watch.service.stages().lap(&mut trace, Stage::Decode);
+                        trace
                     });
-                    if let (Some(watch), Some(ns)) = (&inner.telemetry, decode_ns) {
-                        watch.stages.record(Stage::Decode, ns);
-                    }
                     buffer.drain(..consumed);
-                    if !dispatch(inner, envelope, &mut tenant, tx, inflight, decode_ns) {
+                    if !dispatch(inner, envelope, &mut tenant, tx, inflight, trace) {
                         return;
                     }
                 }
@@ -565,7 +560,7 @@ fn dispatch(
     tenant: &mut Option<String>,
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
-    decode_ns: Option<u64>,
+    trace: Option<RequestTrace>,
 ) -> bool {
     let config = &inner.config;
     let seq = envelope.seq;
@@ -630,16 +625,14 @@ fn dispatch(
                 epsilon,
                 seed,
             };
-            let trace = request_trace(inner, seq, decode_ns);
             // Counted before submission: a worker may finish the release,
             // and the writer count it out, before try_submit_with returns.
             inflight.fetch_add(1, Ordering::SeqCst);
             let reply_tx = tx.clone();
-            let reply_trace = trace.clone();
             let submitted = inner
                 .release
-                .try_submit_with(request, trace, move |result| {
-                    let _ = reply_tx.send(Outgoing::Done(seq, result, reply_trace));
+                .try_submit_with(request, trace, move |result, trace| {
+                    let _ = reply_tx.send(Outgoing::Done(seq, result, trace));
                 });
             match submitted {
                 Ok(()) => true,
@@ -725,7 +718,6 @@ fn dispatch(
             }
             let user = scoped_user(tenant_name, user);
             let database: Vec<usize> = database.into_iter().map(usize::from).collect();
-            let trace = request_trace(inner, seq, decode_ns);
             // Each PROGRESSIVE request gets its own driver thread so its
             // refinement stream interleaves with the connection's other
             // pipelined traffic; it holds a writer-channel clone, so the
@@ -762,7 +754,7 @@ fn dispatch(
         }
         Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
         Frame::Metrics => match &inner.telemetry {
-            Some(watch) => send_now(Frame::MetricsOk(wire_metrics(&watch.registry))),
+            Some(watch) => send_now(Frame::MetricsOk(wire_metrics(watch.service.registry()))),
             None => send_now(Frame::Error {
                 code: ErrorCode::Unsupported,
                 message: "this server has no telemetry attached".to_string(),
@@ -783,19 +775,6 @@ fn dispatch(
 /// The budget identity a frame is charged to: `tenant#user-id-in-hex`.
 fn scoped_user(tenant: &str, user: u64) -> String {
     format!("{tenant}#{user:x}")
-}
-
-/// The trace a RELEASE or PROGRESSIVE carries, keyed by its wire seq:
-/// decode is recorded here, the service and the progressive driver add
-/// their stages, and the finished trace goes to the flight recorder.
-/// Nothing else reads a trace, so a server without a recorder builds none.
-fn request_trace(inner: &Inner, seq: u64, decode_ns: Option<u64>) -> Option<Arc<RequestTrace>> {
-    inner.telemetry.as_ref()?.recorder.as_ref()?;
-    let trace = Arc::new(RequestTrace::new(seq));
-    if let Some(ns) = decode_ns {
-        trace.record(Stage::Decode, ns);
-    }
-    Some(trace)
 }
 
 /// The response frame for a serving-layer error, on every endpoint: BUDGET
@@ -844,7 +823,7 @@ fn run_progressive(
     schedule: RefinementSchedule,
     seed: u64,
     database: &[usize],
-    trace: Option<Arc<RequestTrace>>,
+    trace: Option<RequestTrace>,
 ) {
     let endpoint = inner
         .progressive
@@ -853,7 +832,10 @@ fn run_progressive(
     let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
     let error_frame = |error: ServiceError| service_error_frame(error, &inner.config);
 
-    let started = inner.telemetry.as_ref().map(|_| Instant::now());
+    let mut traced = trace.zip(inner.telemetry.as_ref());
+    if let Some((trace, _)) = traced.as_mut() {
+        trace.restart();
+    }
     let mut driver = match ProgressiveRelease::begin_with(
         "net-progressive",
         &endpoint.class,
@@ -896,13 +878,17 @@ fn run_progressive(
             }
         }
     }
-    if let (Some(watch), Some(started)) = (&inner.telemetry, started) {
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        watch.stages.record(Stage::Progressive, ns);
-        if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
-            trace.record(Stage::Progressive, ns);
-            recorder.observe(trace);
-        }
+    if let Some((mut trace, watch)) = traced {
+        finish_trace(&mut trace, Stage::Progressive, watch);
+    }
+}
+
+/// Laps the request's last stage and offers the finished trace to the
+/// flight recorder, when one is attached.
+fn finish_trace(trace: &mut RequestTrace, stage: Stage, watch: &NetTelemetry) {
+    watch.service.stages().lap(trace, stage);
+    if let Some(recorder) = watch.service.recorder() {
+        recorder.observe(trace);
     }
 }
 
@@ -1028,7 +1014,7 @@ fn write_release(
     out: &mut std::io::BufWriter<TcpStream>,
     seq: u64,
     result: Result<NoisyRelease, ServiceError>,
-    trace: Option<Arc<RequestTrace>>,
+    trace: Option<RequestTrace>,
     config: &NetServerConfig,
     telemetry: Option<&NetTelemetry>,
 ) -> Option<usize> {
@@ -1039,15 +1025,13 @@ fn write_release(
         },
         Err(error) => service_error_frame(error, config),
     };
-    let encode_started = telemetry.map(|_| Instant::now());
+    let mut traced = trace.zip(telemetry);
+    if let Some((trace, _)) = traced.as_mut() {
+        trace.restart();
+    }
     let written = write_frame(out, seq, frame, config)?;
-    if let (Some(watch), Some(started)) = (telemetry, encode_started) {
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        watch.stages.record(Stage::Encode, ns);
-        if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
-            trace.record(Stage::Encode, ns);
-            recorder.observe(trace);
-        }
+    if let Some((mut trace, watch)) = traced {
+        finish_trace(&mut trace, Stage::Encode, watch);
     }
     Some(written)
 }

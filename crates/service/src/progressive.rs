@@ -37,9 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pufferfish_core::queries::RelativeFrequencyHistogram;
-use pufferfish_core::{
-    laplace_error_bound, CompositionAccountant, NoisyRelease, PrivacyBudget, ReleaseEngine,
-};
+use pufferfish_core::{laplace_error_bound, NoisyRelease, PrivacyBudget, ReleaseEngine};
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_telemetry::query_signature;
 
@@ -72,8 +70,9 @@ pub struct RefinementStep {
 /// * every ε positive, finite and **bitwise identical** across steps.
 ///   Homogeneity makes Theorem 4.4 composition collapse to `k · ε`, so
 ///   [`total_epsilon`](RefinementSchedule::total_epsilon) equals the
-///   composed guarantee a [`CompositionAccountant`] reports — exactly, not
-///   up to tolerance;
+///   composed guarantee a
+///   [`CompositionAccountant`](pufferfish_core::CompositionAccountant)
+///   reports — exactly, not up to tolerance;
 /// * error bounds positive, finite and non-increasing — refinements must
 ///   not get *worse*;
 /// * confidence strictly inside (0, 1).
@@ -163,8 +162,8 @@ impl RefinementSchedule {
     /// Total ε the schedule spends across all steps: `k · ε` for `k` steps.
     /// Because validation enforces bitwise-equal per-step ε, this *is* the
     /// Theorem 4.4 composed guarantee, exactly: the same product a
-    /// [`CompositionAccountant`] reports and the query planner prices a
-    /// ladder at.
+    /// [`CompositionAccountant`](pufferfish_core::CompositionAccountant)
+    /// reports and the query planner prices a ladder at.
     pub fn total_epsilon(&self) -> f64 {
         self.steps.len() as f64 * self.steps[0].epsilon
     }
@@ -294,7 +293,6 @@ pub struct ProgressiveRelease<'a> {
     query_sig: u64,
     buffer: Vec<usize>,
     next_step: usize,
-    accountant: CompositionAccountant,
     settled: bool,
 }
 
@@ -371,7 +369,6 @@ impl<'a> ProgressiveRelease<'a> {
             query_sig,
             buffer: Vec::new(),
             next_step: 0,
-            accountant: CompositionAccountant::new(),
             settled: false,
         })
     }
@@ -420,7 +417,6 @@ impl<'a> ProgressiveRelease<'a> {
         let release =
             Self::release_prefix(&self.engine, self.num_states, step, seed, &self.buffer)?;
         self.next_step += 1;
-        self.accountant.record(step.epsilon);
         if is_final {
             // Complete: nothing left to refund, stop the drop guard.
             self.settled = true;
@@ -438,7 +434,7 @@ impl<'a> ProgressiveRelease<'a> {
             release,
             certified_error,
             confidence: self.schedule.confidence(),
-            spent_epsilon: self.accountant.guaranteed_epsilon(),
+            spent_epsilon: self.spent_epsilon(),
         })
     }
 
@@ -566,9 +562,11 @@ impl<'a> ProgressiveRelease<'a> {
 
     /// Composed ε actually *consumed* by released steps so far (Theorem
     /// 4.4 guarantee; the charged-but-unreleased remainder is what an abort
-    /// refunds).
+    /// refunds). The steps share one ε bit for bit, so the composition is
+    /// `n · ε` for `n` released steps, exactly: the product
+    /// [`RefinementSchedule::total_epsilon`] returns once all have run.
     pub fn spent_epsilon(&self) -> f64 {
-        self.accountant.guaranteed_epsilon()
+        self.next_step as f64 * self.schedule.final_epsilon()
     }
 }
 
@@ -596,6 +594,7 @@ impl std::fmt::Debug for ProgressiveRelease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pufferfish_core::CompositionAccountant;
     use pufferfish_markov::IntervalClassBuilder;
 
     fn weak_class() -> MarkovChainClass {

@@ -20,7 +20,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,17 +139,20 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
+/// A caller's own reply: it receives the outcome and the request's trace.
+type CallReply = Box<dyn FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send>;
+
 /// Where a job's outcome goes: a ticket's slot, or a caller's own callback
 /// (see [`ReleaseService::try_submit_with`]). A ticket's slot is stored as
 /// is rather than boxed inside a callback: that extra allocation, freed on
 /// the worker thread, measurably slowed in-process submission.
 enum Reply {
     Ticket(Arc<ResponseSlot>),
-    Call(Box<dyn FnOnce(Result<NoisyRelease, ServiceError>) + Send>),
+    Call(CallReply),
 }
 
 /// A queued unit of work: the request, the reply its outcome goes to, and
-/// the tracing context it carries through the worker pool.
+/// the trace that times it.
 struct Job {
     request: ReleaseRequest,
     /// Called exactly once, by whichever comes first: the worker with the
@@ -158,41 +160,17 @@ struct Job {
     /// Admission clears it before dropping a refused job, so a refusal's
     /// only answer is the submitter's synchronous error.
     reply: Option<Reply>,
-    /// When the job entered admission and when admission accepted it,
-    /// stamped only while telemetry is attached: a job is staged if and
-    /// only if telemetry was attached when it was admitted. The worker
-    /// turns the two stamps into the admission and queue-wait stages (the
-    /// endpoints live on different threads, so no one thread can time
-    /// either stage).
-    stamps: Option<(Instant, Instant)>,
-    /// The caller's request trace, when one rides along (the network
-    /// front-end threads one through so decode/encode on the connection
-    /// threads and the worker stages land in one breakdown).
-    trace: Option<Arc<RequestTrace>>,
-}
-
-/// The running stage clock of one staged job: each lap ends the current
-/// stage and starts the next at the same instant, since clock reads are
-/// the bulk of the per-request telemetry cost.
-struct StageClock<'a> {
-    watch: &'a ServiceTelemetry,
-    trace: Option<&'a RequestTrace>,
-    last: Instant,
-}
-
-impl StageClock<'_> {
-    fn lap(&mut self, stage: Stage) {
-        let now = Instant::now();
-        ReleaseService::record_stage(self.watch, self.trace, stage, now.duration_since(self.last));
-        self.last = now;
-    }
+    /// The request's clock and stage breakdown. Admission attaches one to
+    /// every job while telemetry is attached, and the worker laps it; a
+    /// callback reply gets it back.
+    trace: Option<RequestTrace>,
 }
 
 impl Job {
     fn answer(&mut self, result: Result<NoisyRelease, ServiceError>) {
         match self.reply.take() {
             Some(Reply::Ticket(slot)) => slot.fulfil(result),
-            Some(Reply::Call(reply)) => reply(result),
+            Some(Reply::Call(reply)) => reply(result, self.trace.take()),
             None => {}
         }
     }
@@ -339,58 +317,35 @@ impl ReleaseService {
             let served = Arc::clone(&served);
             WorkerPool::spawn(config.workers, "pufferfish-release", move |_worker| {
                 while let Some(mut job) = queue.pop() {
-                    // Admission stamps a job only with telemetry attached,
-                    // and the slot is write-once, so stamps imply telemetry.
-                    let staged = job.stamps.zip(telemetry.get());
-                    // In-process submissions carry no trace of their own;
-                    // when a flight recorder is attached, the worker builds
-                    // one so the recorder still sees a stage breakdown. With
-                    // no recorder the per-request trace would be dropped
-                    // unread, so it is never built.
-                    let own_trace = match (staged, &job.trace) {
-                        (Some((_, watch)), None) => watch
-                            .recorder()
-                            .map(|recorder| (RequestTrace::new(job.request.seed), recorder)),
-                        _ => None,
-                    };
-                    let trace = job
-                        .trace
-                        .as_deref()
-                        .or(own_trace.as_ref().map(|(trace, _)| trace));
-                    let mut clock = staged.map(|((submitted_at, admitted_at), watch)| {
-                        let mut clock = StageClock {
-                            watch,
-                            trace,
-                            last: admitted_at,
-                        };
-                        clock.lap(Stage::QueueWait);
-                        Self::record_stage(
-                            watch,
-                            trace,
-                            Stage::Admission,
-                            admitted_at.duration_since(submitted_at),
-                        );
+                    // A job is timed when it carries a trace and telemetry
+                    // is attached; admission gives every job one then.
+                    let watch = telemetry.get().map(Arc::as_ref);
+                    let mut staged = job.trace.as_mut().zip(watch);
+                    if let Some((trace, watch)) = staged.as_mut() {
+                        watch.stages().lap(trace, Stage::QueueWait);
                         watch.admitted().inc();
                         // The atomic mirror, not `len()`: re-locking the
                         // queue here would contend with every submitter.
                         watch.queue_depth().set(queue.approx_len() as u64);
-                        clock
-                    });
+                    }
                     // One engine per request: the clone taken here outlives
                     // any concurrent swap_engine, so the whole release is
                     // served from a single consistent calibration.
                     let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
-                    let response = Self::serve(&current, &job.request, clock.as_mut());
+                    let response = Self::serve(&current, &job.request, staged);
                     if let (Ok(release), Some(observer)) = (&response, observer.get()) {
                         observer.observe_release(&job.request.database, release);
                     }
-                    // Count, and finish a worker-built trace, before
-                    // replying: a submitter woken by its ticket must find
-                    // its own request in `served()` and in the recorder. A
-                    // caller-supplied trace is finished (and offered to a
-                    // recorder) by its owner.
+                    // Count, and offer a ticket's trace to the recorder,
+                    // before replying: a submitter woken by its ticket must
+                    // find its own request in `served()` and in the
+                    // recorder. A callback gets its trace back instead.
                     served.fetch_add(1, Ordering::Relaxed);
-                    if let Some((trace, recorder)) = &own_trace {
+                    if let (Some(Reply::Ticket(_)), Some(trace), Some(recorder)) = (
+                        &job.reply,
+                        &job.trace,
+                        watch.and_then(ServiceTelemetry::recorder),
+                    ) {
                         recorder.observe(trace);
                     }
                     job.answer(response);
@@ -466,41 +421,26 @@ impl ReleaseService {
         Ok(self.engine().export_snapshot().write_to_file(path)?)
     }
 
-    /// Records one finished stage into the registry histogram and, when the
-    /// request carries one, its per-request trace.
-    fn record_stage(
-        watch: &ServiceTelemetry,
-        trace: Option<&RequestTrace>,
-        stage: Stage,
-        span: Duration,
-    ) {
-        let nanos = u64::try_from(span.as_nanos()).unwrap_or(u64::MAX);
-        watch.stages().record(stage, nanos);
-        if let Some(trace) = trace {
-            trace.record(stage, nanos);
-        }
-    }
-
     /// One worker's handling of one request: the steps of
-    /// [`ReleaseEngine::release`], split so that a staged job's `clock`
-    /// can time the engine stage (the cache probe, plus calibration on a
-    /// miss) apart from the mechanism stage (RNG setup, query evaluation
-    /// and noise sampling). The RNG sees the same draws either way. A
-    /// failed release records nothing past its failure point.
+    /// [`ReleaseEngine::release`], split so that a staged job's trace can
+    /// time the engine stage (the cache probe, plus calibration on a miss)
+    /// apart from the mechanism stage (RNG setup, query evaluation and
+    /// noise sampling). The RNG sees the same draws either way. A failed
+    /// release records nothing past its failure point.
     fn serve(
         engine: &ReleaseEngine,
         request: &ReleaseRequest,
-        mut clock: Option<&mut StageClock<'_>>,
+        mut staged: Option<(&mut RequestTrace, &ServiceTelemetry)>,
     ) -> Result<NoisyRelease, ServiceError> {
         let budget = PrivacyBudget::new(request.epsilon)?;
         let mechanism = engine.mechanism(&*request.query, budget)?;
-        if let Some(clock) = clock.as_deref_mut() {
-            clock.lap(Stage::Engine);
+        if let Some((trace, watch)) = staged.as_mut() {
+            watch.stages().lap(trace, Stage::Engine);
         }
         let mut rng = StdRng::seed_from_u64(request.seed);
         let release = mechanism.release(&*request.query, &request.database, &mut rng)?;
-        if let Some(clock) = clock {
-            clock.lap(Stage::Mechanism);
+        if let Some((trace, watch)) = staged {
+            watch.stages().lap(trace, Stage::Mechanism);
         }
         engine.note_release(release.scale);
         Ok(release)
@@ -529,21 +469,22 @@ impl ReleaseService {
     /// this call returns, and it must not block. On a refusal it is dropped
     /// without being called: the returned error is the only answer.
     ///
-    /// With telemetry attached, a `trace` receives the admission and
-    /// queue-wait stages alongside the registry histograms, and the
-    /// worker's engine/mechanism stages accumulate into the same trace
-    /// before `reply` runs; without telemetry it is left untouched. The
-    /// network front-end threads its per-request trace through here; the
-    /// caller remains responsible for offering the finished trace to a
-    /// flight recorder.
+    /// `reply` also gets the request's trace back. With telemetry attached,
+    /// admission restarts the clock of `trace` (or starts a trace keyed by
+    /// the request seed), and the trace then carries the admission,
+    /// queue-wait, engine and mechanism stages, each also recorded into the
+    /// registry histograms. Without telemetry, `trace` comes back
+    /// untouched. The network front-end threads its per-request trace
+    /// through here, laps its own stages on the trace it gets back, and
+    /// offers the finished trace to its flight recorder.
     ///
     /// # Errors
     /// As for [`ReleaseService::try_submit`].
     pub fn try_submit_with(
         &self,
         request: ReleaseRequest,
-        trace: Option<Arc<RequestTrace>>,
-        reply: impl FnOnce(Result<NoisyRelease, ServiceError>) + Send + 'static,
+        trace: Option<RequestTrace>,
+        reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
     ) -> Result<(), ServiceError> {
         self.admit(request, trace, Reply::Call(Box::new(reply)), false)
     }
@@ -567,16 +508,20 @@ impl ReleaseService {
     fn admit(
         &self,
         request: ReleaseRequest,
-        trace: Option<Arc<RequestTrace>>,
+        mut trace: Option<RequestTrace>,
         reply: Reply,
         blocking: bool,
     ) -> Result<(), ServiceError> {
-        // With telemetry attached the job is stamped on arrival and on
-        // acceptance; the worker turns the stamps into the admission and
-        // queue-wait stages and counts the admission. Time spent *inside*
+        // With telemetry attached the request is timed from its arrival
+        // here. Admission ends before the enqueue, so time spent *inside*
         // the enqueue call is part of the queue-wait stage.
         let watch = self.telemetry.get();
-        let submitted_at = watch.map(|_| Instant::now());
+        if watch.is_some() {
+            match trace.as_mut() {
+                Some(trace) => trace.restart(),
+                None => trace = Some(RequestTrace::new(request.seed)),
+            }
+        }
         let tag = SpendTag {
             query_sig: query_signature(request.query.name()),
             family: self.engine().kind(),
@@ -586,22 +531,18 @@ impl ReleaseService {
             .budget
             .try_spend_tagged(&request.user, request.epsilon, tag)
         {
-            // Refusals never reach a worker, so they are staged here.
-            if let (Some(watch), Some(submitted_at)) = (watch, submitted_at) {
-                Self::record_stage(
-                    watch,
-                    trace.as_deref(),
-                    Stage::Admission,
-                    submitted_at.elapsed(),
-                );
+            if let (Some(watch), Some(trace)) = (watch, trace.as_mut()) {
+                watch.stages().lap(trace, Stage::Admission);
                 watch.refused().inc();
             }
             return Err(refused);
         }
+        let admission_ns = watch
+            .and(trace.as_mut())
+            .map(|trace| trace.lap(Stage::Admission));
         let job = Job {
             request,
             reply: Some(reply),
-            stamps: submitted_at.map(|submitted_at| (submitted_at, Instant::now())),
             trace,
         };
         let refused = if blocking {
@@ -610,7 +551,13 @@ impl ReleaseService {
             self.queue.try_push(job).err()
         };
         let (error, mut job) = match refused {
-            None => return Ok(()),
+            None => {
+                // Only an admission the queue took is sampled.
+                if let Some((watch, ns)) = watch.zip(admission_ns) {
+                    watch.stages().record(Stage::Admission, ns);
+                }
+                return Ok(());
+            }
             Some(PushError::Full(job)) => (
                 ServiceError::QueueFull {
                     capacity: self.queue.capacity(),
@@ -895,14 +842,14 @@ mod tests {
     /// then a disconnect means it was called once; a bare disconnect means
     /// it was dropped uncalled.
     fn recorder() -> (
-        impl FnOnce(Outcome) + Send + 'static,
+        impl FnOnce(Outcome, Option<RequestTrace>) + Send + 'static,
         std::sync::mpsc::Receiver<Outcome>,
     ) {
         let (tx, rx) = std::sync::mpsc::channel();
         // A failed send means the test already failed and dropped `rx`;
         // panicking here, possibly inside a drop guard, would abort.
         (
-            move |outcome| {
+            move |outcome, _trace| {
                 let _ = tx.send(outcome);
             },
             rx,
@@ -1183,11 +1130,11 @@ mod tests {
         // waiting on the dead leader.
         let (reply_tx, reply_rx) = mpsc::channel();
         service
-            .try_submit_with(request("p", 0.5, 2), None, move |result| {
+            .try_submit_with(request("p", 0.5, 2), None, move |result, _trace| {
                 let _ = reply_tx.send(result);
             })
             .unwrap();
-        let Ok(reply) = reply_rx.recv_timeout(Duration::from_secs(10)) else {
+        let Ok(reply) = reply_rx.recv_timeout(std::time::Duration::from_secs(10)) else {
             // Dropping the service would join the wedged worker.
             std::mem::forget(service);
             panic!("the second release is wedged behind the panicked calibration");
@@ -1340,6 +1287,66 @@ mod tests {
         assert!(text.contains("engine_mqm_approx_cache_misses_total counter 2"));
         // The audit still passes across the swap.
         audit_ledger(&ledger.to_bytes(), service.budget()).unwrap();
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_callback_gets_its_trace_back_lapped_only_with_telemetry() {
+        use pufferfish_telemetry::{FlightRecorder, Registry};
+
+        let service = ReleaseService::start(
+            test_engine(),
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 4,
+                per_user_epsilon: 10.0,
+            },
+        )
+        .unwrap();
+        let submit = |trace: Option<RequestTrace>, seed: u64| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            service
+                .try_submit_with(request("tia", 0.1, seed), trace, move |outcome, trace| {
+                    let _ = tx.send((outcome, trace));
+                })
+                .unwrap();
+            let (outcome, trace) = rx.recv().unwrap();
+            outcome.unwrap();
+            trace
+        };
+        let mut decoded = RequestTrace::new(41);
+        decoded.record(Stage::Decode, 500);
+
+        // Without telemetry the caller's trace comes back untouched, and
+        // no trace is made up for a caller without one.
+        let untouched = submit(Some(decoded.clone()), 1).unwrap();
+        assert_eq!(untouched.seq(), 41);
+        assert_eq!(untouched.stage_nanos(), decoded.stage_nanos());
+        assert!(submit(None, 2).is_none());
+
+        let registry = Arc::new(Registry::new());
+        let recorder = Arc::new(FlightRecorder::new(4, 0));
+        service.enable_telemetry(Arc::new(ServiceTelemetry::with_recorder(
+            Arc::clone(&registry),
+            Arc::clone(&recorder),
+        )));
+        // With telemetry the trace carries the service's stages on top of
+        // the caller's, and the caller, not the worker, finishes it.
+        let lapped = submit(Some(decoded.clone()), 3).unwrap();
+        assert_eq!(lapped.seq(), 41);
+        assert_eq!(lapped.stage_nanos()[0], 500, "decode is the caller's");
+        assert!(lapped.total_nanos() > 500);
+        let started = submit(None, 4).expect("admission starts a trace");
+        assert_eq!(started.seq(), 4);
+        assert_eq!(recorder.observed(), 0);
+        let text = registry.render_text();
+        for stage in ["admission", "queue_wait", "engine", "mechanism"] {
+            assert!(
+                text.contains(&format!("stage_{stage}_ns histogram count=2")),
+                "{text}"
+            );
+        }
+        assert!(text.contains("stage_decode_ns histogram count=0"), "{text}");
         service.shutdown();
     }
 

@@ -1,10 +1,11 @@
 //! Live instrumentation for the serving front-end.
 //!
 //! A [`ServiceTelemetry`] bundles everything the service records per
-//! request: the shared `stage_*_ns` histogram family (the worker's
-//! queue-wait / engine / mechanism stages; the net layer registers the same
-//! prefix and fills decode / admission / encode), admission counters, the
-//! queue-depth gauge, and an optional flight recorder for slow requests.
+//! request: the shared `stage_*_ns` histogram family (admission and the
+//! worker's queue-wait / engine / mechanism stages; the network front-end
+//! laps decode / encode / progressive into the same family), admission
+//! counters, the queue-depth gauge, and an optional flight recorder for
+//! slow requests.
 //! All handles are resolved once at construction — attaching telemetry to a
 //! running service adds one relaxed atomic op per recorded event to the hot
 //! path, nothing more (see the registry's cost contract).
@@ -14,9 +15,9 @@ use std::sync::Arc;
 use pufferfish_telemetry::{Counter, FlightRecorder, Gauge, Registry, StageHistograms};
 
 /// The serving layer's resolved metric handles, shared by the admission
-/// path (refusals) and every worker (everything else — each admitted job
-/// is counted and staged by the worker that serves it, from timestamps the
-/// job carries).
+/// path (the admission stage and refusals) and every worker (everything
+/// else — each admitted job is counted and staged by the worker that
+/// serves it, on the trace the job carries).
 ///
 /// Metric names: `service_admitted_total`, `service_refused_total` (budget
 /// *and* queue refusals — every submission a caller saw fail),

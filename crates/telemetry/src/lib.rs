@@ -12,12 +12,15 @@
 //!   hot path. [`Registry::snapshot`] and [`Registry::render_text`] expose
 //!   everything in one stable, sorted pass.
 //! - **Request tracing** ([`StageHistograms`], [`RequestTrace`],
-//!   [`FlightRecorder`]): each request stage (decode → admission → queue
-//!   wait → engine → mechanism sample → encode) is measured by the
-//!   component that runs it and recorded into per-stage histograms,
-//!   optionally accumulating into a per-request [`RequestTrace`] carried
-//!   along the existing ticket plumbing — no thread-locals. The [`FlightRecorder`] keeps the last N slow requests'
-//!   stage breakdowns in a fixed ring for post-hoc "why was that one slow".
+//!   [`FlightRecorder`]): each request carries an owned [`RequestTrace`],
+//!   its clock and its stage breakdown, from thread to thread with the
+//!   request itself — no thread-locals, no shared state. Whichever thread
+//!   owns the request ends each stage (decode → admission → queue wait →
+//!   engine → mechanism sample → encode) with one
+//!   [`StageHistograms::lap`], which records it on the trace and into the
+//!   stage's histogram. The [`FlightRecorder`] keeps the last N slow
+//!   requests' stage breakdowns in a fixed ring for post-hoc "why was that
+//!   one slow".
 //! - **ε-audit ledger** ([`EpsilonLedger`]): an append-only, per-record
 //!   FNV-1a-checksummed binary log of every privacy-budget event — charge,
 //!   refund, refusal, recalibration — replayable offline to per-user spend

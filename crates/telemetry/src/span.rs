@@ -1,18 +1,20 @@
-//! Per-request tracing: stage histograms, cross-thread request traces, and
-//! a ring-buffer flight recorder for slow requests.
+//! Per-request tracing: stage histograms, per-request traces, and a
+//! ring-buffer flight recorder for slow requests.
 //!
 //! A request's life through the serving stack is a fixed pipeline of
 //! [`Stage`]s: decode → admission → queue wait → engine → mechanism sample
-//! → encode. The component that owns a stage measures its duration and
-//! records it with [`StageHistograms::record`] into the stage's registry
-//! histogram and, optionally, into a per-request [`RequestTrace`] — a small
-//! block of atomics that rides the request through the worker pool via the
-//! existing ticket plumbing, so no thread-local state can leak between
-//! requests that share a worker.
+//! → encode. The request carries its own [`RequestTrace`], an owned value
+//! that is both its clock and its per-stage breakdown, and moves with it
+//! from thread to thread. Whichever thread owns the request at a stage
+//! boundary calls [`StageHistograms::lap`], which ends the stage on the
+//! trace and records it into the stage's registry histogram. No thread
+//! shares a trace, so it needs no lock and no atomics, and no thread-local
+//! state can leak between requests that share a worker.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::registry::{HistogramHandle, Registry};
 
@@ -80,13 +82,12 @@ impl Stage {
     }
 }
 
-/// The six per-stage latency histograms of one pipeline, resolved once at
+/// The per-stage latency histograms of one pipeline, resolved once at
 /// construction (see the registry's hot-path contract).
 ///
 /// Two components registering against the same registry and prefix share
-/// the same histograms — the service's worker records `queue_wait` /
-/// `engine` / `mechanism` and the net layer records `decode` / `admission`
-/// / `encode` into one `stage_*_ns` family.
+/// the same histograms, so every stage of a request lands in one
+/// `stage_*_ns` family whichever thread laps it.
 #[derive(Debug, Clone)]
 pub struct StageHistograms {
     stages: [HistogramHandle; Stage::COUNT],
@@ -107,6 +108,13 @@ impl StageHistograms {
         self.stages[stage.index()].record(nanos);
     }
 
+    /// Ends `stage` on `trace` now (see [`RequestTrace::lap`]) and records
+    /// its duration into the stage's histogram: one clock read per stage
+    /// boundary.
+    pub fn lap(&self, trace: &mut RequestTrace, stage: Stage) {
+        self.record(stage, trace.lap(stage));
+    }
+
     /// The histogram behind `stage`.
     #[must_use]
     pub fn handle(&self, stage: Stage) -> &HistogramHandle {
@@ -114,63 +122,78 @@ impl StageHistograms {
     }
 }
 
-/// One request's per-stage timing, accumulated across threads.
+/// One request's clock and per-stage timing.
 ///
-/// The trace is a block of relaxed atomics: the reader thread records
-/// decode/admission, a worker records queue-wait/engine/mechanism, and the
-/// writer records encode — each into its own slot, so the trace needs no
-/// lock and is immune to the thread-local leakage a span stack would risk
-/// on a shared worker pool.
-#[derive(Debug)]
+/// The trace is a plain value that moves with its request: connection
+/// reader, admission, queue, worker, reply, connection writer. Its clock
+/// runs from the last stage boundary, so each [`RequestTrace::lap`] ends
+/// one stage and starts the next with a single clock read. Time between
+/// stages that no one times (a hand-off between threads) is skipped with
+/// [`RequestTrace::restart`].
+#[derive(Debug, Clone)]
 pub struct RequestTrace {
     seq: u64,
-    stages: [AtomicU64; Stage::COUNT],
+    started: Instant,
+    stages: [u64; Stage::COUNT],
 }
 
 impl RequestTrace {
-    /// Creates an empty trace for the request with wire sequence number (or
-    /// in-process seed) `seq`.
+    /// A trace for the request with wire sequence number (or in-process
+    /// seed) `seq`, whose clock starts now.
     #[must_use]
     pub fn new(seq: u64) -> Self {
+        Self::started_at(seq, Instant::now())
+    }
+
+    /// A trace whose clock started at `started` (a stage already under way
+    /// when the request's identity became known).
+    #[must_use]
+    pub fn started_at(seq: u64, started: Instant) -> Self {
         RequestTrace {
             seq,
-            stages: std::array::from_fn(|_| AtomicU64::new(0)),
+            started,
+            stages: [0; Stage::COUNT],
         }
     }
 
+    /// Restarts the clock now, leaving the time since the last boundary
+    /// out of every stage.
+    pub fn restart(&mut self) {
+        self.started = Instant::now();
+    }
+
+    /// Ends `stage` now: adds the time since the clock last started to the
+    /// stage, restarts the clock, and returns the stage's nanoseconds.
+    pub fn lap(&mut self, stage: Stage) -> u64 {
+        let now = Instant::now();
+        let nanos = u64::try_from(now.duration_since(self.started).as_nanos()).unwrap_or(u64::MAX);
+        self.started = now;
+        self.record(stage, nanos);
+        nanos
+    }
+
+    /// Adds `nanos` to `stage` (accumulating, so a retried stage sums).
+    pub fn record(&mut self, stage: Stage, nanos: u64) {
+        let slot = &mut self.stages[stage.index()];
+        *slot = slot.saturating_add(nanos);
+    }
+
     /// The request identifier the trace was created with.
+    #[must_use]
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// Adds `nanos` to `stage` (accumulating, so a retried stage sums).
-    ///
-    /// The trace travels *with* its request — connection thread, queue,
-    /// worker, response slot — so at any moment one thread owns the
-    /// recording side and the hand-offs already synchronize. A plain
-    /// load/store pair therefore replaces a locked read-modify-write on
-    /// the warm path; concurrent recording to the *same* stage is not a
-    /// supported use.
-    pub fn record(&self, stage: Stage, nanos: u64) {
-        let slot = &self.stages[stage.index()];
-        slot.store(
-            slot.load(Ordering::Relaxed).saturating_add(nanos),
-            Ordering::Relaxed,
-        );
-    }
-
     /// The per-stage nanoseconds recorded so far, in [`Stage::ALL`] order.
+    #[must_use]
     pub fn stage_nanos(&self) -> [u64; Stage::COUNT] {
-        let mut out = [0u64; Stage::COUNT];
-        for (slot, stage) in out.iter_mut().zip(&self.stages) {
-            *slot = stage.load(Ordering::Relaxed);
-        }
-        out
+        self.stages
     }
 
     /// Total nanoseconds across every stage.
+    #[must_use]
     pub fn total_nanos(&self) -> u64 {
-        self.stage_nanos()
+        self.stages
             .iter()
             .fold(0u64, |sum, &ns| sum.saturating_add(ns))
     }
@@ -291,7 +314,7 @@ mod tests {
     fn traced_spans_accumulate_into_the_request_trace() {
         let registry = Registry::new();
         let stages = StageHistograms::register(&registry, "stage");
-        let trace = RequestTrace::new(42);
+        let mut trace = RequestTrace::new(42);
         stages.record(Stage::Decode, 300);
         trace.record(Stage::Decode, 300);
         stages.record(Stage::QueueWait, 500);
@@ -302,6 +325,31 @@ mod tests {
         assert_eq!(nanos[Stage::QueueWait.index()], 750);
         assert_eq!(trace.seq(), 42);
         assert_eq!(trace.total_nanos(), nanos.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn laps_end_each_stage_on_the_trace_and_in_its_histogram() {
+        let registry = Registry::new();
+        let stages = StageHistograms::register(&registry, "stage");
+        let origin = Instant::now();
+        let mut trace = RequestTrace::started_at(7, origin);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        stages.lap(&mut trace, Stage::Decode);
+        let decode = trace.stage_nanos()[Stage::Decode.index()];
+        assert!(decode >= 2_000_000, "decode lapped {decode} ns");
+        // The lap restarted the clock, so the next stage starts after it.
+        let engine = trace.lap(Stage::Engine);
+        assert!(engine <= origin.elapsed().as_nanos() as u64 - decode);
+        // A restart leaves the time before it out of every stage.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let restarted = Instant::now();
+        trace.restart();
+        let mechanism = trace.lap(Stage::Mechanism);
+        assert!(mechanism <= restarted.elapsed().as_nanos() as u64);
+        assert_eq!(trace.total_nanos(), decode + engine + mechanism);
+        // Only the histogram lap reached the registry.
+        assert_eq!(stages.handle(Stage::Decode).snapshot().count(), 1);
+        assert_eq!(stages.handle(Stage::Engine).snapshot().count(), 0);
     }
 
     #[test]
@@ -319,7 +367,7 @@ mod tests {
     fn flight_recorder_keeps_only_slow_traces_bounded() {
         let recorder = FlightRecorder::new(3, 1_000);
         for seq in 0..10u64 {
-            let trace = RequestTrace::new(seq);
+            let mut trace = RequestTrace::new(seq);
             // Even seqs are fast (below threshold), odd are slow.
             let ns = if seq % 2 == 0 { 10 } else { 2_000 + seq };
             trace.record(Stage::Mechanism, ns);

@@ -565,6 +565,49 @@ fn calibrated_sigma_bits_are_pinned() {
         }
     }
 
+    // MQMExact's stationary shortcut (a stationary start searched at the
+    // middle node only, evaluated at virtual indices) and a full node
+    // search of the same 8-state chain: ((T, width cap, middle only), ε,
+    // σ bits, (worst node, a, b) of its winning two-sided quilt). The class
+    // is a singleton, so the node's score is σ.
+    let rows: Vec<Vec<f64>> = (0..8)
+        .map(|i| {
+            let mut row = [0.05 / 5.0; 8];
+            row[i] = 0.6;
+            row[(i + 1) % 8] = 0.25;
+            row[(i + 7) % 8] = 0.1;
+            let sum = row.iter().sum::<f64>();
+            row.iter().map(|p| p / sum).collect()
+        })
+        .collect();
+    let stationary =
+        MarkovChainClass::singleton(MarkovChain::with_stationary_initial(rows).unwrap());
+    for ((length, cap, middle), epsilon, sigma, (node, a, b)) in [
+        ((400, 80, true), 0.5, 0x405c_bc8b_bca7_52d7, (200, 23, 23)),
+        ((400, 80, true), 1.0, 0x4048_0dcd_584e_4ac2, (200, 20, 20)),
+        ((400, 80, true), 3.0, 0x4025_4864_a910_72ea, (200, 10, 10)),
+        ((60, 30, false), 1.0, 0x404a_1c51_c657_877c, (19, 15, 16)),
+    ] {
+        let options = MqmExactOptions {
+            max_quilt_width: Some(cap),
+            search_middle_only: middle,
+            ..Default::default()
+        };
+        let budget = PrivacyBudget::new(epsilon).unwrap();
+        let exact = MqmExact::calibrate(&stationary, length, budget, options).unwrap();
+        let selection = exact.selections()[0];
+        assert_eq!(
+            (
+                exact.sigma_max().to_bits(),
+                selection.node,
+                selection.shape,
+                selection.score.to_bits()
+            ),
+            (sigma, node, TwoSided { a, b }, sigma),
+            "MQMExact on the stationary chain at T {length}, ε {epsilon}"
+        );
+    }
+
     // The general mechanism on a weakly correlated 5-node chain, with every
     // chain quilt as a candidate: (quilt, influence bits, score bits).
     let net = chain_network(5, [0.6, 0.4], [[0.55, 0.45], [0.4, 0.6]]);
