@@ -13,18 +13,39 @@
 //! the composed guarantee is the same f64 bits in any order of records and
 //! unrecords.
 
-use std::iter;
+use std::{iter, slice};
 
 /// Budgets count as equal when `max − min < EQUAL_TOLERANCE · max(min, 1)`.
 const EQUAL_TOLERANCE: f64 = 1e-12;
 
 /// An accountant tracking a sequence of Markov Quilt Mechanism releases on
 /// the same database with a shared quilt-set configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CompositionAccountant {
-    /// `(ε bits, count)` per distinct recorded ε, ascending. Only positive
-    /// finite ε are recorded, and their bit patterns order like their values.
-    entries: Vec<(u64, u64)>,
+    multiset: Multiset,
+}
+
+/// `(ε bits, count)` per distinct recorded ε, ascending. Only positive finite
+/// ε are recorded, and their bit patterns order like their values.
+///
+/// Nearly every accountant holds a single distinct ε, so that one entry is
+/// stored inline; a heap block is allocated only once a second distinct ε
+/// arrives. Either shape is 24 bytes (the `Vec`'s capacity niche holds the
+/// tag).
+#[derive(Debug, Clone)]
+enum Multiset {
+    /// At most one distinct ε; a count of 0 means the multiset is empty.
+    Inline((u64, u64)),
+    /// Any number of distinct ε, once a second one has been recorded.
+    Heap(Vec<(u64, u64)>),
+}
+
+impl Default for CompositionAccountant {
+    fn default() -> Self {
+        CompositionAccountant {
+            multiset: Multiset::Inline((0, 0)),
+        }
+    }
 }
 
 impl CompositionAccountant {
@@ -41,14 +62,18 @@ impl CompositionAccountant {
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return;
         }
-        match self.find(epsilon) {
-            Ok(at) => self.entries[at].1 += 1,
-            Err(at) => {
-                // One entry at a time: nearly every accountant holds a single
-                // distinct ε, and default growth would allocate room for four.
-                self.entries.reserve_exact(1);
-                self.entries.insert(at, (epsilon.to_bits(), 1));
+        let bits = epsilon.to_bits();
+        match &mut self.multiset {
+            Multiset::Inline(one) if one.1 == 0 || one.0 == bits => *one = (bits, one.1 + 1),
+            Multiset::Inline(one) => {
+                let mut entries = vec![*one, (bits, 1)];
+                entries.sort_unstable();
+                self.multiset = Multiset::Heap(entries);
             }
+            Multiset::Heap(entries) => match find(entries, bits) {
+                Ok(at) => entries[at].1 += 1,
+                Err(at) => entries.insert(at, (bits, 1)),
+            },
         }
     }
 
@@ -62,25 +87,39 @@ impl CompositionAccountant {
     /// *multiset* of per-release budgets, never on their order: removing one
     /// of several equal releases leaves the same multiset whichever it was.
     pub fn unrecord(&mut self, epsilon: f64) -> bool {
-        let Ok(at) = self.find(epsilon) else {
-            return false;
-        };
-        self.entries[at].1 -= 1;
-        if self.entries[at].1 == 0 {
-            self.entries.remove(at);
+        let bits = epsilon.to_bits();
+        match &mut self.multiset {
+            Multiset::Inline(one) if one.1 > 0 && one.0 == bits => one.1 -= 1,
+            Multiset::Inline(_) => return false,
+            Multiset::Heap(entries) => {
+                let Ok(at) = find(entries, bits) else {
+                    return false;
+                };
+                entries[at].1 -= 1;
+                if entries[at].1 == 0 {
+                    entries.remove(at);
+                }
+            }
         }
         true
     }
 
-    /// Where `epsilon`'s entry is (`Ok`) or would be inserted (`Err`).
-    fn find(&self, epsilon: f64) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by_key(&epsilon.to_bits(), |&(bits, _)| bits)
+    /// The recorded `(ε bits, count)` entries, ascending, whichever shape
+    /// holds them.
+    fn entries(&self) -> &[(u64, u64)] {
+        match &self.multiset {
+            Multiset::Inline((_, 0)) => &[],
+            Multiset::Inline(one) => slice::from_ref(one),
+            Multiset::Heap(entries) => entries,
+        }
     }
 
     /// Number of recorded releases `K`.
     pub fn releases(&self) -> usize {
-        self.entries.iter().map(|&(_, count)| count as usize).sum()
+        self.entries()
+            .iter()
+            .map(|&(_, count)| count as usize)
+            .sum()
     }
 
     /// The guarantee of Theorem 4.4 when all releases use the same epsilon:
@@ -88,14 +127,14 @@ impl CompositionAccountant {
     /// This is the bound to quote when the per-release budgets are
     /// identical.
     pub fn total_epsilon(&self) -> f64 {
-        sum(self.entries.iter().copied())
+        sum(self.entries().iter().copied())
     }
 
     /// The guarantee for heterogeneous budgets:
     /// `K · max_k ε_k` (the remark following Theorem 4.4).
     pub fn worst_case_epsilon(&self) -> f64 {
         let max = self
-            .entries
+            .entries()
             .last()
             .map_or(0.0, |&(bits, _)| f64::from_bits(bits));
         max * self.releases() as f64
@@ -110,7 +149,7 @@ impl CompositionAccountant {
     /// no first or last release; any other reference could change the
     /// decision only for budgets within 1e-12 (relative) of each other.
     pub fn guaranteed_epsilon(&self) -> f64 {
-        compose(self.entries.iter().copied())
+        compose(self.entries().iter().copied())
     }
 
     /// The guarantee the accountant *would* report with one more release of
@@ -128,16 +167,18 @@ impl CompositionAccountant {
         }
         // Merge the extra release in at its sorted position, so the sum runs
         // over exactly the entries `record` would leave, in the same order.
-        let (at, count, rest) = match self.find(epsilon) {
-            Ok(at) => (at, self.entries[at].1 + 1, at + 1),
+        let entries = self.entries();
+        let bits = epsilon.to_bits();
+        let (at, count, rest) = match find(entries, bits) {
+            Ok(at) => (at, entries[at].1 + 1, at + 1),
             Err(at) => (at, 1, at),
         };
         compose(
-            self.entries[..at]
+            entries[..at]
                 .iter()
                 .copied()
-                .chain(iter::once((epsilon.to_bits(), count)))
-                .chain(self.entries[rest..].iter().copied()),
+                .chain(iter::once((bits, count)))
+                .chain(entries[rest..].iter().copied()),
         )
     }
 
@@ -151,6 +192,12 @@ impl CompositionAccountant {
             Some(target_epsilon - spent)
         }
     }
+}
+
+/// Where the entry for ε `bits` is (`Ok`) or would be inserted (`Err`) in
+/// ascending `entries`.
+fn find(entries: &[(u64, u64)], bits: u64) -> Result<usize, usize> {
+    entries.binary_search_by_key(&bits, |&(held, _)| held)
 }
 
 /// The Theorem 4.4 guarantee of `(ε bits, count)` entries in ascending ε
@@ -179,13 +226,14 @@ fn sum(entries: impl Iterator<Item = (u64, u64)>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
     }
 
     /// `x` moved up by `ulps` units in the last place.
-    fn ulps_above(x: f64, ulps: u64) -> f64 {
+    const fn ulps_above(x: f64, ulps: u64) -> f64 {
         f64::from_bits(x.to_bits() + ulps)
     }
 
@@ -379,10 +427,11 @@ mod tests {
         for _ in 0..100_000 {
             accountant.record(0.25);
         }
-        assert_eq!(accountant.entries.len(), 1);
-        assert_eq!(accountant.entries.capacity(), 1);
+        assert_eq!(accountant.entries().len(), 1);
+        assert!(matches!(accountant.multiset, Multiset::Inline(_)));
         assert_eq!(accountant.releases(), 100_000);
         assert_eq!(accountant.guaranteed_epsilon(), 25_000.0);
+        assert_eq!(std::mem::size_of::<CompositionAccountant>(), 24);
     }
 
     #[test]
@@ -419,8 +468,132 @@ mod tests {
         assert!(accountant.unrecord(0.2));
         assert!(accountant.unrecord(0.2));
         assert_eq!(accountant.releases(), 0);
-        assert!(accountant.entries.is_empty());
+        assert!(accountant.entries().is_empty());
         assert_eq!(accountant.guaranteed_epsilon().to_bits(), 0.0f64.to_bits());
+    }
+
+    /// Up to four distinct ε per pool: near-equal values one ulp apart (the
+    /// summed guarantee), and spread values (the `K · max ε` guarantee).
+    const POOLS: [[f64; 4]; 2] = [
+        [0.1, ulps_above(0.1, 1), ulps_above(0.1, 2), 0.1 + 5e-13],
+        [0.25, ulps_above(0.25, 1), 0.1, 0.7],
+    ];
+
+    /// `epsilon` added to a sorted `(ε bits, count)` model.
+    fn model_record(model: &mut Vec<(u64, u64)>, epsilon: f64) {
+        let bits = epsilon.to_bits();
+        match model.iter().position(|&(held, _)| held >= bits) {
+            Some(at) if model[at].0 == bits => model[at].1 += 1,
+            Some(at) => model.insert(at, (bits, 1)),
+            None => model.push((bits, 1)),
+        }
+    }
+
+    /// One `epsilon` removed from the model, if it holds one.
+    fn model_unrecord(model: &mut Vec<(u64, u64)>, epsilon: f64) -> bool {
+        let Some(at) = model
+            .iter()
+            .position(|&(held, _)| held == epsilon.to_bits())
+        else {
+            return false;
+        };
+        model[at].1 -= 1;
+        if model[at].1 == 0 {
+            model.remove(at);
+        }
+        true
+    }
+
+    /// The model's `(K, Σ count · ε, K · max ε, guarantee)`, the long way.
+    fn model_figures(model: &[(u64, u64)]) -> (usize, f64, f64, f64) {
+        let releases: u64 = model.iter().map(|&(_, count)| count).sum();
+        let total = model.iter().fold(0.0, |total, &(bits, count)| {
+            total + count as f64 * f64::from_bits(bits)
+        });
+        let (Some(&(min, _)), Some(&(max, _))) = (model.first(), model.last()) else {
+            return (0, 0.0, 0.0, 0.0);
+        };
+        let (min, max) = (f64::from_bits(min), f64::from_bits(max));
+        let worst = max * releases as f64;
+        let guaranteed = if max - min < 1e-12 * min.max(1.0) {
+            total
+        } else {
+            worst
+        };
+        (releases as usize, total, worst, guaranteed)
+    }
+
+    /// Whether the accountant reads exactly (bitwise) as the model does,
+    /// including its preview of one more release of each value in `extras`.
+    fn agrees(
+        accountant: &CompositionAccountant,
+        model: &[(u64, u64)],
+        extras: &[f64],
+    ) -> Result<(), String> {
+        let (releases, total, worst, guaranteed) = model_figures(model);
+        let live = (
+            accountant.entries().to_vec(),
+            accountant.releases(),
+            accountant.total_epsilon().to_bits(),
+            accountant.worst_case_epsilon().to_bits(),
+            accountant.guaranteed_epsilon().to_bits(),
+        );
+        let expected = (
+            model.to_vec(),
+            releases,
+            total.to_bits(),
+            worst.to_bits(),
+            guaranteed.to_bits(),
+        );
+        if live != expected {
+            return Err(format!("live {live:?}, model {expected:?}"));
+        }
+        for &extra in extras {
+            let mut with = model.to_vec();
+            model_record(&mut with, extra);
+            let preview = accountant.guaranteed_epsilon_with(extra);
+            if preview.to_bits() != model_figures(&with).3.to_bits() {
+                return Err(format!("{model:?} + {extra}: preview {preview}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random records and unrecords over up to four distinct ε read like
+        /// a sorted `(ε bits, count)` model, bitwise, on the way from empty
+        /// through one ε and many, and back down to empty.
+        #[test]
+        fn multiset_matches_a_sorted_model(
+            pool in 0usize..2,
+            distinct in 1usize..5,
+            ops in collection::vec((0usize..4, 0u32..3), 0..48),
+        ) {
+            let values = &POOLS[pool][..distinct];
+            let mut accountant = CompositionAccountant::new();
+            let mut model = Vec::new();
+            for (index, op) in ops {
+                let epsilon = values[index % distinct];
+                if op == 0 {
+                    prop_assert_eq!(
+                        accountant.unrecord(epsilon),
+                        model_unrecord(&mut model, epsilon)
+                    );
+                } else {
+                    accountant.record(epsilon);
+                    model_record(&mut model, epsilon);
+                }
+                agrees(&accountant, &model, values)?;
+            }
+            while let Some(&(bits, _)) = model.last() {
+                prop_assert!(accountant.unrecord(f64::from_bits(bits)));
+                model_unrecord(&mut model, f64::from_bits(bits));
+                agrees(&accountant, &model, values)?;
+            }
+            prop_assert_eq!(accountant.releases(), 0);
+        }
     }
 
     #[test]

@@ -479,11 +479,11 @@ fn read_loop(
     let mut last_activity = Instant::now();
 
     loop {
-        // Drain every complete frame currently buffered.
-        loop {
-            if buffer.is_empty() {
-                break;
-            }
+        // Decode every complete frame currently buffered, each from its
+        // offset; the decoded prefix is drained once, before the next read,
+        // so k pipelined frames do not shift the rest of the buffer k times.
+        let mut start = 0;
+        while start < buffer.len() {
             // Decode is timed only when telemetry is attached — the
             // uninstrumented reader never touches a clock. The frame's
             // trace starts with the decode and goes wherever the frame does.
@@ -491,14 +491,14 @@ fn read_loop(
                 .telemetry
                 .as_ref()
                 .map(|watch| (watch, Instant::now()));
-            match decode(&buffer, config.max_frame_len) {
+            match decode(&buffer[start..], config.max_frame_len) {
                 Ok((envelope, consumed)) => {
                     let trace = decode_started.map(|(watch, started)| {
                         let mut trace = RequestTrace::started_at(envelope.seq, started);
                         watch.service.stages().lap(&mut trace, Stage::Decode);
                         trace
                     });
-                    buffer.drain(..consumed);
+                    start += consumed;
                     if !dispatch(inner, envelope, &mut tenant, tx, inflight, trace) {
                         return;
                     }
@@ -518,6 +518,7 @@ fn read_loop(
                 }
             }
         }
+        buffer.drain(..start);
 
         match stream.read(&mut scratch) {
             Ok(0) => return,

@@ -9,8 +9,15 @@
 //! hammer. A user's spend is kept as a multiset of ε (each distinct value
 //! with its count), so an admission costs O(distinct ε) however many
 //! releases the user has made.
+//!
+//! The accountant keeps every identity it has seen for the life of the
+//! server, so an identity costs only its bytes: ids of up to 22 bytes are
+//! stored inside a 24-byte [`UserKey`], and a one-ε spend inside its
+//! [`CompositionAccountant`].
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pufferfish_core::CompositionAccountant;
@@ -36,6 +43,81 @@ pub struct SpendTag<'a> {
     pub seq: u64,
 }
 
+/// A budget identity's bytes, inline up to [`UserKey::INLINE`] bytes and in
+/// a heap block beyond. Keys compare, order and borrow as their bytes, so a
+/// map of them orders exactly as a map of `String`s does and is searched by
+/// `&[u8]` without building a key.
+#[derive(Clone)]
+enum UserKey {
+    /// An id of `len ≤ INLINE` bytes, in the first `len` bytes.
+    Inline(u8, [u8; UserKey::INLINE]),
+    /// A longer id.
+    Heap(Box<[u8]>),
+}
+
+impl UserKey {
+    /// The longest id stored inline: the most that keeps a key at the 24
+    /// bytes of a `String`.
+    const INLINE: usize = 22;
+
+    fn new(id: &str) -> Self {
+        let bytes = id.as_bytes();
+        match u8::try_from(bytes.len()) {
+            Ok(len) if bytes.len() <= Self::INLINE => {
+                let mut inline = [0; Self::INLINE];
+                inline[..bytes.len()].copy_from_slice(bytes);
+                UserKey::Inline(len, inline)
+            }
+            _ => UserKey::Heap(bytes.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            UserKey::Inline(len, inline) => &inline[..usize::from(*len)],
+            UserKey::Heap(bytes) => bytes,
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a user key holds the bytes of a str")
+    }
+}
+
+impl PartialEq for UserKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for UserKey {}
+
+impl PartialOrd for UserKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+// Not derived: a derived order would sort every inline id before every heap
+// id, where `String` order (and so `per_user_spent`) compares the bytes.
+impl Ord for UserKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Borrow<[u8]> for UserKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Debug for UserKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// Thread-safe per-user privacy-budget ledger with a common target ε.
 ///
 /// # Example
@@ -58,7 +140,7 @@ pub struct BudgetAccountant {
     // BTreeMap, not HashMap: aggregate views (`total_spent`,
     // `per_user_spent`) iterate in a deterministic order, which is what lets
     // an offline ledger replay reproduce the summed f64 *bitwise*.
-    users: Mutex<BTreeMap<String, CompositionAccountant>>,
+    users: Mutex<BTreeMap<UserKey, CompositionAccountant>>,
     /// Write-once: the audit log is attached before traffic and can never
     /// be silently swapped mid-history (a replaced ledger could not replay
     /// the events recorded before the swap). Write-once is also what makes
@@ -110,6 +192,11 @@ impl BudgetAccountant {
         self.ledger.get().cloned()
     }
 
+    /// Whether a ledger is attached, i.e. whether a [`SpendTag`] is read.
+    pub(crate) fn has_ledger(&self) -> bool {
+        self.ledger.get().is_some()
+    }
+
     /// Records `kind` into the attached ledger (no-op without one). Callers
     /// hold the users mutex, which is what serialises ledger order with
     /// accountant order.
@@ -156,7 +243,24 @@ impl BudgetAccountant {
             )));
         }
         let mut users = self.users.lock().expect("budget ledger poisoned");
-        let accountant = users.entry(user.to_string()).or_default();
+        // A known id is found by its bytes, without building a key; only a
+        // new id pays a second descent to insert one.
+        if let Some(accountant) = users.get_mut(user.as_bytes()) {
+            return self.charge(accountant, user, epsilon, tag);
+        }
+        let accountant = users.entry(UserKey::new(user)).or_default();
+        self.charge(accountant, user, epsilon, tag)
+    }
+
+    /// The admission step of [`BudgetAccountant::try_spend_tagged`] for
+    /// `user`'s `accountant`, run under the users lock.
+    fn charge(
+        &self,
+        accountant: &mut CompositionAccountant,
+        user: &str,
+        epsilon: f64,
+        tag: SpendTag<'_>,
+    ) -> Result<f64, ServiceError> {
         // Preview the composed guarantee (not a simple running sum under
         // heterogeneous budgets) without recording the spend — this runs
         // under the ledger lock on every admission.
@@ -193,7 +297,7 @@ impl BudgetAccountant {
     pub fn refund_tagged(&self, user: &str, epsilon: f64, tag: SpendTag<'_>) -> bool {
         let mut users = self.users.lock().expect("budget ledger poisoned");
         let refunded = users
-            .get_mut(user)
+            .get_mut(user.as_bytes())
             .map(|accountant| accountant.unrecord(epsilon))
             .unwrap_or(false);
         if refunded {
@@ -208,7 +312,7 @@ impl BudgetAccountant {
         self.users
             .lock()
             .expect("budget ledger poisoned")
-            .get(user)
+            .get(user.as_bytes())
             .map(CompositionAccountant::guaranteed_epsilon)
             .unwrap_or(0.0)
     }
@@ -223,7 +327,7 @@ impl BudgetAccountant {
         self.users
             .lock()
             .expect("budget ledger poisoned")
-            .get(user)
+            .get(user.as_bytes())
             .map(CompositionAccountant::releases)
             .unwrap_or(0)
     }
@@ -252,7 +356,7 @@ impl BudgetAccountant {
             .lock()
             .expect("budget ledger poisoned")
             .iter()
-            .map(|(user, accountant)| (user.clone(), accountant.guaranteed_epsilon()))
+            .map(|(user, accountant)| (user.as_str().to_owned(), accountant.guaranteed_epsilon()))
             .collect()
     }
 }
@@ -324,6 +428,39 @@ mod tests {
         // Refunds need a matching spend and a known user.
         assert!(!budget.refund("alice", 0.123));
         assert!(!budget.refund("stranger", 0.6));
+    }
+
+    #[test]
+    fn ids_on_both_sides_of_the_inline_capacity_keep_string_order() {
+        assert_eq!(std::mem::size_of::<UserKey>(), 24);
+        let ids = [
+            "u".repeat(40),
+            "u".repeat(23),
+            "u".repeat(22),
+            "u".repeat(21),
+            "v".to_string(),
+            "t#zoë".to_string(),
+            "t#zoe".to_string(),
+            "t#日本語-ユーザー-ß".to_string(),
+            "t#".to_string(),
+            String::new(),
+        ];
+        let budget = BudgetAccountant::new(10.0).unwrap();
+        let mut expected = BTreeMap::new();
+        for (i, id) in ids.iter().enumerate() {
+            let epsilon = 0.1 * (i + 1) as f64;
+            budget.try_spend(id, epsilon).unwrap();
+            expected.insert(id.clone(), epsilon);
+        }
+        let live = budget.per_user_spent();
+        assert!(live.keys().eq(expected.keys()));
+        for (id, &epsilon) in &expected {
+            assert_eq!(budget.spent(id).to_bits(), epsilon.to_bits());
+            assert_eq!(budget.releases(id), 1);
+            assert!(budget.refund(id, epsilon));
+            assert_eq!(budget.releases(id), 0);
+        }
+        assert_eq!(budget.users(), ids.len());
     }
 
     #[test]

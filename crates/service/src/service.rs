@@ -522,10 +522,16 @@ impl ReleaseService {
                 None => trace = Some(RequestTrace::new(request.seed)),
             }
         }
-        let tag = SpendTag {
-            query_sig: query_signature(request.query.name()),
-            family: self.engine().kind(),
-            seq: request.seed,
+        // Only an attached ledger reads the tag, so without one admission
+        // neither takes the engine lock nor hashes the query name.
+        let tag = if self.budget.has_ledger() {
+            SpendTag {
+                query_sig: query_signature(request.query.name()),
+                family: self.engine.read().expect("engine lock poisoned").kind(),
+                seq: request.seed,
+            }
+        } else {
+            SpendTag::default()
         };
         if let Err(refused) = self
             .budget

@@ -27,6 +27,14 @@ fn test_threads() -> usize {
 const QUERIES: [&str; 3] = ["state-frequency", "histogram", "range-count"];
 const FAMILIES: [&str; 3] = ["mqm-approx", "wasserstein", "gk16"];
 const EPSILONS: [f64; 4] = [0.1, 0.25, 0.3, 0.7];
+/// Identities on both sides of the accountant's 22-byte inline key
+/// capacity, one of them not ASCII.
+const USERS: [&str; 4] = [
+    "t#0",
+    "t#1",
+    "t#an-identity-past-the-inline-capacity",
+    "t#zoë-ünïcødé",
+];
 
 fn arbitrary_tag(rng: &mut StdRng, seq: u64) -> SpendTag<'static> {
     SpendTag {
@@ -45,22 +53,22 @@ fn run_workload(seed: u64, target: f64, steps: u64) -> (Arc<BudgetAccountant>, A
 
     let mut rng = StdRng::seed_from_u64(seed);
     // Per-user history of admitted (ε, tag) pairs, for legal refunds.
-    let mut charged: Vec<Vec<(f64, SpendTag<'static>)>> = vec![Vec::new(); 4];
+    let mut charged: Vec<Vec<(f64, SpendTag<'static>)>> = vec![Vec::new(); USERS.len()];
     for seq in 0..steps {
         let user_index = rng.gen_range(0..charged.len());
-        let user = format!("t#{user_index}");
+        let user = USERS[user_index];
         if !charged[user_index].is_empty() && rng.gen_range(0..4u32) == 0 {
             // Refund one earlier admitted charge, exactly as the service
             // does when a queue refusal or execution failure rolls back.
             let pick = rng.gen_range(0..charged[user_index].len());
             let (epsilon, tag) = charged[user_index].remove(pick);
-            assert!(budget.refund_tagged(&user, epsilon, tag));
+            assert!(budget.refund_tagged(user, epsilon, tag));
         } else {
             let epsilon = EPSILONS[rng.gen_range(0..EPSILONS.len())];
             let tag = arbitrary_tag(&mut rng, seq);
             // Refusals land in the ledger too; only admissions enter the
             // refundable history.
-            if budget.try_spend_tagged(&user, epsilon, tag).is_ok() {
+            if budget.try_spend_tagged(user, epsilon, tag).is_ok() {
                 charged[user_index].push((epsilon, tag));
             }
         }

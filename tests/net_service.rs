@@ -29,9 +29,9 @@ use pufferfish_core::engine::{Calibrator, FnCalibrator, MqmApproxCalibrator, Rel
 use pufferfish_core::{MqmApproxOptions, Parallelism};
 use pufferfish_markov::IntervalClassBuilder;
 use pufferfish_net::{
-    decode, encode, ClientError, Envelope, ErrorCode, Frame, NetClient, NetServer, NetServerConfig,
-    ProgressiveEndpoint, QueryEndpoint, TelemetryOptions, WireMetricValue, WireQuery,
-    DEFAULT_MAX_FRAME_LEN,
+    decode, encode, ClientError, Envelope, ErrorCode, Frame, FrameError, NetClient, NetServer,
+    NetServerConfig, ProgressiveEndpoint, QueryEndpoint, TelemetryOptions, WireMetricValue,
+    WireQuery, DEFAULT_MAX_FRAME_LEN,
 };
 use pufferfish_query::{MechanismCatalog, QueryService, QueryServiceConfig, Table};
 use pufferfish_service::{
@@ -163,6 +163,80 @@ fn pipelined_requests_complete_out_of_order_but_all_complete() {
     }
     assert!(expected.is_empty(), "every request answered exactly once");
     client.goodbye().unwrap();
+    server.shutdown();
+}
+
+/// Reads `count` whole frames off a raw socket; bytes past the last one
+/// stay in `inbox`.
+fn read_frames(stream: &mut TcpStream, inbox: &mut Vec<u8>, count: usize) -> Vec<Envelope> {
+    let mut frames = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while frames.len() < count {
+        match decode(inbox, DEFAULT_MAX_FRAME_LEN) {
+            Ok((envelope, consumed)) => {
+                inbox.drain(..consumed);
+                frames.push(envelope);
+            }
+            Err(FrameError::Truncated { .. }) => {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "the server closed after {} frames", frames.len());
+                inbox.extend_from_slice(&chunk[..n]);
+            }
+            Err(error) => panic!("undecodable answer: {error}"),
+        }
+    }
+    frames
+}
+
+#[test]
+fn frames_split_across_writes_are_all_answered() {
+    let service = service(64, 2, 1000.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let encoded =
+        |seq: u64, frame: Frame| encode(&Envelope { seq, frame }, DEFAULT_MAX_FRAME_LEN).unwrap();
+    let db = database(8);
+    let mut bytes = encoded(
+        0,
+        Frame::Hello {
+            tenant: "split".to_string(),
+        },
+    );
+    let mut last_len = 0;
+    for seq in 1..=6u64 {
+        let release = Frame::release(seq, test_query(), &db, 0.1, 500 + seq).unwrap();
+        let frame = encoded(seq, release);
+        last_len = frame.len();
+        bytes.extend_from_slice(&frame);
+    }
+
+    // The first write holds HELLO, five whole RELEASEs and half of the
+    // sixth; the rest is written only once those six frames are answered,
+    // so the server must carry the half frame over to its next read.
+    let cut = bytes.len() - last_len / 2;
+    raw.write_all(&bytes[..cut]).unwrap();
+    let mut inbox = Vec::new();
+    let mut answers = read_frames(&mut raw, &mut inbox, 6);
+    raw.write_all(&bytes[cut..]).unwrap();
+    answers.extend(read_frames(&mut raw, &mut inbox, 1));
+
+    let mut seqs: Vec<u64> = answers.iter().map(|envelope| envelope.seq).collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..=6).collect::<Vec<u64>>());
+    for Envelope { seq, frame } in answers {
+        match frame {
+            Frame::HelloOk { .. } if seq == 0 => {}
+            Frame::ReleaseOk { values, .. } if seq > 0 => assert_eq!(values.len(), 1),
+            other => panic!("seq {seq} got {other:?}"),
+        }
+    }
+    assert_eq!(service.budget().releases("split#6"), 1);
     server.shutdown();
 }
 
