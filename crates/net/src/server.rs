@@ -2,32 +2,34 @@
 //! control, graceful shutdown.
 //!
 //! One [`NetServer`] owns a listener thread plus two threads per live
-//! connection:
+//! connection, and runs no thread per request:
 //!
 //! * the **reader** decodes frames off the socket and dispatches them. A
-//!   RELEASE is pushed into the shared [`ReleaseService`] via `try_submit`
-//!   — never the blocking path — so when the bounded admission queue
-//!   refuses, the client gets a typed [`Frame::Busy`] immediately instead
-//!   of stalling every other request on the connection;
+//!   RELEASE is pushed into the shared [`ReleaseService`] via
+//!   `try_submit_with`, and a PROGRESSIVE is queued as a task on the same
+//!   service's workers via `try_spawn` — never the blocking path — so when
+//!   the bounded admission queue refuses, the client gets a typed
+//!   [`Frame::Busy`] immediately instead of stalling every other request
+//!   on the connection. A QUERY runs inline on the reader;
 //! * the **writer** blocks on an in-process channel and writes whatever
-//!   arrives: the reader's immediate responses, and finished releases that
-//!   the service's workers push through the reply each RELEASE carries.
+//!   arrives: the reader's immediate responses, finished releases that the
+//!   service's workers push through the reply each RELEASE carries, and
+//!   the refinements a PROGRESSIVE task sends as each one is ready.
 //!   Responses therefore return **out of order**, in completion order,
 //!   matched by sequence number — that is what lets one connection keep
 //!   `max_pipeline` requests in flight.
 //!
 //! Back-pressure has three layers, all surfaced as typed frames rather
 //! than silence: per-connection pipeline depth ([`Frame::Busy`]), the
-//! service admission queue ([`Frame::Busy`] again — the budget spend is
-//! rolled back by the service), and the listener's connection cap
-//! ([`ErrorCode::TooManyConnections`]).
+//! service admission queue ([`Frame::Busy`] again — nothing stays charged),
+//! and the listener's connection cap ([`ErrorCode::TooManyConnections`]).
 //!
 //! Shutdown is graceful: the accept loop stops, readers notice the flag at
 //! their next read-timeout tick and stop decoding, and each writer keeps
 //! writing the responses still in flight until nothing can send it another
-//! (the reader, every in-flight reply and every progressive driver hold a
-//! sender) or one per-connection `drain_timeout` passes, then closes the
-//! socket.
+//! (the reader, every in-flight reply and every queued or running
+//! PROGRESSIVE task hold a sender) or one per-connection `drain_timeout`
+//! passes, then closes the socket.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -566,6 +568,14 @@ fn dispatch(
     let config = &inner.config;
     let seq = envelope.seq;
     let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
+    // The release service refused a request whose pipeline slot was taken:
+    // give the slot back and answer typed. A closed service serves nothing
+    // more on this connection.
+    let refused = |error: ServiceError| {
+        inflight.fetch_sub(1, Ordering::SeqCst);
+        let open = !matches!(error, ServiceError::ServiceClosed);
+        send_now(service_error_frame(error, config)) && open
+    };
 
     let Some(tenant_name) = tenant.as_deref() else {
         // First frame must authenticate the tenant.
@@ -630,21 +640,12 @@ fn dispatch(
             // and the writer count it out, before try_submit_with returns.
             inflight.fetch_add(1, Ordering::SeqCst);
             let reply_tx = tx.clone();
-            let submitted = inner
+            inner
                 .release
                 .try_submit_with(request, trace, move |result, trace| {
                     let _ = reply_tx.send(Outgoing::Done(seq, result, trace));
-                });
-            match submitted {
-                Ok(()) => true,
-                Err(error) => {
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    // A closed service serves nothing more on this
-                    // connection.
-                    let open = !matches!(error, ServiceError::ServiceClosed);
-                    send_now(service_error_frame(error, config)) && open
-                }
-            }
+                })
+                .map_or_else(refused, |()| true)
         }
         Frame::Query {
             user,
@@ -717,41 +718,33 @@ fn dispatch(
                     ),
                 });
             }
-            let user = scoped_user(tenant_name, user);
-            let database: Vec<usize> = database.into_iter().map(usize::from).collect();
-            // Each PROGRESSIVE request gets its own driver thread so its
-            // refinement stream interleaves with the connection's other
-            // pipelined traffic; it holds a writer-channel clone, so the
-            // writer drains every step before the connection closes.
+            let request = ProgressiveRequest {
+                seq,
+                user: scoped_user(tenant_name, user),
+                schedule,
+                seed,
+                database: database.into_iter().map(usize::from).collect(),
+                trace,
+            };
+            // The request runs as a task on the release workers, admitted
+            // through the same bounded queue as RELEASE; its refinement
+            // stream interleaves with the connection's other pipelined
+            // traffic. The task holds a writer-channel clone, so the writer
+            // drains every step before the connection closes.
             inflight.fetch_add(1, Ordering::SeqCst);
-            let worker_inner = Arc::clone(inner);
-            let worker_tx = tx.clone();
-            let worker_inflight = Arc::clone(inflight);
-            let spawned = std::thread::Builder::new()
-                .name("pufferfish-net-progressive".to_string())
-                .spawn(move || {
-                    run_progressive(
-                        &worker_inner,
-                        &worker_tx,
+            let (task_inner, task_tx, task_inflight) =
+                (Arc::clone(inner), tx.clone(), Arc::clone(inflight));
+            inner
+                .release
+                .try_spawn(move || {
+                    let _slot = PipelineSlot {
+                        tx: &task_tx,
+                        inflight: &task_inflight,
                         seq,
-                        user,
-                        schedule,
-                        seed,
-                        &database,
-                        trace,
-                    );
-                    worker_inflight.fetch_sub(1, Ordering::SeqCst);
-                });
-            match spawned {
-                Ok(_) => true,
-                Err(_) => {
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    send_now(Frame::Error {
-                        code: ErrorCode::Internal,
-                        message: "spawning the progressive driver failed".to_string(),
-                    })
-                }
-            }
+                    };
+                    run_progressive(&task_inner, &task_tx, request);
+                })
+                .map_or_else(refused, |()| true)
         }
         Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
         Frame::Metrics => match &inner.telemetry {
@@ -809,43 +802,74 @@ fn service_error_frame(error: ServiceError, config: &NetServerConfig) -> Frame {
     }
 }
 
-/// Drives one PROGRESSIVE request to completion on its own thread: admits
-/// the whole schedule against the shared accountant, replays the window
-/// through the driver, and ships each refinement as a seq-correlated
-/// [`Frame::RefineOk`] the moment it is ready. Every early return (budget
-/// refusal, mechanism failure, dead writer) drops the driver, whose guard
-/// refunds the unconsumed steps.
-#[allow(clippy::too_many_arguments)]
-fn run_progressive(
-    inner: &Arc<Inner>,
-    tx: &Sender<Outgoing>,
+/// One PROGRESSIVE request as dispatch validated it: the parts its task on
+/// the release workers drives.
+struct ProgressiveRequest {
     seq: u64,
+    /// The budget identity, `tenant#user`.
     user: String,
     schedule: RefinementSchedule,
     seed: u64,
-    database: &[usize],
+    database: Vec<usize>,
     trace: Option<RequestTrace>,
-) {
+}
+
+/// A running PROGRESSIVE task's pipeline slot on its connection, given
+/// back when the task ends. A task that unwinds first answers its seq with
+/// a typed `Internal` error, so a panicking driver neither leaks the slot
+/// nor leaves the client waiting. The running task creates the guard, so a
+/// task the queue refused is dropped without a word.
+struct PipelineSlot<'a> {
+    tx: &'a Sender<Outgoing>,
+    inflight: &'a AtomicUsize,
+    seq: u64,
+}
+
+impl Drop for PipelineSlot<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.tx.send(Outgoing::Now(
+                self.seq,
+                Frame::Error {
+                    code: ErrorCode::Internal,
+                    message: "the progressive release failed internally".to_string(),
+                },
+            ));
+        }
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Drives one PROGRESSIVE request to completion, as a task on a release
+/// worker: admits the whole schedule against the shared accountant, replays
+/// the window through the driver, and ships each refinement as a
+/// seq-correlated [`Frame::RefineOk`] the moment it is ready. A cold
+/// `(prefix, ε)` step calibrates right here, on the worker, like a cold
+/// RELEASE. Every early return (budget refusal, mechanism failure, dead
+/// writer) drops the driver, whose guard refunds the unconsumed steps.
+fn run_progressive(inner: &Inner, tx: &Sender<Outgoing>, request: ProgressiveRequest) {
     let endpoint = inner
         .progressive
         .as_ref()
         .expect("dispatch checked the endpoint exists");
+    let seq = request.seq;
     let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
     let error_frame = |error: ServiceError| service_error_frame(error, &inner.config);
 
-    let mut traced = trace.zip(inner.telemetry.as_ref());
+    // The trace restarts as the task starts: queueing is in no stage.
+    let mut traced = request.trace.zip(inner.telemetry.as_ref());
     if let Some((trace, _)) = traced.as_mut() {
         trace.restart();
     }
     let mut driver = match ProgressiveRelease::begin_with(
         "net-progressive",
         &endpoint.class,
-        schedule,
+        request.schedule,
         endpoint.backend,
         Arc::clone(&endpoint.engine),
         inner.release.budget(),
-        &user,
-        seed,
+        &request.user,
+        request.seed,
     ) {
         Ok(driver) => driver,
         Err(error) => {
@@ -853,7 +877,7 @@ fn run_progressive(
             return;
         }
     };
-    for &event in database {
+    for &event in &request.database {
         match driver.push(event) {
             Ok(None) => {}
             Ok(Some(update)) => {
@@ -1063,5 +1087,45 @@ fn write_frame(
                 Err(_) => None,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_pipeline_slot_comes_back_and_only_an_unwinding_task_answers() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inflight = AtomicUsize::new(2);
+        drop(PipelineSlot {
+            tx: &tx,
+            inflight: &inflight,
+            seq: 7,
+        });
+        assert_eq!(inflight.load(Ordering::SeqCst), 1);
+        assert!(rx.try_recv().is_err(), "a task that ends answers nothing");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = PipelineSlot {
+                tx: &tx,
+                inflight: &inflight,
+                seq: 9,
+            };
+            panic!("driver bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(inflight.load(Ordering::SeqCst), 0);
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(Outgoing::Now(
+                9,
+                Frame::Error {
+                    code: ErrorCode::Internal,
+                    ..
+                }
+            ))
+        ));
+        assert!(rx.try_recv().is_err(), "the seq is answered once");
     }
 }

@@ -77,24 +77,38 @@ impl WorkerPool {
         self.workers.is_empty()
     }
 
-    /// Blocks until every worker closure has returned.
+    /// Blocks until every worker closure has returned. Called on one of the
+    /// pool's own workers, it joins every other worker and leaves that one
+    /// to finish by itself once its closure returns.
     ///
     /// # Panics
     /// Propagates a panic from any worker thread.
     pub fn join(mut self) {
-        for worker in self.workers.drain(..) {
+        for worker in self.others() {
             worker.join().expect("worker thread panicked");
         }
+    }
+
+    /// Takes every worker handle but the calling thread's own: a thread
+    /// cannot join itself (std panics with a deadlock error), and a worker
+    /// can end up dropping its pool — a queued task may hold the last
+    /// reference to the service that owns it.
+    fn others(&mut self) -> impl Iterator<Item = JoinHandle<()>> + '_ {
+        let current = thread::current().id();
+        self.workers
+            .drain(..)
+            .filter(move |worker| worker.thread().id() != current)
     }
 }
 
 impl Drop for WorkerPool {
-    /// Joins any still-running workers; shut the work source down first or
-    /// the drop will block forever. Unlike [`WorkerPool::join`], worker
-    /// panics are swallowed here — this drop may itself run during
-    /// unwinding, where a second panic would abort the process.
+    /// Joins any still-running workers but the calling thread (see
+    /// [`WorkerPool::join`]); shut the work source down first or the drop
+    /// will block forever. Unlike [`WorkerPool::join`], worker panics are
+    /// swallowed here — this drop may itself run during unwinding, where a
+    /// second panic would abort the process.
     fn drop(&mut self) {
-        for worker in self.workers.drain(..) {
+        for worker in self.others() {
             let _ = worker.join();
         }
     }
@@ -149,6 +163,29 @@ mod tests {
             assert_ne!(worker, 0, "worker 0 panics deliberately");
         })
         .join();
+    }
+
+    #[test]
+    fn a_pool_dropped_on_its_own_worker_does_not_join_that_worker() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+
+        let (hand_over, handed) = mpsc::channel::<WorkerPool>();
+        let (report, reported) = mpsc::channel();
+        let (handed, report) = (Mutex::new(handed), Mutex::new(report));
+        let pool = WorkerPool::spawn(Parallelism::Threads(2), "self-drop", move |worker| {
+            if worker == 0 {
+                let pool = handed.lock().unwrap().recv().unwrap();
+                let dropped = catch_unwind(AssertUnwindSafe(|| drop(pool)));
+                report.lock().unwrap().send(dropped.is_ok()).unwrap();
+            }
+        });
+        hand_over.send(pool).unwrap();
+        assert!(
+            reported.recv().unwrap(),
+            "dropping the pool on its own worker panicked"
+        );
     }
 
     #[test]

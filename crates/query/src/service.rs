@@ -117,10 +117,7 @@ impl QueryService {
         seed: u64,
     ) -> Result<QueryResult, QueryError> {
         let plan = self.plan(text, table)?;
-        // The raw statement text is the audit identity a ledger records for
-        // this charge — `execute` on a pre-built plan has no text and logs
-        // signature 0 instead.
-        self.execute_with_sig(user, &plan, seed, query_signature(text))
+        self.execute_tagged(user, &plan, seed, Some(text))
     }
 
     /// Admits and executes an already prepared plan (the two-step
@@ -135,23 +132,30 @@ impl QueryService {
         plan: &QueryPlan,
         seed: u64,
     ) -> Result<QueryResult, QueryError> {
-        self.execute_with_sig(user, plan, seed, 0)
+        self.execute_tagged(user, plan, seed, None)
     }
 
-    fn execute_with_sig(
+    fn execute_tagged(
         &self,
         user: &str,
         plan: &QueryPlan,
         seed: u64,
-        query_sig: u64,
+        text: Option<&str>,
     ) -> Result<QueryResult, QueryError> {
         // Charges (and execution-failure refunds) carry their audit tag into
-        // a ledger attached via `self.budget()`: which statement (by
-        // signature), which mechanism family the planner chose, which seed.
-        let tag = SpendTag {
-            query_sig,
-            family: plan.chosen().keyword(),
-            seq: seed,
+        // a ledger attached via `self.budget()`: which statement (by the
+        // signature of its raw text; `execute` on a pre-built plan has no
+        // text and logs 0), which mechanism family the planner chose, which
+        // seed. Only a ledger reads the tag, so without one the statement
+        // is not hashed.
+        let tag = if self.budget.has_ledger() {
+            SpendTag {
+                query_sig: text.map_or(0, query_signature),
+                family: plan.chosen().keyword(),
+                seq: seed,
+            }
+        } else {
+            SpendTag::default()
         };
         self.budget
             .try_spend_tagged(user, plan.total_epsilon(), tag)?;
@@ -306,6 +310,53 @@ mod tests {
         ));
         assert_eq!(service.budget().spent("carol"), 0.0);
         assert_eq!(service.budget().users(), 0);
+    }
+
+    #[test]
+    fn an_attached_ledger_records_each_query_with_its_tag() {
+        use pufferfish_telemetry::{EpsilonLedger, LedgerEvent, LedgerEventKind};
+
+        let service = service(1.0);
+        let table = table();
+        let ledger = Arc::new(EpsilonLedger::new());
+        assert!(!service.budget().has_ledger());
+        service.budget().attach_ledger(Arc::clone(&ledger));
+        assert!(service.budget().has_ledger());
+
+        let text = "HISTOGRAM WINDOW 20 STEP 10 EPSILON 0.2";
+        let plan = service.plan(text, &table).unwrap();
+        let family = plan.chosen().keyword();
+        service.query("alice", text, &table, 5).unwrap();
+        service.execute("bob", &plan, 6).unwrap();
+        // alice's second 0.6 would compose past 1.0.
+        assert!(service.query("alice", text, &table, 7).is_err());
+
+        let events = EpsilonLedger::replay(&ledger.to_bytes()).unwrap();
+        let tag = |event: &LedgerEvent| {
+            (
+                event.kind,
+                event.user.clone(),
+                event.query_sig,
+                event.family.clone(),
+                event.seq,
+            )
+        };
+        let expected = |kind, user: &str, query_sig, seq| {
+            (kind, user.to_string(), query_sig, family.to_string(), seq)
+        };
+        let signature = query_signature(text);
+        assert_ne!(signature, 0);
+        assert_eq!(
+            events.iter().map(tag).collect::<Vec<_>>(),
+            vec![
+                expected(LedgerEventKind::Charge, "alice", signature, 5),
+                expected(LedgerEventKind::Charge, "bob", 0, 6),
+                expected(LedgerEventKind::Refusal, "alice", signature, 7),
+            ]
+        );
+        for event in &events {
+            assert_eq!(event.epsilon.to_bits(), plan.total_epsilon().to_bits());
+        }
     }
 
     #[test]

@@ -193,7 +193,9 @@ impl BudgetAccountant {
     }
 
     /// Whether a ledger is attached, i.e. whether a [`SpendTag`] is read.
-    pub(crate) fn has_ledger(&self) -> bool {
+    /// Admission paths build their tag only when it is, and pass
+    /// [`SpendTag::default`] otherwise.
+    pub fn has_ledger(&self) -> bool {
         self.ledger.get().is_some()
     }
 

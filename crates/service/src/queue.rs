@@ -56,7 +56,7 @@ pub struct BoundedQueue<T> {
     not_full: Condvar,
     capacity: usize,
     /// Lock-free mirror of `items.len()`, updated while the state mutex is
-    /// held — so telemetry (the `queue_depth` gauge on every served job) can
+    /// held — so telemetry (the `queue_depth` gauge on every taken item) can
     /// read the depth without contending with producers for the lock.
     depth: AtomicUsize,
 }

@@ -6,9 +6,10 @@
 //! workers — calibrations are cached and stampede-coalesced there), and
 //! calls the reply with the outcome. In-process callers get a [`Ticket`],
 //! which is one such reply; the network front-end's reply pushes the
-//! finished release straight into its connection writer. Back-pressure is
-//! explicit: a full queue refuses [`ReleaseService::try_submit`] rather than
-//! growing without bound.
+//! finished release straight into its connection writer. The same queue
+//! also carries callers' own tasks ([`ReleaseService::try_spawn`]), so one
+//! fixed set of workers runs both. Back-pressure is explicit: a full queue
+//! refuses [`ReleaseService::try_submit`] rather than growing without bound.
 //!
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
@@ -18,6 +19,7 @@
 //! information (and admission, not outcome, is what the accountant can
 //! reason about atomically).
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -178,12 +180,18 @@ impl Job {
 
 impl Drop for Job {
     /// Answers [`ServiceError::ServiceClosed`] if nothing else did: a job
-    /// dropped before its worker produced a response (worker panic
-    /// mid-release, queue teardown) must never leave its submitter waiting
-    /// forever.
+    /// dropped before its worker produced a response (a panic mid-release,
+    /// queue teardown) must never leave its submitter waiting forever.
     fn drop(&mut self) {
         self.answer(Err(ServiceError::ServiceClosed));
     }
+}
+
+/// One item of the admission queue: a release job, or a caller's task
+/// ([`ReleaseService::try_spawn`]). Workers take both in FIFO order.
+enum Work {
+    Release(Job),
+    Task(Box<dyn FnOnce() + Send>),
 }
 
 /// Tuning knobs for [`ReleaseService::start`].
@@ -278,7 +286,7 @@ pub struct ReleaseService {
     observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>>,
     telemetry: Arc<OnceLock<Arc<ServiceTelemetry>>>,
     budget: Arc<BudgetAccountant>,
-    queue: Arc<BoundedQueue<Job>>,
+    queue: Arc<BoundedQueue<Work>>,
     pool: Option<WorkerPool>,
     served: Arc<AtomicU64>,
     /// Provenance of the warm-start snapshot, when the service was built
@@ -303,7 +311,7 @@ impl ReleaseService {
     /// [`ServiceError::InvalidConfig`] for a non-positive per-user budget.
     pub fn start(engine: Arc<ReleaseEngine>, config: ServiceConfig) -> Result<Self, ServiceError> {
         let budget = Arc::new(BudgetAccountant::new(config.per_user_epsilon)?);
-        let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(config.queue_capacity));
+        let queue: Arc<BoundedQueue<Work>> = Arc::new(BoundedQueue::new(config.queue_capacity));
         let served = Arc::new(AtomicU64::new(0));
         let engine = Arc::new(RwLock::new(engine));
         let observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>> = Arc::new(OnceLock::new());
@@ -316,39 +324,52 @@ impl ReleaseService {
             let queue = Arc::clone(&queue);
             let served = Arc::clone(&served);
             WorkerPool::spawn(config.workers, "pufferfish-release", move |_worker| {
-                while let Some(mut job) = queue.pop() {
-                    // A job is timed when it carries a trace and telemetry
-                    // is attached; admission gives every job one then.
+                while let Some(work) = queue.pop() {
                     let watch = telemetry.get().map(Arc::as_ref);
-                    let mut staged = job.trace.as_mut().zip(watch);
-                    if let Some((trace, watch)) = staged.as_mut() {
-                        watch.stages().lap(trace, Stage::QueueWait);
-                        watch.admitted().inc();
+                    if let Some(watch) = watch {
                         // The atomic mirror, not `len()`: re-locking the
                         // queue here would contend with every submitter.
                         watch.queue_depth().set(queue.approx_len() as u64);
                     }
-                    // One engine per request: the clone taken here outlives
-                    // any concurrent swap_engine, so the whole release is
-                    // served from a single consistent calibration.
-                    let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
-                    let response = Self::serve(&current, &job.request, staged);
-                    if let (Ok(release), Some(observer)) = (&response, observer.get()) {
-                        observer.observe_release(&job.request.database, release);
-                    }
-                    // Count, and offer a ticket's trace to the recorder,
-                    // before replying: a submitter woken by its ticket must
-                    // find its own request in `served()` and in the
-                    // recorder. A callback gets its trace back instead.
-                    served.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(Reply::Ticket(_)), Some(trace), Some(recorder)) = (
-                        &job.reply,
-                        &job.trace,
-                        watch.and_then(ServiceTelemetry::recorder),
-                    ) {
-                        recorder.observe(trace);
-                    }
-                    job.answer(response);
+                    // One panic boundary for every queued item: a panicking
+                    // job is answered ServiceClosed by its drop guard as it
+                    // unwinds, and the worker lives on to take the next.
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                        let mut job = match work {
+                            Work::Release(job) => job,
+                            Work::Task(task) => return task(),
+                        };
+                        // A job is timed when it carries a trace and
+                        // telemetry is attached; admission gives every job
+                        // one then.
+                        let mut staged = job.trace.as_mut().zip(watch);
+                        if let Some((trace, watch)) = staged.as_mut() {
+                            watch.stages().lap(trace, Stage::QueueWait);
+                            watch.admitted().inc();
+                        }
+                        // One engine per request: the clone taken here
+                        // outlives any concurrent swap_engine, so the whole
+                        // release is served from a single consistent
+                        // calibration.
+                        let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
+                        let response = Self::serve(&current, &job.request, staged);
+                        if let (Ok(release), Some(observer)) = (&response, observer.get()) {
+                            observer.observe_release(&job.request.database, release);
+                        }
+                        // Count, and offer a ticket's trace to the recorder,
+                        // before replying: a submitter woken by its ticket
+                        // must find its own request in `served()` and in the
+                        // recorder. A callback gets its trace back instead.
+                        served.fetch_add(1, Ordering::Relaxed);
+                        if let (Some(Reply::Ticket(_)), Some(trace), Some(recorder)) = (
+                            &job.reply,
+                            &job.trace,
+                            watch.and_then(ServiceTelemetry::recorder),
+                        ) {
+                            recorder.observe(trace);
+                        }
+                        job.answer(response);
+                    }));
                 }
             })
         };
@@ -464,10 +485,10 @@ impl ReleaseService {
     ///
     /// Once admitted, `reply` is called exactly once: by the worker with
     /// the release or its mechanism error, or with
-    /// [`ServiceError::ServiceClosed`] when the job is dropped unserved
-    /// (worker panic, queue teardown). It may run on a worker thread before
-    /// this call returns, and it must not block. On a refusal it is dropped
-    /// without being called: the returned error is the only answer.
+    /// [`ServiceError::ServiceClosed`] when the job is dropped unserved (a
+    /// panic mid-release, queue teardown). It may run on a worker thread
+    /// before this call returns, and it must not block. On a refusal it is
+    /// dropped without being called: the returned error is the only answer.
     ///
     /// `reply` also gets the request's trace back. With telemetry attached,
     /// admission restarts the clock of `trace` (or starts a trace keyed by
@@ -487,6 +508,43 @@ impl ReleaseService {
         reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
     ) -> Result<(), ServiceError> {
         self.admit(request, trace, Reply::Call(Box::new(reply)), false)
+    }
+
+    /// Queues `task` to run once on a worker, in FIFO order with the release
+    /// jobs, through the same bounded queue — so work that is not a release
+    /// still runs on the service's fixed set of threads and still meets its
+    /// back-pressure. The network front-end runs each PROGRESSIVE request
+    /// this way.
+    ///
+    /// The service charges no budget for a task (a task that spends ε
+    /// charges [`ReleaseService::budget`] itself) and does not count it in
+    /// [`ReleaseService::served`], the admission counter or the stage
+    /// histograms; the queue's depth, high-water mark and refusals count
+    /// it. An accepted task runs exactly once, also when it is queued
+    /// before [`ReleaseService::shutdown`] or a drop, which drain it like a
+    /// job. A task that panics unwinds out of itself alone: the worker
+    /// lives on.
+    ///
+    /// # Errors
+    /// [`ServiceError::QueueFull`] and [`ServiceError::ServiceClosed`]; the
+    /// task is then dropped without running.
+    pub fn try_spawn(&self, task: impl FnOnce() + Send + 'static) -> Result<(), ServiceError> {
+        self.queue
+            .try_push(Work::Task(Box::new(task)))
+            .map_err(|refused| self.refusal(refused).0)
+    }
+
+    /// The error a queue refusal answers, and the refused item.
+    fn refusal(&self, refused: PushError<Work>) -> (ServiceError, Work) {
+        match refused {
+            PushError::Full(work) => (
+                ServiceError::QueueFull {
+                    capacity: self.queue.capacity(),
+                },
+                work,
+            ),
+            PushError::Closed(work) => (ServiceError::ServiceClosed, work),
+        }
     }
 
     /// Blocking submission: waits for queue space instead of failing with
@@ -546,35 +604,29 @@ impl ReleaseService {
         let admission_ns = watch
             .and(trace.as_mut())
             .map(|trace| trace.lap(Stage::Admission));
-        let job = Job {
+        let job = Work::Release(Job {
             request,
             reply: Some(reply),
             trace,
-        };
+        });
         let refused = if blocking {
             self.queue.push(job).err().map(PushError::Closed)
         } else {
             self.queue.try_push(job).err()
         };
-        let (error, mut job) = match refused {
-            None => {
-                // Only an admission the queue took is sampled.
-                if let Some((watch, ns)) = watch.zip(admission_ns) {
-                    watch.stages().record(Stage::Admission, ns);
-                }
-                return Ok(());
+        let Some(refused) = refused else {
+            // Only an admission the queue took is sampled.
+            if let Some((watch, ns)) = watch.zip(admission_ns) {
+                watch.stages().record(Stage::Admission, ns);
             }
-            Some(PushError::Full(job)) => (
-                ServiceError::QueueFull {
-                    capacity: self.queue.capacity(),
-                },
-                job,
-            ),
-            Some(PushError::Closed(job)) => (ServiceError::ServiceClosed, job),
+            return Ok(());
         };
-        job.reply = None;
-        self.budget
-            .refund_tagged(&job.request.user, job.request.epsilon, tag);
+        let (error, work) = self.refusal(refused);
+        if let Work::Release(mut job) = work {
+            job.reply = None;
+            self.budget
+                .refund_tagged(&job.request.user, job.request.epsilon, tag);
+        }
         if let Some(watch) = watch {
             watch.refused().inc();
         }
@@ -690,18 +742,20 @@ impl ReleaseService {
         &self.budget
     }
 
-    /// Requests fulfilled so far (successfully or not).
+    /// Release requests fulfilled so far (successfully or not); tasks are
+    /// not counted.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Requests currently queued and not yet picked up by a worker.
+    /// Requests and tasks currently queued and not yet picked up by a
+    /// worker.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
     /// Graceful shutdown: refuses new submissions, lets the workers drain
-    /// every queued request, and joins the pool.
+    /// every queued request and task, and joins the pool.
     pub fn shutdown(mut self) {
         self.queue.close();
         if let Some(pool) = self.pool.take() {
@@ -862,8 +916,12 @@ mod tests {
         )
     }
 
+    /// The outcome a reply was called with. Waits at most 10 s, so a job
+    /// that nobody serves fails the test instead of hanging it.
     fn called_once(rx: &std::sync::mpsc::Receiver<Outcome>) -> Outcome {
-        let outcome = rx.recv().expect("the reply was dropped uncalled");
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the reply was dropped uncalled or never called");
         assert!(rx.recv().is_err(), "the reply answered twice");
         outcome
     }
@@ -950,8 +1008,8 @@ mod tests {
         called_once(&queued).unwrap();
         service.shutdown();
 
-        // A job whose worker panics, and a job left queued when the
-        // service goes away, are each answered once with ServiceClosed.
+        // A job that panics is answered once with ServiceClosed, and its
+        // worker, the only one, lives on to serve the next job.
         let service = ReleaseService::start(
             test_engine(),
             ServiceConfig {
@@ -971,21 +1029,12 @@ mod tests {
             called_once(&panicked),
             Err(ServiceError::ServiceClosed)
         ));
-        // The only worker is gone, so this job stays queued until the
-        // service drops its queue.
-        let (reply, stranded) = recorder();
+        let (reply, next) = recorder();
         service
             .try_submit_with(request("rita", 0.1, 6), None, reply)
             .unwrap();
-        assert!(matches!(
-            stranded.try_recv(),
-            Err(std::sync::mpsc::TryRecvError::Empty)
-        ));
-        drop(service);
-        assert!(matches!(
-            called_once(&stranded),
-            Err(ServiceError::ServiceClosed)
-        ));
+        assert_eq!(called_once(&next).unwrap().values.len(), 1);
+        service.shutdown();
     }
 
     #[test]
@@ -1083,11 +1132,11 @@ mod tests {
         // The worker panics mid-release; the job's drop guard must wake the
         // waiter instead of leaving it blocked forever.
         assert!(matches!(ticket.wait(), Err(ServiceError::ServiceClosed)));
-        // The surviving worker keeps serving.
+        // Both workers keep serving.
         let release = service.release(request("p", 0.5, 2)).unwrap();
         assert_eq!(release.values.len(), 1);
-        // Drop (not shutdown): swallows the dead worker's panic.
-        drop(service);
+        // The panic stayed inside the job: joining the workers finds none.
+        service.shutdown();
     }
 
     #[test]
@@ -1127,13 +1176,13 @@ mod tests {
             },
         )
         .unwrap();
-        // The first worker panics mid-calibration and dies.
+        // The first release panics mid-calibration; its worker lives on.
         assert!(matches!(
             service.release(request("p", 0.5, 1)),
             Err(ServiceError::ServiceClosed)
         ));
-        // The surviving worker calibrates the same key again instead of
-        // waiting on the dead leader.
+        // The next release calibrates the same key again instead of
+        // waiting on the panicked leader.
         let (reply_tx, reply_rx) = mpsc::channel();
         service
             .try_submit_with(request("p", 0.5, 2), None, move |result, _trace| {
@@ -1149,6 +1198,122 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(service.engine().stats().misses, 1);
         drop(service);
+    }
+
+    fn one_worker(queue_capacity: usize) -> ReleaseService {
+        ReleaseService::start(
+            test_engine(),
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity,
+                per_user_epsilon: 10.0,
+            },
+        )
+        .unwrap()
+    }
+
+    /// Queues a task that holds the worker running it until the returned
+    /// sender is used or dropped; returns once a worker has taken it.
+    fn hold_the_worker(service: &ReleaseService) -> std::sync::mpsc::Sender<()> {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        service
+            .try_spawn(move || {
+                entered_tx.send(()).unwrap();
+                let _ = gate.recv();
+            })
+            .unwrap();
+        entered.recv().unwrap();
+        open
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_the_worker_serving_releases_and_tasks() {
+        let service = one_worker(4);
+        service.try_spawn(|| panic!("task bug")).unwrap();
+        let (reply, released) = recorder();
+        service
+            .try_submit_with(request("tom", 0.1, 1), None, reply)
+            .unwrap();
+        assert_eq!(called_once(&released).unwrap().values.len(), 1);
+        let (done, ran) = std::sync::mpsc::channel();
+        service.try_spawn(move || done.send(()).unwrap()).unwrap();
+        ran.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the second task never ran");
+        // Tasks are charged nothing and served() counts the release only.
+        assert_eq!(service.served(), 1);
+        assert_eq!(service.stats().served, 1);
+        assert!((service.budget().total_spent() - 0.1).abs() < 1e-12);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_task_refused_by_a_full_queue_never_runs() {
+        let service = one_worker(1);
+        let open = hold_the_worker(&service);
+        let (done, ran) = std::sync::mpsc::channel();
+        let queued = done.clone();
+        service
+            .try_spawn(move || queued.send("queued").unwrap())
+            .unwrap();
+        assert!(matches!(
+            service.try_spawn(move || done.send("refused").unwrap()),
+            Err(ServiceError::QueueFull { capacity: 1 })
+        ));
+        // The queue refuses a release behind the task as well.
+        assert!(matches!(
+            service.try_submit(request("una", 0.1, 1)),
+            Err(ServiceError::QueueFull { capacity: 1 })
+        ));
+        let stats = service.stats();
+        assert_eq!(stats.queue_depth, 1);
+        assert_eq!(stats.queue_refusals, 2);
+        assert_eq!(stats.queue_high_water, 1);
+        open.send(()).unwrap();
+        service.shutdown();
+        // Every sender is gone: the queued task ran once, the refused one
+        // was dropped without running.
+        assert_eq!(ran.iter().collect::<Vec<_>>(), vec!["queued"]);
+    }
+
+    #[test]
+    fn the_queue_depth_gauge_counts_queued_tasks() {
+        use pufferfish_telemetry::Registry;
+
+        let service = one_worker(4);
+        let telemetry = Arc::new(ServiceTelemetry::new(Arc::new(Registry::new())));
+        service.enable_telemetry(Arc::clone(&telemetry));
+        let open = hold_the_worker(&service);
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        service
+            .try_spawn(move || seen_tx.send(telemetry.queue_depth().get()).unwrap())
+            .unwrap();
+        service.try_spawn(|| {}).unwrap();
+        open.send(()).unwrap();
+        // Taking the first queued task left the second one behind it.
+        let depth = seen.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(depth.unwrap(), 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_task_queued_before_shutdown_runs_before_shutdown_returns() {
+        let service = one_worker(4);
+        let open = hold_the_worker(&service);
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..2 {
+            let ran = Arc::clone(&ran);
+            service
+                .try_spawn(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+                .unwrap();
+        }
+        let ticket = service.submit(request("vic", 0.1, 1)).unwrap();
+        open.send(()).unwrap();
+        service.shutdown();
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+        assert_eq!(ticket.wait().unwrap().values.len(), 1);
     }
 
     #[test]

@@ -60,19 +60,25 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Distinct calibrations currently held in the cache(s).
     pub cached_calibrations: usize,
-    /// Requests admitted but not yet picked up by a worker.
+    /// Items admitted but not yet picked up by a worker: release requests
+    /// and the tasks queued through
+    /// [`ReleaseService::try_spawn`](crate::ReleaseService::try_spawn)
+    /// alike (the network front-end's PROGRESSIVE requests are such tasks).
     pub queue_depth: usize,
     /// Capacity of the admission queue (0 when the front-end has none).
     pub queue_capacity: usize,
-    /// Submissions the admission queue refused at capacity — every one a
-    /// back-pressure event a caller saw (`QueueFull` in process, a `BUSY`
-    /// frame over the wire). The signal to watch when tuning
-    /// `queue_capacity` and worker count.
+    /// Submissions the admission queue refused at capacity, requests and
+    /// tasks alike — every one a back-pressure event a caller saw
+    /// (`QueueFull` in process, a `BUSY` frame over the wire). The signal
+    /// to watch when tuning `queue_capacity` and worker count.
     pub queue_refusals: u64,
-    /// The deepest the admission queue has ever been. A high-water mark at
-    /// `queue_capacity` means traffic has touched the refusal threshold.
+    /// The deepest the admission queue has ever been, counting requests and
+    /// tasks. A high-water mark at `queue_capacity` means traffic has
+    /// touched the refusal threshold.
     pub queue_high_water: usize,
-    /// Requests fulfilled so far (successfully or not).
+    /// Requests fulfilled so far (successfully or not): releases on the
+    /// release service, whose queued tasks are not counted, and queries on
+    /// the query front-end.
     pub served: u64,
     /// Users (or streams) with at least one recorded spend.
     pub users: usize,

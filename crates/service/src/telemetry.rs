@@ -20,8 +20,11 @@ use pufferfish_telemetry::{Counter, FlightRecorder, Gauge, Registry, StageHistog
 /// serves it, on the trace the job carries).
 ///
 /// Metric names: `service_admitted_total`, `service_refused_total` (budget
-/// *and* queue refusals — every submission a caller saw fail),
-/// `queue_depth`, and the six `stage_*_ns` histograms.
+/// *and* queue refusals — every release submission a caller saw fail),
+/// `queue_depth`, and the six `stage_*_ns` histograms. A task queued
+/// through [`ReleaseService::try_spawn`](crate::ReleaseService::try_spawn)
+/// is in no counter or stage here; only the `queue_depth` gauge, which
+/// reads the queue each time a worker takes an item, counts it.
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     registry: Arc<Registry>,

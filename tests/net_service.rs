@@ -13,7 +13,8 @@
 //!   positive and finite is a typed `MALFORMED` error that charges nothing.
 //! * **Overload is typed and survivable**: a tiny admission queue under a
 //!   deep pipeline produces `BUSY` frames, never hangs, and the server
-//!   serves normally afterwards.
+//!   serves normally afterwards. PROGRESSIVE shares that queue: refused, it
+//!   is `BUSY`, charges nothing and gives its pipeline slot back.
 //! * **Adversarial bytes are contained**: garbage on one connection gets a
 //!   typed error and a close, while the listener keeps serving others; the
 //!   connection cap refuses with a typed frame; shutdown drains in-flight
@@ -482,11 +483,19 @@ fn query_frames_execute_and_miss_typed() {
 
 #[test]
 fn progressive_streams_interleave_with_pipelined_traffic_and_charge_per_refinement() {
+    // PROGRESSIVE runs as a task on the release workers: with one worker,
+    // every stream shares it with the RELEASE traffic around it.
+    for workers in [2, 1] {
+        progressive_streams_interleave(workers);
+    }
+}
+
+fn progressive_streams_interleave(workers: usize) {
     let class = IntervalClassBuilder::symmetric(0.4)
         .grid_points(2)
         .build()
         .unwrap();
-    let service = service(64, 2, 100.0);
+    let service = service(64, workers, 100.0);
     let server = NetServer::bind_full(
         ("127.0.0.1", 0),
         Arc::clone(&service),
@@ -654,6 +663,74 @@ fn progressive_streams_interleave_with_pipelined_traffic_and_charge_per_refineme
         Err(ClientError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Malformed, got {other:?}"),
     }
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn progressive_on_a_full_queue_is_busy_charges_nothing_and_gives_its_slot_back() {
+    let class = IntervalClassBuilder::symmetric(0.4)
+        .grid_points(2)
+        .build()
+        .unwrap();
+    let service = service(1, 1, 100.0);
+    let server = NetServer::bind_full(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        None,
+        Some(ProgressiveEndpoint::new(class, StreamBackend::MqmApprox)),
+        // One slot: a slot the refused request kept would refuse the next.
+        NetServerConfig {
+            max_pipeline: 1,
+            ..NetServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+
+    // Fill the only worker, then the one queue slot, with tasks that wait.
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (left_tx, left) = std::sync::mpsc::channel();
+    let (open, gate) = std::sync::mpsc::channel::<()>();
+    let gate = Arc::new(Mutex::new(gate));
+    let waiting_task = || {
+        let (entered_tx, left_tx) = (entered_tx.clone(), left_tx.clone());
+        let gate = Arc::clone(&gate);
+        move || {
+            let _ = entered_tx.send(());
+            let _ = gate.lock().unwrap().recv();
+            let _ = left_tx.send(());
+        }
+    };
+    service.try_spawn(waiting_task()).unwrap();
+    entered.recv().unwrap();
+    service.try_spawn(waiting_task()).unwrap();
+    assert_eq!(service.pending(), 1);
+
+    let steps = [(8usize, 0.5f64, 4.0f64), (16, 0.5, 2.0)];
+    let stream_db: Vec<usize> = (0..16).map(|t| (t * 5 + 1) % 7 % 2).collect();
+    let mut client = NetClient::connect(server.local_addr(), "full").unwrap();
+    let seq = client
+        .send(Frame::progressive(1, 0.9, 42, &steps, &stream_db).unwrap())
+        .unwrap();
+    let answer = client.recv().unwrap();
+    assert_eq!(answer.seq, seq);
+    assert!(
+        matches!(answer.frame, Frame::Busy { .. }),
+        "{:?}",
+        answer.frame
+    );
+    assert_eq!(service.budget().spent("full#1"), 0.0);
+
+    // Let the tasks go; once both are past their gate the queue is empty,
+    // and the same connection then streams every step.
+    for _ in 0..2 {
+        open.send(()).unwrap();
+        left.recv().unwrap();
+    }
+    let refined = client.progressive(1, 0.9, 42, &steps, &stream_db).unwrap();
+    assert_eq!(refined.len(), steps.len());
+    assert!((service.budget().spent("full#1") - 1.0).abs() < 1e-12);
     client.goodbye().unwrap();
     server.shutdown();
 }
