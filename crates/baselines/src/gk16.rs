@@ -19,9 +19,16 @@
 //! inapplicable whenever local correlations are strong (the dashed line in
 //! Figure 4 and every real-data column of Tables 1 and 3), and its error
 //! grows as the spectral norm approaches 1.
+//!
+//! The norm depends on the class and the chain length, never on ε, and it
+//! costs a dense eigensolve per chain. [`Gk16::calibrate`] computes it for
+//! one ε; [`Gk16Calibrator`] computes it once and folds every ε from it.
 
+use std::sync::{Arc, OnceLock};
+
+use pufferfish_core::engine::{markov_class_token, Calibrator, TokenHasher};
 use pufferfish_core::snapshot::{MechanismState, ScaleForm, ValidationForm};
-use pufferfish_core::{Mechanism, PrivacyBudget, PufferfishError, Result};
+use pufferfish_core::{LipschitzQuery, Mechanism, PrivacyBudget, PufferfishError, Result};
 use pufferfish_linalg::Matrix;
 use pufferfish_markov::{time_reversal, MarkovChain, MarkovChainClass};
 
@@ -42,26 +49,18 @@ pub struct InfluenceMatrixSummary {
     pub spectral_norm: f64,
 }
 
-/// A calibrated GK16 mechanism.
-#[derive(Debug, Clone)]
-pub struct Gk16 {
-    state: MechanismState,
+/// The ε-free part of a GK16 calibration: the influence summaries of a
+/// `(class, length)` and their worst spectral norm, known to be below 1.
+#[derive(Debug)]
+struct Profile {
     worst_norm: f64,
     summaries: Vec<InfluenceMatrixSummary>,
 }
 
-impl Gk16 {
-    /// Calibrates GK16 for a class of Markov chains of the given length.
-    ///
-    /// # Errors
-    /// * [`PufferfishError::CannotCalibrate`] when the spectral norm of some
-    ///   influence matrix is `>= 1` (the mechanism does not apply — reported
-    ///   as "N/A" throughout the paper's tables) or the chains do not mix.
-    pub fn calibrate(
-        class: &MarkovChainClass,
-        length: usize,
-        budget: PrivacyBudget,
-    ) -> Result<Self> {
+impl Profile {
+    /// Computes every chain's influence summary — one dense eigensolve per
+    /// chain up to [`EXPLICIT_NORM_LIMIT`] — or refuses the class.
+    fn new(class: &MarkovChainClass, length: usize) -> Result<Self> {
         if length == 0 {
             return Err(PufferfishError::InvalidQuery(
                 "chain length must be positive".to_string(),
@@ -79,40 +78,138 @@ impl Gk16 {
                 "GK16 does not apply: influence-matrix spectral norm {worst_norm:.4} >= 1"
             )));
         }
-        Ok(Gk16 {
-            state: MechanismState {
-                family: "gk16",
-                epsilon: budget.epsilon(),
-                scale: ScaleForm::LipschitzRatio {
-                    numerator: 1.0 / (1.0 - worst_norm),
-                    denominator: budget.epsilon(),
-                },
-                validation: ValidationForm::QueryLength,
-            },
+        Ok(Profile {
             worst_norm,
             summaries,
         })
     }
+}
+
+/// A calibrated GK16 mechanism.
+#[derive(Debug, Clone)]
+pub struct Gk16 {
+    state: MechanismState,
+    profile: Arc<Profile>,
+}
+
+impl Gk16 {
+    /// Calibrates GK16 for a class of Markov chains of the given length.
+    ///
+    /// # Errors
+    /// * [`PufferfishError::CannotCalibrate`] when the spectral norm of some
+    ///   influence matrix is `>= 1` (the mechanism does not apply — reported
+    ///   as "N/A" throughout the paper's tables) or the chains do not mix.
+    pub fn calibrate(
+        class: &MarkovChainClass,
+        length: usize,
+        budget: PrivacyBudget,
+    ) -> Result<Self> {
+        Ok(Gk16::fold(Arc::new(Profile::new(class, length)?), budget))
+    }
+
+    /// The mechanism at `budget` over an ε-free profile: `Lap(Δ/ε)` inflated
+    /// by `1 / (1 − ‖I‖₂)`.
+    fn fold(profile: Arc<Profile>, budget: PrivacyBudget) -> Self {
+        Gk16 {
+            state: MechanismState {
+                family: "gk16",
+                epsilon: budget.epsilon(),
+                scale: ScaleForm::LipschitzRatio {
+                    numerator: 1.0 / (1.0 - profile.worst_norm),
+                    denominator: budget.epsilon(),
+                },
+                validation: ValidationForm::QueryLength,
+            },
+            profile,
+        }
+    }
 
     /// The worst spectral norm over the class.
     pub fn spectral_norm(&self) -> f64 {
-        self.worst_norm
+        self.profile.worst_norm
     }
 
     /// Per-distribution influence summaries.
     pub fn summaries(&self) -> &[InfluenceMatrixSummary] {
-        &self.summaries
+        &self.profile.summaries
     }
 
     /// The noise-inflation factor `1 / (1 − ‖I‖₂)`.
     pub fn inflation(&self) -> f64 {
-        1.0 / (1.0 - self.worst_norm)
+        1.0 / (1.0 - self.profile.worst_norm)
     }
 }
 
 impl Mechanism for Gk16 {
     fn state(&self) -> &MechanismState {
         &self.state
+    }
+}
+
+/// The release-engine [`Calibrator`] for GK16 over one `(class, length)`.
+///
+/// The influence-matrix norm does not depend on ε, so the calibrator
+/// computes it once, on the first calibration, and folds every ε from that
+/// profile — bitwise the mechanism [`Gk16::calibrate`] returns. A class GK16
+/// does not apply to is refused once, and that refusal is returned for every
+/// ε. Calibrations arriving while the profile is computed wait for it.
+///
+/// Calibration is class-scoped (the scale is rescaled by the query's
+/// Lipschitz constant at release time), under the family name `"gk16"` and
+/// the token `TokenHasher::new("gk16")` mixed with the class token and the
+/// length, so snapshots keyed by that token keep warm-starting its engine.
+pub struct Gk16Calibrator {
+    class: MarkovChainClass,
+    length: usize,
+    token: u64,
+    profile: OnceLock<Result<Arc<Profile>>>,
+}
+
+impl Gk16Calibrator {
+    /// A calibrator for chains of `length` drawn from `class`; nothing is
+    /// computed until the first calibration.
+    pub fn new(class: MarkovChainClass, length: usize) -> Self {
+        let token = TokenHasher::new("gk16")
+            .mix(&markov_class_token(&class))
+            .mix(&length)
+            .finish();
+        Gk16Calibrator {
+            class,
+            length,
+            token,
+            profile: OnceLock::new(),
+        }
+    }
+
+    /// The mechanism at `budget`, from the profile computed on first use.
+    fn gk16(&self, budget: PrivacyBudget) -> Result<Gk16> {
+        let profile = self
+            .profile
+            .get_or_init(|| Profile::new(&self.class, self.length).map(Arc::new))
+            .clone()?;
+        Ok(Gk16::fold(profile, budget))
+    }
+}
+
+impl Calibrator for Gk16Calibrator {
+    fn kind(&self) -> &'static str {
+        "gk16"
+    }
+
+    fn class_token(&self) -> u64 {
+        self.token
+    }
+
+    fn query_scoped(&self) -> bool {
+        false
+    }
+
+    fn calibrate(
+        &self,
+        _query: &dyn LipschitzQuery,
+        budget: PrivacyBudget,
+    ) -> Result<Arc<dyn Mechanism>> {
+        Ok(Arc::new(self.gk16(budget)?))
     }
 }
 
@@ -269,6 +366,83 @@ mod tests {
         // The limit value upper-bounds the explicit norm and they are close.
         assert!(long.spectral_norm() >= short.spectral_norm() - 1e-9);
         assert!((long.spectral_norm() - short.spectral_norm()).abs() < 0.02);
+    }
+
+    #[test]
+    fn calibrator_folds_every_epsilon_from_one_profile() {
+        let class = IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        let calibrator = Gk16Calibrator::new(class.clone(), 100);
+        assert_eq!(calibrator.kind(), "gk16");
+        assert!(!calibrator.query_scoped());
+        let token = TokenHasher::new("gk16")
+            .mix(&markov_class_token(&class))
+            .mix(&100usize)
+            .finish();
+        assert_eq!(calibrator.class_token(), token);
+
+        // Cold ε arriving together wait for one profile and share it.
+        let epsilons = [0.02, 0.05, 0.3, 1.0];
+        let folds: Vec<Gk16> = std::thread::scope(|scope| {
+            let calibrator = &calibrator;
+            let workers: Vec<_> = epsilons
+                .iter()
+                .map(|&epsilon| {
+                    scope.spawn(move || calibrator.gk16(PrivacyBudget::new(epsilon).unwrap()))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().unwrap().unwrap())
+                .collect()
+        });
+        let query = StateFrequencyQuery::new(1, 100);
+        for (fold, epsilon) in folds.iter().zip(epsilons) {
+            assert!(Arc::ptr_eq(&fold.profile, &folds[0].profile));
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct = Gk16::calibrate(&class, 100, budget).unwrap();
+            assert_eq!(fold.summaries(), direct.summaries());
+            assert_eq!(
+                fold.spectral_norm().to_bits(),
+                direct.spectral_norm().to_bits()
+            );
+            let engine_scale = calibrator
+                .calibrate(&query, budget)
+                .unwrap()
+                .noise_scale_for(&query);
+            assert_eq!(
+                engine_scale.to_bits(),
+                direct.noise_scale_for(&query).to_bits()
+            );
+        }
+        assert!(Arc::ptr_eq(
+            &calibrator.gk16(budget()).unwrap().profile,
+            &folds[0].profile
+        ));
+    }
+
+    #[test]
+    fn calibrator_refuses_every_epsilon_like_a_direct_calibration() {
+        let sticky = IntervalClassBuilder::symmetric(0.1)
+            .grid_points(5)
+            .build()
+            .unwrap();
+        let calibrator = Gk16Calibrator::new(sticky.clone(), 100);
+        let query = StateFrequencyQuery::new(1, 100);
+        for epsilon in [0.05, 1.0, 4.0] {
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct = Gk16::calibrate(&sticky, 100, budget).unwrap_err();
+            assert!(matches!(direct, PufferfishError::CannotCalibrate(_)));
+            let refused = calibrator.calibrate(&query, budget).err().unwrap();
+            assert_eq!(refused.to_string(), direct.to_string());
+        }
+        let empty = Gk16Calibrator::new(sticky, 0);
+        assert!(matches!(
+            empty.calibrate(&query, budget()),
+            Err(PufferfishError::InvalidQuery(_))
+        ));
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod gk16;
 mod group_dp;
 
 pub use entry_dp::EntryDp;
-pub use gk16::{Gk16, InfluenceMatrixSummary};
+pub use gk16::{Gk16, Gk16Calibrator, InfluenceMatrixSummary};
 pub use group_dp::GroupDp;
 
 pub use pufferfish_core::{

@@ -2,7 +2,11 @@
 //! lengths — the headline measurement for the parallel calibration engine.
 //!
 //! Three hot loops are compared under `Parallelism::Serial` and
-//! `Parallelism::Auto` (all cores):
+//! `Parallelism::Auto` (all cores). `Auto` runs each loop on the calling
+//! thread for its first ≈ 100 µs and shares only the rest with helper
+//! threads, so a row whose loop is shorter than that reads as serial, and
+//! in a longer one the item running when helpers start does not overlap
+//! with them:
 //!
 //! * MQMExact full-search calibration (per-node quilt search) across chain
 //!   lengths;

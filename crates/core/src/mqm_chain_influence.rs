@@ -451,6 +451,12 @@ fn marginal_log_ratio(
 }
 
 /// `max_z log P^a(z, x) / P^a(z, x')`.
+///
+/// Keeps the largest ratio and takes one `ln` at the end, as
+/// [`forward_log_ratio`] does: `ln` is monotone, so that is the largest of
+/// the per-state logs, at one `ln` per secret pair instead of one per state.
+/// Every kept ratio is positive (both terms exceed `ZERO_MASS`), so `0.0`
+/// marks "no state qualified".
 fn backward_log_ratio(
     powers: &TransitionPowers,
     a: usize,
@@ -459,7 +465,7 @@ fn backward_log_ratio(
 ) -> Result<f64> {
     let p = powers.power(a)?;
     let k = powers.num_states();
-    let mut best = f64::NEG_INFINITY;
+    let mut best: f64 = 0.0;
     for z in 0..k {
         let numerator = p[(z, x)];
         let denominator = p[(z, x_prime)];
@@ -469,21 +475,22 @@ fn backward_log_ratio(
         if denominator <= ZERO_MASS {
             return Ok(f64::INFINITY);
         }
-        best = best.max((numerator / denominator).ln());
+        best = best.max(numerator / denominator);
     }
-    if best == f64::NEG_INFINITY {
+    if best == 0.0 {
         // x unreachable from every state in `a` steps: the secret X_i = x is
         // impossible in the interior of the chain, so nothing to protect.
-        best = 0.0;
+        return Ok(0.0);
     }
-    Ok(best)
+    Ok(best.ln())
 }
 
-/// `max_v log P^b(x, v) / P^b(x', v)`.
+/// `max_v log P^b(x, v) / P^b(x', v)`, with one `ln` as in
+/// [`backward_log_ratio`].
 fn forward_log_ratio(powers: &TransitionPowers, b: usize, x: usize, x_prime: usize) -> Result<f64> {
     let p = powers.power(b)?;
     let k = powers.num_states();
-    let mut best = f64::NEG_INFINITY;
+    let mut best: f64 = 0.0;
     for v in 0..k {
         let numerator = p[(x, v)];
         let denominator = p[(x_prime, v)];
@@ -493,12 +500,12 @@ fn forward_log_ratio(powers: &TransitionPowers, b: usize, x: usize, x_prime: usi
         if denominator <= ZERO_MASS {
             return Ok(f64::INFINITY);
         }
-        best = best.max((numerator / denominator).ln());
+        best = best.max(numerator / denominator);
     }
-    if best == f64::NEG_INFINITY {
-        best = 0.0;
+    if best == 0.0 {
+        return Ok(0.0);
     }
-    Ok(best)
+    Ok(best.ln())
 }
 
 #[cfg(test)]

@@ -15,6 +15,12 @@
 //! calibration conformance tests assert. Parallelism only changes wall-clock
 //! time, never output.
 //!
+//! Starting threads is not free (tens of microseconds per scope), and many
+//! calibration loops finish in less. Under [`Parallelism::Auto`] a loop
+//! therefore starts on the calling thread and spawns helpers only once it
+//! has run longer than a thread start costs, so a small loop starts no
+//! threads at all. [`Parallelism::Threads`] always spawns its workers.
+//!
 //! The query executor runs its [`Morsel`]s — contiguous index ranges from
 //! [`morsels`] — through the same scheduler: [`try_par_map`] over the morsel
 //! list, so the next idle worker takes the next morsel.
@@ -36,13 +42,18 @@ pub use pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// How a calibration loop should be executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded reference execution.
     Serial,
-    /// Use every available core (the default).
+    /// Use every available core (the default), once the loop has run long
+    /// enough to pay for starting threads: items run on the calling thread
+    /// until [`par_run`]'s start-up threshold (≈ 100 µs) has passed, and only
+    /// the rest are shared with helper threads. A loop that finishes sooner
+    /// starts none.
     #[default]
     Auto,
     /// Use exactly this many worker threads (values are clamped to ≥ 1).
@@ -70,6 +81,13 @@ impl Parallelism {
     }
 }
 
+/// How long [`Parallelism::Auto`] runs a loop on the calling thread before
+/// it starts helpers: about what starting them costs. On a 2-vCPU host a
+/// `thread::scope` over a 4-item job took 46–74 µs with two spawned workers
+/// and 19–44 µs with the calling thread plus one helper (medians of two
+/// sessions), so a loop shorter than this finishes sooner alone.
+const SPAWN_COST: Duration = Duration::from_micros(100);
+
 /// Runs `f(0), f(1), …, f(n-1)` under the given policy and returns the
 /// results **in index order**.
 ///
@@ -79,6 +97,12 @@ impl Parallelism {
 /// and the results are stitched back into index order after the scope joins,
 /// which is what makes the output (and therefore any serial fold over it)
 /// independent of the schedule.
+///
+/// Under [`Parallelism::Auto`] the calling thread runs items in order until
+/// about 100 µs have passed, then works through the remaining indices
+/// alongside `threads − 1` spawned helpers; the item running when the
+/// threshold passes runs alone. [`Parallelism::Threads`] spawns its
+/// workers at once, and the calling thread only waits for them.
 ///
 /// # Panics
 /// Re-raises the first worker panic with its original payload.
@@ -92,44 +116,60 @@ where
         return (0..n).map(f).collect();
     }
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let next = AtomicUsize::new(0);
+    let calling_thread_works = policy == Parallelism::Auto;
+    let mut prefix = Vec::new();
+    if calling_thread_works {
+        let started = Instant::now();
+        while prefix.len() < n {
+            prefix.push(f(prefix.len()));
+            if started.elapsed() >= SPAWN_COST {
+                break;
+            }
+        }
+        if prefix.len() == n {
+            return prefix;
+        }
+    }
+
+    let start = prefix.len();
+    let mut rest: Vec<Option<R>> = Vec::with_capacity(n - start);
+    rest.resize_with(n - start, || None);
+    let next = AtomicUsize::new(start);
+    let drain = || {
+        let mut local = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            local.push((index, f(index)));
+        }
+        local
+    };
 
     thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        local.push((index, f(index)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(local) => {
-                    for (index, value) in local {
-                        results[index] = Some(value);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        let spawned = threads - usize::from(calling_thread_works);
+        let workers: Vec<_> = (0..spawned).map(|_| scope.spawn(drain)).collect();
+        let own = if calling_thread_works {
+            drain()
+        } else {
+            Vec::new()
+        };
+        let joined = workers.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        });
+        for (index, value) in std::iter::once(own).chain(joined).flatten() {
+            rest[index - start] = Some(value);
         }
     });
 
-    results
-        .into_iter()
-        .map(|slot| slot.expect("parallel worker filled every slot"))
-        .collect()
+    prefix.extend(
+        rest.into_iter()
+            .map(|slot| slot.expect("parallel worker filled every slot")),
+    );
+    prefix
 }
 
 /// Maps `f` over `items` under the given policy, preserving input order.
@@ -215,6 +255,45 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).effective_threads(100), 1);
         assert_eq!(Parallelism::Threads(4).effective_threads(2), 2);
         assert!(Parallelism::Auto.effective_threads(1_000) >= 1);
+    }
+
+    #[test]
+    fn auto_runs_a_small_loop_on_the_calling_thread() {
+        // Eight items of ≈ 1 µs end long before a thread start would pay
+        // off. A scheduler stall could push one run past the threshold, so
+        // one clean run in three attempts suffices.
+        let caller = thread::current().id();
+        let spin = |_| {
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_micros(1) {}
+            thread::current().id()
+        };
+        let stayed = (0..3).any(|_| {
+            par_run(Parallelism::Auto, 8, spin)
+                .iter()
+                .all(|&owner| owner == caller)
+        });
+        assert!(stayed, "a small Auto loop started threads");
+    }
+
+    #[test]
+    fn auto_spreads_a_long_loop_over_threads() {
+        if thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let owners = par_run(Parallelism::Auto, 8, |_| {
+            thread::sleep(Duration::from_millis(3));
+            thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = owners.into_iter().collect();
+        assert!(distinct.len() >= 2, "a long Auto loop ran on one thread");
+    }
+
+    #[test]
+    fn threads_policy_spawns_even_for_a_tiny_loop() {
+        let caller = thread::current().id();
+        let owners = par_run(Parallelism::Threads(2), 4, |_| thread::current().id());
+        assert!(owners.iter().all(|&owner| owner != caller));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pufferfish_baselines::{Gk16, GroupDp};
+use pufferfish_baselines::{Gk16Calibrator, GroupDp};
 use pufferfish_core::engine::{
     framework_token, markov_class_token, FnCalibrator, MqmApproxCalibrator, MqmExactCalibrator,
     TokenHasher, WassersteinCalibrator,
@@ -159,20 +159,9 @@ impl MechanismCatalog {
                 length,
                 self.options.mqm_approx,
             )),
+            // One influence-norm profile per engine, folded at every ε.
             MechanismKind::Gk16 => {
-                let class = self.class.clone();
-                let token = TokenHasher::new("gk16")
-                    .mix(&markov_class_token(&class))
-                    .mix(&length)
-                    .finish();
-                ReleaseEngine::new(FnCalibrator::class_scoped(
-                    "gk16",
-                    token,
-                    move |_q, budget| {
-                        Ok(Arc::new(Gk16::calibrate(&class, length, budget)?)
-                            as Arc<dyn Mechanism>)
-                    },
-                ))
+                ReleaseEngine::new(Gk16Calibrator::new(self.class.clone(), length))
             }
             MechanismKind::GroupDp => {
                 // The released database is one connected chain segment, so
@@ -325,6 +314,7 @@ impl std::fmt::Debug for MechanismCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pufferfish_baselines::Gk16;
     use pufferfish_core::queries::StateFrequencyQuery;
     use pufferfish_core::PrivacyBudget;
     use pufferfish_markov::IntervalClassBuilder;
@@ -443,6 +433,64 @@ mod tests {
         assert!(catalog
             .scale_index_for(MechanismKind::Wasserstein, 30)
             .is_none());
+    }
+
+    #[test]
+    fn gk16_engine_folds_every_epsilon_from_one_profile() {
+        // The benchmark's analyst class and scale grid, plus the statement's
+        // ε 0.05, which lies off the grid.
+        let class = IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        let grid = EpsilonGrid::log_spaced(0.02, 1.0, 8).unwrap();
+        let epsilons: Vec<f64> = grid.points().iter().copied().chain([0.05]).collect();
+        let options = CatalogOptions {
+            scale_grid: Some(grid),
+            ..CatalogOptions::default()
+        };
+        let catalog = MechanismCatalog::with_options(class.clone(), options);
+        let query = StateFrequencyQuery::new(1, 100);
+        catalog.warm_scale_index(100, &query).unwrap();
+        let engine = catalog.engine_for(MechanismKind::Gk16, 100).unwrap();
+        // The token the engine had when it recalibrated the norm at every
+        // ε, so snapshots written then still warm-start it.
+        let budget = PrivacyBudget::new(1.0).unwrap();
+        assert_eq!(
+            engine.key_for(&query, budget).class_token,
+            0x60f0_c94b_ae3c_d150
+        );
+        for &epsilon in &epsilons {
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct = Gk16::calibrate(&class, 100, budget).unwrap();
+            let scale = engine.noise_scale_estimate(&query, budget).unwrap();
+            assert_eq!(
+                scale.to_bits(),
+                direct.noise_scale_for(&query).to_bits(),
+                "ε {epsilon}"
+            );
+        }
+        assert_eq!(engine.stats().misses, epsilons.len() as u64);
+
+        // A sticky class GK16 does not apply to: every ε is refused with the
+        // text a direct calibration gives.
+        let sticky = IntervalClassBuilder::symmetric(0.1)
+            .grid_points(3)
+            .build()
+            .unwrap();
+        let engine = MechanismCatalog::new(sticky)
+            .engine_for(MechanismKind::Gk16, 100)
+            .unwrap();
+        for &epsilon in &epsilons {
+            let error = engine
+                .noise_scale_estimate(&query, PrivacyBudget::new(epsilon).unwrap())
+                .unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                "cannot calibrate mechanism: GK16 does not apply: \
+                 influence-matrix spectral norm 4.3923 >= 1"
+            );
+        }
     }
 
     #[test]

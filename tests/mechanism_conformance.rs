@@ -643,6 +643,21 @@ fn calibrated_sigma_bits_are_pinned() {
     ];
     assert_eq!(per_node, pinned, "general mechanism");
     assert_eq!(general.sigma_max().to_bits(), 0x4007_106e_4ef3_3339);
+
+    // GK16 on the benchmark's analyst class at T 100: the noise multiplier
+    // `1 / (1 − ‖I‖₂)` and the spectral norm, neither of which depends on ε.
+    let analyst = IntervalClassBuilder::symmetric(0.4)
+        .grid_points(2)
+        .build()
+        .unwrap();
+    for epsilon in [0.05, 1.0] {
+        let gk16 = Gk16::calibrate(&analyst, 100, PrivacyBudget::new(epsilon).unwrap()).unwrap();
+        assert_eq!(
+            (gk16.inflation().to_bits(), gk16.spectral_norm().to_bits()),
+            (0x4015_1cc6_c59c_8f64, 0x3fe9_efed_4b10_4615),
+            "GK16 at ε {epsilon}"
+        );
+    }
 }
 
 #[test]
