@@ -20,7 +20,10 @@
 //!   (Algorithm 4) that power the paper's experiments on activity and power
 //!   consumption data. All three choose each node's quilt with one scorer
 //!   (`best_quilt` in `mqm_chain_influence.rs`), which skips, exactly, the
-//!   quilts that can no longer beat the best score.
+//!   quilts that can no longer beat the best score. The chain candidates
+//!   come in runs of growing `card(X_N)`, so the first such quilt ends its
+//!   run, and a node's search walks a small multiple of the candidates it
+//!   evaluates instead of all O(T²) of them.
 //! * Sequential composition of the Markov Quilt Mechanism (Theorem 4.4) via
 //!   [`CompositionAccountant`].
 //! * Robustness against adversaries whose beliefs lie *outside* Θ

@@ -3,7 +3,10 @@
 //! over initial distributions — and the per-node quilt choice that
 //! Algorithms 2–4 share: [`best_quilt`] scores the candidates of every
 //! Markov Quilt Mechanism, and [`ChainQuiltShape::candidates`] enumerates
-//! them for the two chain mechanisms.
+//! them for the two chain mechanisms, in runs of growing `card(X_N)` that
+//! the scorer can end early.
+
+use std::ops::RangeInclusive;
 
 use pufferfish_markov::TransitionPowers;
 
@@ -72,38 +75,50 @@ impl ChainQuiltShape {
     }
 
     /// The `(card(X_N), shape)` candidates of the (1-based) node `i` in a
-    /// chain of length `t`, in the order both chain mechanisms score them:
-    /// the trivial quilt first, then two-sided quilts (`a` outer, `b`
-    /// inner), then left-only, then right-only quilts.
+    /// chain of length `t`, in the order both chain mechanisms score them,
+    /// grouped into runs along which `card(X_N)` never falls: the trivial
+    /// quilt, then one run of two-sided quilts per `a` (`a` outer, `b`
+    /// inner, card `a + b − 1`), then the left-only run (card `t − i + a`),
+    /// then the right-only run (card `i + b − 1`).
     ///
     /// Offsets run up to `max_offset` and stay inside the chain, so every
-    /// shape fits; non-trivial shapes with `card(X_N) > width_cap` are
-    /// dropped.
+    /// shape fits. A run ends before its first non-trivial shape with
+    /// `card(X_N) > width_cap`, since every later shape of the run is at
+    /// least as wide.
     pub(crate) fn candidates(
         i: usize,
         t: usize,
         max_offset: usize,
         width_cap: usize,
-    ) -> impl Iterator<Item = (usize, ChainQuiltShape)> {
+    ) -> impl Iterator<Item = impl Iterator<Item = (usize, ChainQuiltShape)>> {
         let (left, right) = ((i - 1).min(max_offset), (t - i).min(max_offset));
-        let quilts = (1..=left)
-            .flat_map(move |a| (1..=right).map(move |b| Self::TwoSided { a, b }))
-            .chain((1..=left).map(|a| Self::LeftOnly { a }))
-            .chain((1..=right).map(|b| Self::RightOnly { b }))
-            .map(move |shape| (shape.card_nearby(i, t), shape))
-            .filter(move |&(card, _)| card <= width_cap);
-        std::iter::once((t, Self::Trivial)).chain(quilts)
+        // The run of `quilt(fixed, offset)` over `offsets`.
+        let run =
+            move |quilt: fn(usize, usize) -> Self, fixed: usize, offsets: RangeInclusive<usize>| {
+                offsets
+                    .map(move |offset| quilt(fixed, offset))
+                    .map(move |shape| (shape.card_nearby(i, t), shape))
+                    .take_while(move |&(card, shape)| card <= width_cap || shape == Self::Trivial)
+            };
+        let two_sided = (1..=left).map(move |a| run(|a, b| Self::TwoSided { a, b }, a, 1..=right));
+        std::iter::once(run(|_, _| Self::Trivial, 0, 0..=0))
+            .chain(two_sided)
+            .chain([
+                run(|_, a| Self::LeftOnly { a }, 0, 1..=left),
+                run(|_, b| Self::RightOnly { b }, 0, 1..=right),
+            ])
     }
 }
 
-/// The per-node quilt choice of Algorithms 2–4: among `candidates`
-/// (`(card(X_N), quilt)` pairs), the first strict minimum of the score
-/// `card / (ε − e)` over the quilts whose max-influence `e = influence(quilt)`
-/// is below ε. Returns `(score, e, quilt)`, or `None` when no candidate has
-/// `e < ε`.
+/// The per-node quilt choice of Algorithms 2–4: among the candidates
+/// (`(card(X_N), quilt)` pairs, in `runs` along which the card never
+/// falls), the first strict minimum of the score `card / (ε − e)` over the
+/// quilts whose max-influence `e = influence(quilt)` is below ε. Returns
+/// `(score, e, quilt)`, or `None` when no candidate has `e < ε`.
 ///
 /// A candidate whose `card / ε` already reaches the best score is skipped
-/// without computing its influence. The skip is exact:
+/// without computing its influence, and so is the rest of its run. The skip
+/// is exact:
 /// * every influence function the mechanisms pass returns a value ≥ 0 or
 ///   `+∞` — [`chain_max_influence`], [`chain_max_influence_cached`] and
 ///   `pufferfish_bayesnet::max_influence` start their maximum at 0, and
@@ -111,31 +126,41 @@ impl ChainQuiltShape {
 ///   terms with `π − d > 0`, or `+∞`;
 /// * for `0 ≤ e < ε` the rounded `ε − e` lies in `(0, ε]`, and IEEE division
 ///   is monotone, so a skipped candidate's score is ≥ `card / ε` ≥ the best
-///   score, which the strict `<` rejects anyway (as it does any `e ≥ ε`).
+///   score, which the strict `<` rejects anyway (as it does any `e ≥ ε`);
+/// * within a run `card as f64` never falls, and IEEE division by ε is
+///   monotone, so each later candidate of the run has `card / ε` at least
+///   that of the candidate that stopped the run, hence at least the best
+///   score then; the best score only falls, so a scan that tested each of
+///   them would skip it too.
 ///
-/// The winner, its score and its influence are therefore bitwise those of
-/// the unpruned scan. A skipped candidate's influence is never computed, so
-/// an error it would raise does not surface.
+/// The same influences are therefore evaluated, in the same order, as by a
+/// scan that tests every candidate of the runs laid end to end, and the
+/// winner, its score and its influence are bitwise those of the unpruned
+/// scan. A skipped candidate's influence is never computed, so an error it
+/// would raise does not surface. A caller without an order of growing card
+/// passes each candidate as a run of one.
 ///
 /// # Errors
 /// The first error `influence` returns.
-pub(crate) fn best_quilt<Q>(
+pub(crate) fn best_quilt<Q, R: IntoIterator<Item = (usize, Q)>>(
     epsilon: f64,
-    candidates: impl IntoIterator<Item = (usize, Q)>,
+    runs: impl IntoIterator<Item = R>,
     mut influence: impl FnMut(&Q) -> Result<f64>,
 ) -> Result<Option<(f64, f64, Q)>> {
     let mut best: Option<(f64, f64, Q)> = None;
-    for (card, quilt) in candidates {
-        let card = card as f64;
-        let best_score = best.as_ref().map(|&(score, _, _)| score);
-        if best_score.is_some_and(|best_score| card / epsilon >= best_score) {
-            continue;
-        }
-        let e = influence(&quilt)?;
-        if e < epsilon {
-            let score = card / (epsilon - e);
-            if best_score.is_none_or(|best_score| score < best_score) {
-                best = Some((score, e, quilt));
+    for run in runs {
+        for (card, quilt) in run {
+            let card = card as f64;
+            let best_score = best.as_ref().map(|&(score, _, _)| score);
+            if best_score.is_some_and(|best_score| card / epsilon >= best_score) {
+                break;
+            }
+            let e = influence(&quilt)?;
+            if e < epsilon {
+                let score = card / (epsilon - e);
+                if best_score.is_none_or(|best_score| score < best_score) {
+                    best = Some((score, e, quilt));
+                }
             }
         }
     }
@@ -431,9 +456,10 @@ fn marginal_log_ratio(
                 // q(x')/q(x) is unbounded over all initial distributions.
                 return Ok(f64::INFINITY);
             }
+            // One `ln` of the largest ratio, as in `backward_log_ratio`.
             let p = powers.power(i - 1)?;
             let k = powers.num_states();
-            let mut best = f64::NEG_INFINITY;
+            let mut best: f64 = 0.0;
             for y in 0..k {
                 let numerator = p[(y, x_prime)];
                 let denominator = p[(y, x)];
@@ -443,9 +469,13 @@ fn marginal_log_ratio(
                 if denominator <= ZERO_MASS {
                     return Ok(f64::INFINITY);
                 }
-                best = best.max((numerator / denominator).ln());
+                best = best.max(numerator / denominator);
             }
-            Ok(best)
+            if best == 0.0 {
+                // No start state reaches x' in i − 1 steps.
+                return Ok(f64::NEG_INFINITY);
+            }
+            Ok(best.ln())
         }
     }
 }
@@ -511,8 +541,10 @@ fn forward_log_ratio(powers: &TransitionPowers, b: usize, x: usize, x_prime: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EpsilonGrid;
     use proptest::prelude::*;
-    use pufferfish_markov::MarkovChain;
+    use pufferfish_markov::{IntervalClassBuilder, MarkovChain};
+    use std::cell::Cell;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
@@ -801,7 +833,7 @@ mod tests {
                 net.set_cpd(node, transition.clone()).unwrap();
             }
             for i in 1..=t {
-                for (_, shape) in ChainQuiltShape::candidates(i, t, t, t) {
+                for (_, shape) in ChainQuiltShape::candidates(i, t, t, t).flatten() {
                     let (a, b) = shape.offsets();
                     let quilt: Vec<usize> = [(a > 0).then(|| i - 1 - a), (b > 0).then(|| i - 1 + b)]
                         .into_iter()
@@ -829,7 +861,7 @@ mod tests {
             use InitialDistributionMode::{AllInitials, FixedInitial};
             for mode in [FixedInitial, AllInitials] {
                 for i in 1..=t {
-                    for (_, shape) in ChainQuiltShape::candidates(i, t, t, t) {
+                    for (_, shape) in ChainQuiltShape::candidates(i, t, t, t).flatten() {
                         let direct = chain_max_influence(&powers, i, shape, mode).unwrap();
                         let cached =
                             chain_max_influence_cached(&powers, &tables, i, shape, mode).unwrap();
@@ -841,29 +873,17 @@ mod tests {
         }
 
         /// `best_quilt` agrees bitwise with an unpruned first-strict-minimum
-        /// scan, and evaluates no more influences than the scan does.
+        /// scan, and evaluates no more influences than the scan does, on
+        /// candidates in no order of card (each a run of one).
         #[test]
         fn best_quilt_matches_an_unpruned_scan(
             epsilon in 0.01f64..10.0,
             t in 1usize..12,
             draws in collection::vec((0usize..64, 0u8..7, 0.0f64..1.0), 1..40),
         ) {
-            // Cards in 1..=t; influences of 0, small, tied, just below ε,
-            // at ε, above ε and +inf.
             let candidates: Vec<(usize, f64)> = draws
                 .iter()
-                .map(|&(card, kind, x)| {
-                    let influence = match kind {
-                        0 => 0.0,
-                        1 => x * 1e-3 * epsilon,
-                        2 => (x * 4.0).floor() / 4.0 * epsilon,
-                        3 => f64::from_bits(epsilon.to_bits() - 1),
-                        4 => epsilon,
-                        5 => epsilon * (1.0 + x),
-                        _ => f64::INFINITY,
-                    };
-                    (1 + card % t, influence)
-                })
+                .map(|&(card, kind, x)| (1 + card % t, drawn_influence(epsilon, kind, x)))
                 .collect();
 
             let mut scan: Option<(f64, f64, usize)> = None;
@@ -877,18 +897,146 @@ mod tests {
             }
 
             let mut calls = 0;
-            let indexed = candidates.iter().enumerate().map(|(index, &(card, _))| (card, index));
+            let indexed = candidates
+                .iter()
+                .enumerate()
+                .map(|(index, &(card, _))| std::iter::once((card, index)));
             let pruned = best_quilt(epsilon, indexed, |&index| {
                 calls += 1;
                 Ok(candidates[index].1)
             })
             .unwrap();
-            let bits = |best: Option<(f64, f64, usize)>| {
-                best.map(|(score, e, index)| (score.to_bits(), e.to_bits(), index))
-            };
             prop_assert_eq!(bits(pruned), bits(scan));
             prop_assert!(calls <= candidates.len());
         }
+
+        /// Over the chain candidates, ending a run at its first rejected
+        /// candidate changes nothing: `best_quilt` returns bitwise the
+        /// unpruned first strict minimum over the flat candidate order, and
+        /// evaluates the influences of exactly the shapes, in the same
+        /// order, that the flat search does.
+        #[test]
+        fn run_aware_search_matches_the_flat_scan(
+            epsilon in 0.01f64..10.0,
+            t in 1usize..13,
+            node in 0usize..64,
+            max_offset in 1usize..13,
+            width_cap in 1usize..13,
+            draws in collection::vec((0u8..7, 0.0f64..1.0), 1..40),
+        ) {
+            let i = 1 + node % t;
+            let flat = expected_runs(i, t, max_offset, width_cap).concat();
+            let influence = |shape: ChainQuiltShape| {
+                let position = flat.iter().position(|&(_, s)| s == shape).expect("a listed shape");
+                let (kind, x) = draws[position % draws.len()];
+                drawn_influence(epsilon, kind, x)
+            };
+
+            let mut unpruned: Option<(f64, f64, ChainQuiltShape)> = None;
+            for &(card, shape) in &flat {
+                let e = influence(shape);
+                if e < epsilon {
+                    let score = card as f64 / (epsilon - e);
+                    if unpruned.is_none_or(|(best, _, _)| score < best) {
+                        unpruned = Some((score, e, shape));
+                    }
+                }
+            }
+            let (flat_best, flat_calls) = flat_search(epsilon, &flat, influence);
+
+            let mut calls = Vec::new();
+            let runs = ChainQuiltShape::candidates(i, t, max_offset, width_cap);
+            let best = best_quilt(epsilon, runs, |&shape| {
+                calls.push(shape);
+                Ok(influence(shape))
+            })
+            .unwrap();
+            prop_assert_eq!(bits(best), bits(unpruned));
+            prop_assert_eq!(bits(flat_best), bits(unpruned));
+            prop_assert_eq!(calls, flat_calls);
+        }
+    }
+
+    /// A search result with its score and influence as bits.
+    fn bits<Q>(best: Option<(f64, f64, Q)>) -> Option<(u64, u64, Q)> {
+        best.map(|(score, e, quilt)| (score.to_bits(), e.to_bits(), quilt))
+    }
+
+    /// An influence of one of seven kinds for a random draw: 0, small, tied,
+    /// just below ε, at ε, above ε and +∞.
+    fn drawn_influence(epsilon: f64, kind: u8, x: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => x * 1e-3 * epsilon,
+            2 => (x * 4.0).floor() / 4.0 * epsilon,
+            3 => f64::from_bits(epsilon.to_bits() - 1),
+            4 => epsilon,
+            5 => epsilon * (1.0 + x),
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// The runs `ChainQuiltShape::candidates` should yield, built
+    /// independently: the trivial quilt, one two-sided run per `a`, the
+    /// left-only and the right-only run, with the width cap applied as a
+    /// filter. Laid end to end they are the flat candidate order.
+    fn expected_runs(
+        i: usize,
+        t: usize,
+        max_offset: usize,
+        width_cap: usize,
+    ) -> Vec<Vec<(usize, ChainQuiltShape)>> {
+        let (left, right) = ((i - 1).min(max_offset), (t - i).min(max_offset));
+        let mut runs = vec![vec![(t, ChainQuiltShape::Trivial)]];
+        for a in 1..=left {
+            runs.push(
+                (1..=right)
+                    .map(|b| (a + b - 1, ChainQuiltShape::TwoSided { a, b }))
+                    .collect(),
+            );
+        }
+        runs.push(
+            (1..=left)
+                .map(|a| (t - i + a, ChainQuiltShape::LeftOnly { a }))
+                .collect(),
+        );
+        runs.push(
+            (1..=right)
+                .map(|b| (i + b - 1, ChainQuiltShape::RightOnly { b }))
+                .collect(),
+        );
+        for run in &mut runs {
+            run.retain(|&(card, shape)| shape == ChainQuiltShape::Trivial || card <= width_cap);
+        }
+        runs
+    }
+
+    /// The flat search: every candidate is tested in turn, and one whose
+    /// `card / ε` reaches the best score is skipped on its own. Returns the
+    /// winner and the shapes whose influence it evaluated, in order.
+    fn flat_search(
+        epsilon: f64,
+        flat: &[(usize, ChainQuiltShape)],
+        mut influence: impl FnMut(ChainQuiltShape) -> f64,
+    ) -> (Option<(f64, f64, ChainQuiltShape)>, Vec<ChainQuiltShape>) {
+        let mut best: Option<(f64, f64, ChainQuiltShape)> = None;
+        let mut calls = Vec::new();
+        for &(card, shape) in flat {
+            let card = card as f64;
+            let best_score = best.map(|(score, _, _)| score);
+            if best_score.is_some_and(|best_score| card / epsilon >= best_score) {
+                continue;
+            }
+            calls.push(shape);
+            let e = influence(shape);
+            if e < epsilon {
+                let score = card / (epsilon - e);
+                if best_score.is_none_or(|best_score| score < best_score) {
+                    best = Some((score, e, shape));
+                }
+            }
+        }
+        (best, calls)
     }
 
     #[test]
@@ -900,26 +1048,75 @@ mod tests {
             (50, 100, 12, 12),
             (5, 9, 3, 5),
         ] {
-            let mut expected = vec![(t, ChainQuiltShape::Trivial)];
-            let (left, right) = ((i - 1).min(max_offset), (t - i).min(max_offset));
-            for a in 1..=left {
-                for b in 1..=right {
-                    expected.push((a + b - 1, ChainQuiltShape::TwoSided { a, b }));
+            let runs: Vec<Vec<_>> = ChainQuiltShape::candidates(i, t, max_offset, width_cap)
+                .map(Iterator::collect)
+                .collect();
+            assert_eq!(
+                runs,
+                expected_runs(i, t, max_offset, width_cap),
+                "node {i} of {t}"
+            );
+            for run in runs {
+                assert!(run.windows(2).all(|pair| pair[0].0 <= pair[1].0), "{run:?}");
+                for (card, shape) in run {
+                    assert!(shape.fits(i, t), "{shape:?} at node {i} of {t}");
+                    assert_eq!(card, shape.card_nearby(i, t));
                 }
             }
-            expected.extend((1..=left).map(|a| (t - i + a, ChainQuiltShape::LeftOnly { a })));
-            expected.extend((1..=right).map(|b| (i + b - 1, ChainQuiltShape::RightOnly { b })));
-            expected
-                .retain(|&(card, shape)| shape == ChainQuiltShape::Trivial || card <= width_cap);
+        }
+    }
 
-            let candidates: Vec<_> =
-                ChainQuiltShape::candidates(i, t, max_offset, width_cap).collect();
-            assert_eq!(candidates, expected, "node {i} of {t}");
-            for (card, shape) in candidates {
-                assert!(shape.fits(i, t), "{shape:?} at node {i} of {t}");
-                assert_eq!(card, shape.card_nearby(i, t));
+    /// MQMExact's node sweep over the benchmark's analyst class (4 chains,
+    /// T 100) at the scale index's 8 grid ε: the run-aware search evaluates
+    /// the same influences as the flat search, and looks at a small share of
+    /// the candidates the flat search walks.
+    #[test]
+    fn run_aware_search_visits_far_fewer_candidates_on_the_analyst_class() {
+        let class = IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        assert!(class.allows_all_initial_distributions());
+        let mode = InitialDistributionMode::AllInitials;
+        let grid = EpsilonGrid::log_spaced(0.02, 1.0, 8).unwrap();
+        let t = 100;
+        let (mut flat_visits, mut flat_evaluations) = (0, 0);
+        let (visits, mut evaluations) = (Cell::new(0), 0);
+        let visit = &visits;
+        for chain in class.chains() {
+            let powers = TransitionPowers::new(chain, t - 1, t).unwrap();
+            let tables = ChainInfluenceTables::new(&powers, t - 1).unwrap();
+            for &epsilon in grid.points() {
+                for i in 1..=t {
+                    let mut pairs = None;
+                    let mut influence = |shape: ChainQuiltShape| {
+                        tables
+                            .influence(&powers, &mut pairs, i, shape, mode)
+                            .unwrap()
+                    };
+                    let flat = expected_runs(i, t, t - 1, t).concat();
+                    let (flat_best, calls) = flat_search(epsilon, &flat, &mut influence);
+                    flat_visits += flat.len();
+                    flat_evaluations += calls.len();
+
+                    let runs = ChainQuiltShape::candidates(i, t, t - 1, t)
+                        .map(move |run| run.inspect(move |_| visit.set(visit.get() + 1)));
+                    let best = best_quilt(epsilon, runs, |&shape| {
+                        evaluations += 1;
+                        Ok(influence(shape))
+                    })
+                    .unwrap();
+                    assert_eq!(bits(best), bits(flat_best), "node {i} at ε {epsilon}");
+                }
             }
         }
+        assert_eq!((flat_visits, flat_evaluations), (5_494_400, 129_104));
+        assert_eq!(evaluations, 129_104);
+        assert!(
+            visits.get() * 10 < flat_visits,
+            "{} of {flat_visits} candidates visited",
+            visits.get()
+        );
     }
 
     #[test]

@@ -112,7 +112,10 @@ impl MarkovQuiltMechanism {
                     "node {node} has no candidate quilts"
                 )));
             }
-            let candidates = candidates.into_iter().map(|q| (q.card_nearby(), q));
+            // The candidates come in no order of card, so each is a run of one.
+            let candidates = candidates
+                .into_iter()
+                .map(|q| std::iter::once((q.card_nearby(), q)));
             let best = best_quilt(epsilon, candidates, |quilt| {
                 Ok(max_influence(networks, node, quilt.quilt())?)
             })?;

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,6 +29,12 @@ struct QueueState<T> {
     /// Deepest the queue has ever been — how close admitted traffic has
     /// come to triggering back-pressure, for capacity tuning.
     high_water: usize,
+    /// Consumers parked in [`BoundedQueue::pop`] and producers parked in a
+    /// full [`BoundedQueue::push`]. A push or pop notifies only when the
+    /// other side has a thread parked, since `notify_one` makes a syscall
+    /// even when no thread waits.
+    parked_consumers: usize,
+    parked_producers: usize,
 }
 
 /// A fixed-capacity multi-producer multi-consumer queue.
@@ -71,6 +77,8 @@ impl<T> BoundedQueue<T> {
                 closed: false,
                 refusals: 0,
                 high_water: 0,
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -130,11 +138,7 @@ impl<T> BoundedQueue<T> {
             state.refusals += 1;
             return Err(PushError::Full(item));
         }
-        state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
-        self.depth.store(state.items.len(), Ordering::Relaxed);
-        drop(state);
-        self.not_empty.notify_one();
+        self.admit(state, item);
         Ok(())
     }
 
@@ -149,14 +153,25 @@ impl<T> BoundedQueue<T> {
                 return Err(item);
             }
             if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                state.high_water = state.high_water.max(state.items.len());
-                self.depth.store(state.items.len(), Ordering::Relaxed);
-                drop(state);
-                self.not_empty.notify_one();
+                self.admit(state, item);
                 return Ok(());
             }
+            state.parked_producers += 1;
             state = self.not_full.wait(state).expect("queue poisoned");
+            state.parked_producers -= 1;
+        }
+    }
+
+    /// Appends `item` (the caller has checked there is room) and wakes a
+    /// parked consumer, if there is one.
+    fn admit(&self, mut state: MutexGuard<'_, QueueState<T>>, item: T) {
+        state.items.push_back(item);
+        state.high_water = state.high_water.max(state.items.len());
+        self.depth.store(state.items.len(), Ordering::Relaxed);
+        let wake = state.parked_consumers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
         }
     }
 
@@ -167,14 +182,19 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = state.items.pop_front() {
                 self.depth.store(state.items.len(), Ordering::Relaxed);
+                let wake = state.parked_producers > 0;
                 drop(state);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
+            state.parked_consumers += 1;
             state = self.not_empty.wait(state).expect("queue poisoned");
+            state.parked_consumers -= 1;
         }
     }
 
@@ -189,6 +209,13 @@ impl<T> BoundedQueue<T> {
     /// `true` once [`BoundedQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
         self.state.lock().expect("queue poisoned").closed
+    }
+
+    /// `(consumers, producers)` parked in `pop` and in a full `push`.
+    #[cfg(test)]
+    fn parked(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("queue poisoned");
+        (state.parked_consumers, state.parked_producers)
     }
 }
 
@@ -278,6 +305,16 @@ mod tests {
         assert_eq!(queue.pop(), None);
     }
 
+    /// Spins until `queue` has exactly `consumers` threads parked in `pop`
+    /// and `producers` in a full `push`. A thread is counted under the lock
+    /// it releases only inside `Condvar::wait`, so once the count reads it,
+    /// the thread waits for a notification.
+    fn wait_until_parked<T>(queue: &BoundedQueue<T>, consumers: usize, producers: usize) {
+        while queue.parked() != (consumers, producers) {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn blocking_push_waits_for_space() {
         let queue = Arc::new(BoundedQueue::new(1));
@@ -287,6 +324,7 @@ mod tests {
             std::thread::spawn(move || queue.push(1))
         };
         // The producer is blocked on the full queue; popping unblocks it.
+        wait_until_parked(&queue, 0, 1);
         assert_eq!(queue.pop(), Some(0));
         producer.join().unwrap().unwrap();
         assert_eq!(queue.pop(), Some(1));
@@ -299,9 +337,42 @@ mod tests {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || queue.pop())
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_until_parked(&queue, 1, 0);
         queue.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn push_wakes_on_close() {
+        let queue = Arc::new(BoundedQueue::new(1));
+        queue.try_push(0).unwrap();
+        let producer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.push(1))
+        };
+        wait_until_parked(&queue, 0, 1);
+        queue.close();
+        assert_eq!(producer.join().unwrap(), Err(1));
+        assert_eq!(queue.pop(), Some(0));
+    }
+
+    #[test]
+    fn a_parked_consumer_is_woken_by_either_push() {
+        let queue: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        for (item, blocking) in [(1, false), (2, true)] {
+            let consumer = {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || queue.pop())
+            };
+            wait_until_parked(&queue, 1, 0);
+            if blocking {
+                queue.push(item).unwrap();
+            } else {
+                queue.try_push(item).unwrap();
+            }
+            assert_eq!(consumer.join().unwrap(), Some(item));
+            assert_eq!(queue.parked(), (0, 0));
+        }
     }
 
     #[test]
