@@ -269,3 +269,64 @@ fn a_ledger_written_to_disk_replays_identically() {
         again.iter().map(key).collect::<Vec<_>>()
     );
 }
+
+/// Byte-wise 64-bit FNV-1a, written out here so the pin below does not lean
+/// on the code under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The ledger's bytes, pinned: one record of every event kind for a short,
+/// a long and a non-ASCII user, each record's length and FNV-1a, then the
+/// whole file's. Ledgers written today must replay under every later
+/// build, so a change that moves these bytes needs a new `LEDGER_VERSION`.
+#[test]
+fn golden_ledger_records_encode_to_pinned_bytes() {
+    const PINNED: [(usize, u64); 12] = [
+        (66, 0x9c53_d080_84d0_f184),
+        (102, 0xa9da_744a_6ab5_19e3),
+        (75, 0xb6c9_745e_fdc5_4e50),
+        (66, 0x6d43_29f6_c471_b9eb),
+        (102, 0x4a9e_b2e6_e8fb_dda3),
+        (75, 0xe37a_a7b2_0a25_9ef7),
+        (66, 0x5e43_370c_d931_b1e9),
+        (102, 0xc1e5_163f_4611_2a1f),
+        (75, 0xf609_77fa_7239_0903),
+        (66, 0x2e45_7ba0_92c7_3ef7),
+        (102, 0xb0c4_34ba_76ff_2845),
+        (75, 0x7673_f828_8698_e4ee),
+    ];
+    const FILE: (usize, u64) = (984, 0x6b96_387b_fc9d_5ce1);
+    let kinds = [
+        LedgerEventKind::Charge,
+        LedgerEventKind::Refund,
+        LedgerEventKind::Refusal,
+        LedgerEventKind::Recalibration,
+    ];
+    let users = [USERS[0], USERS[2], USERS[3]];
+    let ledger = EpsilonLedger::new();
+    let mut records = Vec::new();
+    let mut start = ledger.to_bytes().len();
+    let events = kinds
+        .iter()
+        .flat_map(|&kind| users.iter().map(move |&user| (kind, user)));
+    for (i, (kind, user)) in events.enumerate() {
+        let sig = query_signature(QUERIES[i % QUERIES.len()]);
+        let family = FAMILIES[i % FAMILIES.len()];
+        let epsilon = EPSILONS[i % EPSILONS.len()];
+        ledger.record(kind, user, sig, family, epsilon, 1000 + i as u64);
+        let bytes = ledger.to_bytes();
+        records.push((bytes.len() - start, fnv1a(&bytes[start..])));
+        start = bytes.len();
+    }
+    let bytes = ledger.to_bytes();
+    assert_eq!(records, PINNED);
+    assert_eq!((bytes.len(), fnv1a(&bytes)), FILE);
+    // The pinned bytes replay to the events that wrote them.
+    let events = EpsilonLedger::replay(&bytes).unwrap();
+    assert_eq!(events.len(), PINNED.len());
+    assert_eq!(events[11].user, users[2]);
+    assert_eq!(events[11].kind, LedgerEventKind::Recalibration);
+}

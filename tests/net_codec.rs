@@ -557,3 +557,289 @@ fn bad_utf8_and_bad_error_codes_are_malformed() {
         Err(FrameError::Malformed(_))
     ));
 }
+
+// ---------------------------------------------------------------------------
+// Pinned bytes.
+// ---------------------------------------------------------------------------
+
+/// Byte-wise 64-bit FNV-1a, written out here so the pins below do not lean
+/// on the code under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// One envelope of every frame kind with fixed field values: a RELEASE per
+/// query tag, every metric kind, and non-ASCII text.
+fn golden_envelopes() -> Vec<(&'static str, Envelope)> {
+    let release = |seq: u64, query: WireQuery| Envelope {
+        seq,
+        frame: Frame::Release {
+            user: 0x2a,
+            query,
+            epsilon: 0.25,
+            seed: 777,
+            database: vec![0, 1, 1, 0, 2, 65_535],
+        },
+    };
+    let frames = vec![
+        (
+            "hello",
+            Frame::Hello {
+                tenant: "zoë-α".to_string(),
+            },
+        ),
+        (
+            "query",
+            Frame::Query {
+                user: 3,
+                table: "sensor".to_string(),
+                statement: "HISTOGRAM WINDOW 30 EPSILON 0.2".to_string(),
+                seed: 5,
+            },
+        ),
+        (
+            "progressive",
+            Frame::Progressive {
+                user: 9,
+                confidence: 0.95,
+                seed: 77,
+                steps: vec![
+                    WireRefinementStep {
+                        prefix: 8,
+                        epsilon: 0.25,
+                        error_bound: 4.0,
+                    },
+                    WireRefinementStep {
+                        prefix: 16,
+                        epsilon: 0.1,
+                        error_bound: 2.5,
+                    },
+                ],
+                database: vec![0, 1, 1, 0, 1, 0, 0, 1],
+            },
+        ),
+        ("stats", Frame::Stats),
+        ("goodbye", Frame::Goodbye),
+        ("metrics", Frame::Metrics),
+        (
+            "hello_ok",
+            Frame::HelloOk {
+                max_pipeline: 128,
+                max_frame_len: DEFAULT_MAX_FRAME_LEN,
+            },
+        ),
+        (
+            "release_ok",
+            Frame::ReleaseOk {
+                scale: 1.25,
+                values: vec![0.5, -0.25, 3.75],
+            },
+        ),
+        (
+            "query_ok",
+            Frame::QueryOk(WireQueryResult {
+                mechanism: "mqm-approx".to_string(),
+                noise_scale: 0.75,
+                total_epsilon: 0.6,
+                cells: vec![
+                    WireCell {
+                        key: "cell-a".to_string(),
+                        windows: vec![
+                            WireWindow {
+                                end: 30,
+                                values: vec![1.0, 2.0],
+                            },
+                            WireWindow {
+                                end: 60,
+                                values: vec![],
+                            },
+                        ],
+                    },
+                    WireCell {
+                        key: String::new(),
+                        windows: vec![],
+                    },
+                ],
+            }),
+        ),
+        (
+            "refine_ok",
+            Frame::RefineOk {
+                step: 1,
+                total_steps: 2,
+                prefix: 8,
+                scale: 2.5,
+                epsilon: 0.25,
+                certified_error: 3.75,
+                spent_epsilon: 0.25,
+                values: vec![4.0, 4.5],
+            },
+        ),
+        (
+            "stats_ok",
+            Frame::StatsOk(WireStats {
+                hits: 1,
+                misses: 2,
+                coalesced: 3,
+                cached_calibrations: 4,
+                queue_depth: 5,
+                queue_capacity: 6,
+                queue_refusals: 7,
+                queue_high_water: 8,
+                served: 9,
+                users: 10,
+                spent_epsilon: 1.5,
+                monitor_noise_tests: 11,
+                monitor_noise_failures: 12,
+                drift_windows: 13,
+                drift_score: 0.75,
+                drifted: true,
+                recalibrations: 14,
+            }),
+        ),
+        (
+            "metrics_ok",
+            Frame::MetricsOk(vec![
+                WireMetric {
+                    name: "service_admitted_total".to_string(),
+                    value: WireMetricValue::Counter(17),
+                },
+                WireMetric {
+                    name: "queue_depth".to_string(),
+                    value: WireMetricValue::Gauge(3),
+                },
+                WireMetric {
+                    name: "stage_engine_ns".to_string(),
+                    value: WireMetricValue::Histogram {
+                        count: 1000,
+                        max: 90_000,
+                        mean: 1234.5,
+                        p50: 1100,
+                        p99: 44_000,
+                        p999: 88_000,
+                    },
+                },
+            ]),
+        ),
+        ("busy", Frame::Busy { retry_hint_ms: 2 }),
+        (
+            "budget_exhausted",
+            Frame::BudgetExhausted {
+                requested: 0.5,
+                remaining: 0.25,
+            },
+        ),
+        (
+            "error",
+            Frame::Error {
+                code: ErrorCode::TableNotFound,
+                message: "no table 'sensor'".to_string(),
+            },
+        ),
+    ];
+    let mut golden = vec![
+        (
+            "release_state_frequency",
+            release(
+                100,
+                WireQuery::StateFrequency {
+                    state: 1,
+                    length: 6,
+                },
+            ),
+        ),
+        (
+            "release_state_count",
+            release(
+                101,
+                WireQuery::StateCount {
+                    state: 2,
+                    length: 6,
+                },
+            ),
+        ),
+        (
+            "release_histogram",
+            release(
+                102,
+                WireQuery::Histogram {
+                    num_states: 3,
+                    length: 6,
+                },
+            ),
+        ),
+        (
+            "release_range_count",
+            release(
+                103,
+                WireQuery::RangeCount {
+                    lo: 1,
+                    hi: 2,
+                    num_states: 3,
+                    length: 6,
+                },
+            ),
+        ),
+        (
+            "release_mean_state",
+            release(
+                104,
+                WireQuery::MeanState {
+                    num_states: 3,
+                    length: 6,
+                },
+            ),
+        ),
+    ];
+    golden.extend(
+        frames
+            .into_iter()
+            .zip(1u64..)
+            .map(|((name, frame), seq)| (name, Envelope { seq, frame })),
+    );
+    golden
+}
+
+/// The wire bytes of the golden set, pinned: each encoding's length and
+/// FNV-1a. A change to the encoder that moves any of them is a protocol
+/// change and needs a new `VERSION`; the decoder must still read them back.
+#[test]
+fn golden_frames_encode_to_pinned_bytes() {
+    const PINNED: [(&str, usize, u64); 20] = [
+        ("release_state_frequency", 67, 0xb661_d05c_7809_6c1c),
+        ("release_state_count", 67, 0x5d2d_699c_cc2f_de93),
+        ("release_histogram", 67, 0xb1df_1e5a_c5a3_9f82),
+        ("release_range_count", 75, 0xc22f_92ea_b94c_8b1d),
+        ("release_mean_state", 67, 0xacbe_8610_a4af_6a7a),
+        ("hello", 29, 0x158a_8897_1c0b_65a0),
+        ("query", 79, 0x7142_66d1_19ad_0767),
+        ("progressive", 106, 0xa605_a0b6_21f1_b682),
+        ("stats", 18, 0xedc9_8906_2e24_8019),
+        ("goodbye", 18, 0x7130_32f9_fbf3_252f),
+        ("metrics", 18, 0x88ff_5038_ef0f_ffb1),
+        ("hello_ok", 26, 0x044c_dfc5_c64e_8df1),
+        ("release_ok", 54, 0x7af1_0324_9851_1b67),
+        ("query_ok", 106, 0xb4e5_1887_0c69_4ab7),
+        ("refine_ok", 82, 0x098b_99b7_6e56_48c9),
+        ("stats_ok", 148, 0x4d38_5745_2aa5_39b6),
+        ("metrics_ok", 149, 0x5e03_02eb_bcda_8f6e),
+        ("busy", 22, 0x1f9b_d130_b497_9af9),
+        ("budget_exhausted", 34, 0x003d_2853_8a11_42f9),
+        ("error", 41, 0xad68_46d2_cc59_831e),
+    ];
+    let actual: Vec<(&str, usize, u64)> = golden_envelopes()
+        .into_iter()
+        .map(|(name, envelope)| {
+            let bytes = encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap();
+            assert_eq!(
+                decode(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap(),
+                (envelope, bytes.len()),
+                "{name} must decode back"
+            );
+            (name, bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    assert_eq!(actual, PINNED);
+}
