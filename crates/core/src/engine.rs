@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, TryLockError};
 
 use rand::RngCore;
 
+use pufferfish_telemetry::codec::Fnv1a;
 use pufferfish_telemetry::{Counter, HistogramHandle, Registry};
 
 use pufferfish_markov::MarkovChainClass;
@@ -142,92 +143,21 @@ pub trait Calibrator: Send + Sync {
     ) -> Result<Arc<dyn Mechanism>>;
 }
 
-/// A fixed-algorithm FNV-1a [`Hasher`]: integer writes are folded
-/// little-endian, so the digest depends only on the fed values — not on the
-/// toolchain (std's `DefaultHasher` algorithm is explicitly unstable across
-/// Rust releases) or the host architecture. Class tokens are persisted
-/// inside [`CalibrationSnapshot`](crate::CalibrationSnapshot)s, which makes
-/// this stability a format requirement, not a nicety.
-struct StableHasher {
-    state: u64,
-}
-
-impl StableHasher {
-    fn new() -> Self {
-        StableHasher {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-}
-
-impl Hasher for StableHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    // Pin every integer write to little-endian: the Hasher defaults use
-    // native byte order, which would make tokens differ across
-    // architectures.
-    fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-    fn write_u16(&mut self, v: u16) {
-        self.write(&v.to_le_bytes());
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-    fn write_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn write_i8(&mut self, v: i8) {
-        self.write_u8(v as u8);
-    }
-    fn write_i16(&mut self, v: i16) {
-        self.write_u16(v as u16);
-    }
-    fn write_i32(&mut self, v: i32) {
-        self.write_u32(v as u32);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-    fn write_i128(&mut self, v: i128) {
-        self.write_u128(v as u128);
-    }
-    fn write_isize(&mut self, v: isize) {
-        self.write_u64(v as u64);
-    }
-}
-
 /// Helper: stable 64-bit token from a stream of hashable pieces.
 ///
-/// Backed by a fixed FNV-1a fold with little-endian integer writes, so a
-/// token depends only on the mixed values: tokens are stable across
-/// processes, architectures and toolchains — which matters because class
-/// tokens are persisted inside calibration snapshots and verified on
-/// import.
+/// Backed by the codec's [`Fnv1a`] hasher, whose integer writes are
+/// little-endian, so a token depends only on the mixed values: tokens are
+/// stable across processes, architectures and toolchains — which matters
+/// because class tokens are persisted inside calibration snapshots and
+/// verified on import.
 pub struct TokenHasher {
-    hasher: StableHasher,
+    hasher: Fnv1a,
 }
 
 impl TokenHasher {
     /// Starts a token for the given mechanism family.
     pub fn new(kind: &str) -> Self {
-        let mut hasher = StableHasher::new();
+        let mut hasher = Fnv1a::default();
         kind.hash(&mut hasher);
         TokenHasher { hasher }
     }

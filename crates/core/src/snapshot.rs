@@ -13,11 +13,12 @@
 //! releases that are **bitwise-identical** to a freshly calibrated engine —
 //! without performing a single calibration.
 //!
-//! The on-disk format is a self-describing binary codec (magic, version,
-//! length, body, FNV-1a checksum) with no external dependencies. Decoding is
-//! paranoid: a truncated file, a corrupted byte or a version from a
-//! different format generation each surface as a typed [`SnapshotError`],
-//! never a panic or a silently empty cache.
+//! The on-disk format is self-describing (magic, version, u64 body length,
+//! body, FNV-1a checksum), its fields written and read through the shared
+//! byte codec (`pufferfish_telemetry::codec`). Decoding is paranoid: a
+//! truncated file, a corrupted byte or a version from a different format
+//! generation each surface as a typed [`SnapshotError`], never a panic or a
+//! silently empty cache.
 //!
 //! # Example
 //!
@@ -52,7 +53,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::engine::CalibrationKey;
+use pufferfish_telemetry::codec::{fnv1a, put_f64, put_u32, put_u64, CodecError, Cursor};
+
+use crate::engine::{CalibrationKey, QuerySignature};
 use crate::mechanism::Mechanism;
 use crate::queries::LipschitzQuery;
 use crate::{PufferfishError, Result};
@@ -154,6 +157,12 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::Io(detail) => write!(f, "snapshot i/o error: {detail}"),
         }
+    }
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(error: CodecError) -> Self {
+        SnapshotError::Malformed(error.to_string())
     }
 }
 
@@ -410,11 +419,11 @@ impl CalibrationSnapshot {
     /// Serialises to the self-describing binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64 + self.entries.len() * 96);
-        write_string(&mut body, &self.engine_kind);
-        write_u64(&mut body, self.class_token);
-        write_u32(&mut body, self.shard_count);
-        write_u64(&mut body, self.created_unix_secs);
-        write_u64(&mut body, self.entries.len() as u64);
+        write_text(&mut body, &self.engine_kind);
+        put_u64(&mut body, self.class_token);
+        put_u32(&mut body, self.shard_count);
+        put_u64(&mut body, self.created_unix_secs);
+        put_u64(&mut body, self.entries.len() as u64);
         for entry in &self.entries {
             write_key(&mut body, &entry.key);
             write_state(&mut body, &entry.state);
@@ -422,11 +431,10 @@ impl CalibrationSnapshot {
 
         let mut bytes = Vec::with_capacity(HEADER_LEN + body.len() + 8);
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        let checksum = fnv1a(&body);
+        put_u32(&mut bytes, SNAPSHOT_VERSION);
+        put_u64(&mut bytes, body.len() as u64);
         bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        put_u64(&mut bytes, fnv1a(&body));
         bytes
     }
 
@@ -444,27 +452,25 @@ impl CalibrationSnapshot {
     }
 
     fn decode(bytes: &[u8]) -> std::result::Result<Self, SnapshotError> {
+        let truncated = |needed| SnapshotError::Truncated {
+            needed,
+            available: bytes.len(),
+        };
         if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated {
-                needed: HEADER_LEN,
-                available: bytes.len(),
-            });
+            return Err(truncated(HEADER_LEN));
         }
         if bytes[..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
+        let mut r = Cursor::new(&bytes[8..]);
+        let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let body_len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8-byte slice"));
-        let body_len = usize::try_from(body_len).map_err(|_| SnapshotError::Truncated {
-            needed: usize::MAX,
-            available: bytes.len(),
-        })?;
+        let body_len = usize::try_from(r.u64()?).map_err(|_| truncated(usize::MAX))?;
         let total = HEADER_LEN
             .checked_add(body_len)
             .and_then(|n| n.checked_add(8))
@@ -472,10 +478,7 @@ impl CalibrationSnapshot {
                 "declared body length overflows".to_string(),
             ))?;
         if bytes.len() < total {
-            return Err(SnapshotError::Truncated {
-                needed: total,
-                available: bytes.len(),
-            });
+            return Err(truncated(total));
         }
         if bytes.len() > total {
             return Err(SnapshotError::Malformed(format!(
@@ -483,46 +486,38 @@ impl CalibrationSnapshot {
                 bytes.len() - total
             )));
         }
-        let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-        let stored =
-            u64::from_le_bytes(bytes[HEADER_LEN + body_len..].try_into().expect("8 bytes"));
+        let body = r.bytes(body_len)?;
+        let stored = r.u64()?;
         let computed = fnv1a(body);
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
 
-        let mut reader = Reader { body, at: 0 };
-        let engine_kind = reader.string()?;
-        let class_token = reader.u64()?;
-        let shard_count = reader.u32()?;
-        let created_unix_secs = reader.u64()?;
-        let count = reader.u64()?;
-        let count = usize::try_from(count)
-            .map_err(|_| SnapshotError::Malformed("entry count overflows".to_string()))?;
-        // An upper bound implied by the body size (every entry costs > 16
-        // bytes) guards against allocating for an absurd declared count.
-        if count > body.len() / 16 {
-            return Err(SnapshotError::Malformed(format!(
-                "declared {count} entries cannot fit in a {}-byte body",
-                body.len()
-            )));
-        }
+        let mut r = Cursor::new(body);
+        let engine_kind = read_text(&mut r)?;
+        let class_token = r.u64()?;
+        let shard_count = r.u32()?;
+        let created_unix_secs = r.u64()?;
+        // Every entry takes more than 16 bytes, so a count the body cannot
+        // hold is refused before anything is allocated for it.
+        let declared = r.u64()?;
+        let count = r.count(declared, 16)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let key = reader.key()?;
+            let key = read_key(&mut r)?;
             if key.class_token != class_token {
                 return Err(SnapshotError::Malformed(format!(
                     "entry class token {:#x} differs from the snapshot's {class_token:#x}",
                     key.class_token
                 )));
             }
-            let state = reader.state()?;
+            let state = read_state(&mut r)?;
             entries.push(SnapshotEntry { key, state });
         }
-        if reader.at != body.len() {
+        if r.remaining() != 0 {
             return Err(SnapshotError::Malformed(format!(
                 "{} undeclared bytes after the last entry",
-                body.len() - reader.at
+                r.remaining()
             )));
         }
         Ok(CalibrationSnapshot {
@@ -576,212 +571,137 @@ pub fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// FNV-1a 64-bit over `bytes` — a dependency-free integrity check (this
-/// guards against corruption and truncation, not adversaries; a tampered
-/// snapshot should be caught by filesystem-level trust, not this checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
-// Body codec: little-endian primitives, length-prefixed strings, tagged
-// enums. Writers are infallible; the reader returns typed errors.
+// Body layout, over the shared codec: u64 text lengths and size fields,
+// tagged enums. Writers are infallible; readers return typed errors.
 // ---------------------------------------------------------------------------
 
-fn write_u8(out: &mut Vec<u8>, value: u8) {
-    out.push(value);
+fn write_text(out: &mut Vec<u8>, text: &str) {
+    put_u64(out, text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
 }
 
-fn write_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
+fn read_text(r: &mut Cursor) -> std::result::Result<String, SnapshotError> {
+    let len = r.u64()?;
+    Ok(r.text(r.count(len, 1)?)?)
 }
 
-fn write_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn write_f64(out: &mut Vec<u8>, value: f64) {
-    write_u64(out, value.to_bits());
-}
-
-fn write_string(out: &mut Vec<u8>, value: &str) {
-    write_u64(out, value.len() as u64);
-    out.extend_from_slice(value.as_bytes());
+fn read_size(r: &mut Cursor) -> std::result::Result<usize, SnapshotError> {
+    usize::try_from(r.u64()?)
+        .map_err(|_| SnapshotError::Malformed("size field overflows usize".to_string()))
 }
 
 fn write_key(out: &mut Vec<u8>, key: &CalibrationKey) {
-    write_u64(out, key.class_token);
-    write_u64(out, key.epsilon_bits);
-    write_string(out, &key.query.name);
-    write_u64(out, key.query.lipschitz_bits);
-    write_u64(out, key.query.output_dimension as u64);
-    write_u64(out, key.query.expected_length as u64);
-    write_u64(out, key.query.discriminator);
+    put_u64(out, key.class_token);
+    put_u64(out, key.epsilon_bits);
+    write_text(out, &key.query.name);
+    put_u64(out, key.query.lipschitz_bits);
+    put_u64(out, key.query.output_dimension as u64);
+    put_u64(out, key.query.expected_length as u64);
+    put_u64(out, key.query.discriminator);
+}
+
+fn read_key(r: &mut Cursor) -> std::result::Result<CalibrationKey, SnapshotError> {
+    Ok(CalibrationKey {
+        class_token: r.u64()?,
+        epsilon_bits: r.u64()?,
+        query: QuerySignature {
+            name: read_text(r)?,
+            lipschitz_bits: r.u64()?,
+            output_dimension: read_size(r)?,
+            expected_length: read_size(r)?,
+            discriminator: r.u64()?,
+        },
+    })
 }
 
 fn write_state(out: &mut Vec<u8>, state: &MechanismState) {
-    write_string(out, state.family);
-    write_f64(out, state.epsilon);
+    write_text(out, state.family);
+    put_f64(out, state.epsilon);
     match state.scale {
         ScaleForm::LipschitzTimes { multiplier } => {
-            write_u8(out, 0);
-            write_f64(out, multiplier);
+            out.push(0);
+            put_f64(out, multiplier);
         }
         ScaleForm::LipschitzRatio {
             numerator,
             denominator,
         } => {
-            write_u8(out, 1);
-            write_f64(out, numerator);
-            write_f64(out, denominator);
+            out.push(1);
+            put_f64(out, numerator);
+            put_f64(out, denominator);
         }
         ScaleForm::Fixed { scale } => {
-            write_u8(out, 2);
-            write_f64(out, scale);
+            out.push(2);
+            put_f64(out, scale);
         }
     }
     match &state.validation {
-        ValidationForm::QueryLength => write_u8(out, 0),
+        ValidationForm::QueryLength => out.push(0),
         ValidationForm::StateRange { num_states } => {
-            write_u8(out, 1);
-            write_u64(out, *num_states as u64);
+            out.push(1);
+            put_u64(out, *num_states as u64);
         }
         ValidationForm::NodeCardinalities { cardinalities } => {
-            write_u8(out, 2);
-            write_u64(out, cardinalities.len() as u64);
+            out.push(2);
+            put_u64(out, cardinalities.len() as u64);
             for &cardinality in cardinalities {
-                write_u64(out, cardinality as u64);
+                put_u64(out, cardinality as u64);
             }
         }
     }
 }
 
-struct Reader<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, len: usize) -> std::result::Result<&[u8], SnapshotError> {
-        let end = self
-            .at
-            .checked_add(len)
-            .ok_or(SnapshotError::Malformed("length overflows".to_string()))?;
-        if end > self.body.len() {
+fn read_state(r: &mut Cursor) -> std::result::Result<MechanismState, SnapshotError> {
+    let family = intern_family(&read_text(r)?)?;
+    let epsilon = r.f64()?;
+    let scale = match r.u8()? {
+        0 => ScaleForm::LipschitzTimes {
+            multiplier: r.f64()?,
+        },
+        1 => ScaleForm::LipschitzRatio {
+            numerator: r.f64()?,
+            denominator: r.f64()?,
+        },
+        2 => ScaleForm::Fixed { scale: r.f64()? },
+        tag => {
             return Err(SnapshotError::Malformed(format!(
-                "body ends at {} but a field needs bytes up to {end}",
-                self.body.len()
-            )));
+                "unknown scale-form tag {tag}"
+            )))
         }
-        let slice = &self.body[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> std::result::Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> std::result::Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> std::result::Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| SnapshotError::Malformed("size field overflows usize".to_string()))
-    }
-
-    fn string(&mut self) -> std::result::Result<String, SnapshotError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Malformed("string is not valid UTF-8".to_string()))
-    }
-
-    fn key(&mut self) -> std::result::Result<CalibrationKey, SnapshotError> {
-        Ok(CalibrationKey {
-            class_token: self.u64()?,
-            epsilon_bits: self.u64()?,
-            query: crate::engine::QuerySignature {
-                name: self.string()?,
-                lipschitz_bits: self.u64()?,
-                output_dimension: self.usize()?,
-                expected_length: self.usize()?,
-                discriminator: self.u64()?,
-            },
-        })
-    }
-
-    fn state(&mut self) -> std::result::Result<MechanismState, SnapshotError> {
-        let family = intern_family(&self.string()?)?;
-        let epsilon = self.f64()?;
-        let scale = match self.u8()? {
-            0 => ScaleForm::LipschitzTimes {
-                multiplier: self.f64()?,
-            },
-            1 => ScaleForm::LipschitzRatio {
-                numerator: self.f64()?,
-                denominator: self.f64()?,
-            },
-            2 => ScaleForm::Fixed { scale: self.f64()? },
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown scale-form tag {tag}"
-                )))
-            }
-        };
-        let validation = match self.u8()? {
-            0 => ValidationForm::QueryLength,
-            1 => ValidationForm::StateRange {
-                num_states: self.usize()?,
-            },
-            2 => {
-                let len = self.usize()?;
-                if len > self.body.len() - self.at {
-                    return Err(SnapshotError::Malformed(format!(
-                        "cardinality list declares {len} nodes past the body end"
-                    )));
-                }
-                let mut cardinalities = Vec::with_capacity(len);
-                for _ in 0..len {
-                    cardinalities.push(self.usize()?);
-                }
-                ValidationForm::NodeCardinalities { cardinalities }
-            }
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown validation-form tag {tag}"
-                )))
-            }
-        };
-        let state = MechanismState {
-            family,
-            epsilon,
-            scale,
-            validation,
-        };
-        state.check()?;
-        Ok(state)
-    }
+    };
+    let validation = match r.u8()? {
+        0 => ValidationForm::QueryLength,
+        1 => ValidationForm::StateRange {
+            num_states: read_size(r)?,
+        },
+        2 => {
+            let declared = r.u64()?;
+            let len = r.count(declared, 8)?;
+            let cardinalities = (0..len)
+                .map(|_| read_size(r))
+                .collect::<std::result::Result<_, _>>()?;
+            ValidationForm::NodeCardinalities { cardinalities }
+        }
+        tag => {
+            return Err(SnapshotError::Malformed(format!(
+                "unknown validation-form tag {tag}"
+            )))
+        }
+    };
+    let state = MechanismState {
+        family,
+        epsilon,
+        scale,
+        validation,
+    };
+    state.check()?;
+    Ok(state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QuerySignature;
     use crate::queries::{StateCountQuery, StateFrequencyQuery};
 
     fn entry(epsilon: f64, query: QuerySignature, state: MechanismState) -> SnapshotEntry {

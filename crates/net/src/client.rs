@@ -12,8 +12,8 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::frame::{
-    decode_payload, encode, Envelope, ErrorCode, Frame, FrameError, WireMetric, WireQuery,
-    WireQueryResult, WireStats, DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+    decode_payload, encode, payload_len, Envelope, ErrorCode, Frame, FrameError, WireMetric,
+    WireQuery, WireQueryResult, WireStats, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Typed client-side failures, separating transport problems from the
@@ -202,19 +202,7 @@ impl NetClient {
         self.flush()?;
         let mut prefix = [0u8; 4];
         self.reader.read_exact(&mut prefix)?;
-        let declared = u32::from_le_bytes(prefix);
-        if declared > self.max_frame_len {
-            return Err(ClientError::Frame(FrameError::Oversized {
-                declared,
-                max: self.max_frame_len,
-            }));
-        }
-        if (declared as usize) < HEADER_LEN {
-            return Err(ClientError::Frame(FrameError::Malformed(format!(
-                "declared length {declared} is shorter than the {HEADER_LEN}-byte header"
-            ))));
-        }
-        let mut payload = vec![0u8; declared as usize];
+        let mut payload = vec![0u8; payload_len(prefix, self.max_frame_len)?];
         self.reader.read_exact(&mut payload)?;
         Ok(decode_payload(&payload)?)
     }

@@ -17,12 +17,19 @@
 //! responses can return out of order — the sequence number is the only way
 //! to match them back up.
 //!
-//! Decoding is defensive end to end: a declared frame length beyond the
-//! negotiated maximum is [`FrameError::Oversized`] *before* any allocation,
-//! every collection count inside a body is checked against the bytes that
-//! actually remain, and trailing garbage is [`FrameError::Malformed`]. No
-//! input can make the decoder panic or allocate unboundedly — the property
-//! the adversarial codec tests pin down.
+//! Fields go through the shared byte codec (`pufferfish_telemetry::codec`);
+//! the wire's own rules are its header and its u32 length and count
+//! prefixes. Decoding is defensive end to end: a declared frame length
+//! beyond the negotiated maximum is [`FrameError::Oversized`] *before* any
+//! allocation, every collection count inside a body is checked against the
+//! bytes that actually remain, and trailing garbage is
+//! [`FrameError::Malformed`]. Only the length prefix reports
+//! [`FrameError::Truncated`] ("read more"): a frame whose declared bytes
+//! have all arrived but whose body ends inside a field is
+//! [`FrameError::Malformed`], so a stream reader answers it rather than
+//! waiting for bytes that cannot complete it. No input can make the decoder
+//! panic or allocate unboundedly — the property the adversarial codec tests
+//! pin down.
 
 use std::sync::Arc;
 
@@ -31,6 +38,7 @@ use pufferfish_core::queries::{
     StateFrequencyQuery,
 };
 use pufferfish_service::ServiceStats;
+use pufferfish_telemetry::codec::{put_f64, put_u16, put_u32, put_u64, CodecError, Cursor};
 
 /// The four magic bytes every frame starts with: `b"PUFF"` on the wire.
 pub const MAGIC: u32 = 0x4646_5550;
@@ -62,8 +70,9 @@ pub enum FrameError {
         /// The discriminant found.
         found: u8,
     },
-    /// The input ended before the frame did. In streaming contexts this
-    /// means "read more bytes"; for a complete message it is an error.
+    /// The input holds fewer bytes than the length prefix declares, or not
+    /// even the prefix. In streaming contexts this means "read more bytes";
+    /// for a complete message it is an error. Only [`decode`] reports it.
     Truncated {
         /// Bytes the decoder needed next.
         needed: usize,
@@ -78,9 +87,9 @@ pub enum FrameError {
         /// The maximum the decoder accepts.
         max: u32,
     },
-    /// The frame parsed structurally but its body is inconsistent (bad
-    /// UTF-8, a collection count larger than the remaining bytes, trailing
-    /// garbage, an unknown error code, …).
+    /// The frame parsed structurally but its body is inconsistent (a field
+    /// past the payload end, bad UTF-8, a collection count larger than the
+    /// remaining bytes, trailing garbage, an unknown error code, …).
     Malformed(String),
     /// The value cannot be represented on the wire (a state outside `u16`,
     /// a frame larger than the maximum).
@@ -610,20 +619,12 @@ impl Frame {
         epsilon: f64,
         seed: u64,
     ) -> Result<Frame, FrameError> {
-        let database = database
-            .iter()
-            .map(|&s| {
-                u16::try_from(s).map_err(|_| {
-                    FrameError::Unencodable(format!("state {s} exceeds the wire maximum 65535"))
-                })
-            })
-            .collect::<Result<Vec<u16>, FrameError>>()?;
         Ok(Frame::Release {
             user,
             query,
             epsilon,
             seed,
-            database,
+            database: wire_states(database)?,
         })
     }
 
@@ -654,22 +655,26 @@ impl Frame {
                 })
             })
             .collect::<Result<Vec<WireRefinementStep>, FrameError>>()?;
-        let database = database
-            .iter()
-            .map(|&s| {
-                u16::try_from(s).map_err(|_| {
-                    FrameError::Unencodable(format!("state {s} exceeds the wire maximum 65535"))
-                })
-            })
-            .collect::<Result<Vec<u16>, FrameError>>()?;
         Ok(Frame::Progressive {
             user,
             confidence,
             seed,
             steps,
-            database,
+            database: wire_states(database)?,
         })
     }
+}
+
+/// The wire form of a state sequence, refusing a state past `u16::MAX`.
+fn wire_states(database: &[usize]) -> Result<Vec<u16>, FrameError> {
+    database
+        .iter()
+        .map(|&s| {
+            u16::try_from(s).map_err(|_| {
+                FrameError::Unencodable(format!("state {s} exceeds the wire maximum 65535"))
+            })
+        })
+        .collect()
 }
 
 /// A sequence-numbered frame — the unit the wire carries.
@@ -685,36 +690,25 @@ pub struct Envelope {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), FrameError> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| FrameError::Unencodable(format!("string of {} bytes", s.len())))?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
+/// Writes a collection's u32 count prefix, refusing a count the wire
+/// cannot carry.
+fn write_count(out: &mut Vec<u8>, count: usize, what: &str) -> Result<(), FrameError> {
+    let count =
+        u32::try_from(count).map_err(|_| FrameError::Unencodable(format!("{count} {what}")))?;
+    put_u32(out, count);
     Ok(())
 }
 
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) -> Result<(), FrameError> {
-    let len = u32::try_from(values.len())
-        .map_err(|_| FrameError::Unencodable(format!("{} values", values.len())))?;
-    put_u32(out, len);
-    for &v in values {
-        put_f64(out, v);
+fn write_text(out: &mut Vec<u8>, text: &str) -> Result<(), FrameError> {
+    write_count(out, text.len(), "bytes of text")?;
+    out.extend_from_slice(text.as_bytes());
+    Ok(())
+}
+
+fn write_f64s(out: &mut Vec<u8>, values: &[f64]) -> Result<(), FrameError> {
+    write_count(out, values.len(), "values")?;
+    for &value in values {
+        put_f64(out, value);
     }
     Ok(())
 }
@@ -734,7 +728,7 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
     put_u64(&mut out, envelope.seq);
 
     match &envelope.frame {
-        Frame::Hello { tenant } => put_str(&mut out, tenant)?,
+        Frame::Hello { tenant } => write_text(&mut out, tenant)?,
         Frame::Release {
             user,
             query,
@@ -769,10 +763,7 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             }
             put_f64(&mut out, *epsilon);
             put_u64(&mut out, *seed);
-            let len = u32::try_from(database.len()).map_err(|_| {
-                FrameError::Unencodable(format!("database of {} events", database.len()))
-            })?;
-            put_u32(&mut out, len);
+            write_count(&mut out, database.len(), "database events")?;
             for &state in database {
                 put_u16(&mut out, state);
             }
@@ -784,8 +775,8 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             seed,
         } => {
             put_u64(&mut out, *user);
-            put_str(&mut out, table)?;
-            put_str(&mut out, statement)?;
+            write_text(&mut out, table)?;
+            write_text(&mut out, statement)?;
             put_u64(&mut out, *seed);
         }
         Frame::Progressive {
@@ -798,18 +789,13 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             put_u64(&mut out, *user);
             put_f64(&mut out, *confidence);
             put_u64(&mut out, *seed);
-            let count = u32::try_from(steps.len())
-                .map_err(|_| FrameError::Unencodable(format!("{} steps", steps.len())))?;
-            put_u32(&mut out, count);
+            write_count(&mut out, steps.len(), "steps")?;
             for step in steps {
                 put_u32(&mut out, step.prefix);
                 put_f64(&mut out, step.epsilon);
                 put_f64(&mut out, step.error_bound);
             }
-            let len = u32::try_from(database.len()).map_err(|_| {
-                FrameError::Unencodable(format!("database of {} events", database.len()))
-            })?;
-            put_u32(&mut out, len);
+            write_count(&mut out, database.len(), "database events")?;
             for &state in database {
                 put_u16(&mut out, state);
             }
@@ -824,24 +810,19 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
         }
         Frame::ReleaseOk { scale, values } => {
             put_f64(&mut out, *scale);
-            put_f64s(&mut out, values)?;
+            write_f64s(&mut out, values)?;
         }
         Frame::QueryOk(result) => {
-            put_str(&mut out, &result.mechanism)?;
+            write_text(&mut out, &result.mechanism)?;
             put_f64(&mut out, result.noise_scale);
             put_f64(&mut out, result.total_epsilon);
-            let cells = u32::try_from(result.cells.len())
-                .map_err(|_| FrameError::Unencodable(format!("{} cells", result.cells.len())))?;
-            put_u32(&mut out, cells);
+            write_count(&mut out, result.cells.len(), "cells")?;
             for cell in &result.cells {
-                put_str(&mut out, &cell.key)?;
-                let windows = u32::try_from(cell.windows.len()).map_err(|_| {
-                    FrameError::Unencodable(format!("{} windows", cell.windows.len()))
-                })?;
-                put_u32(&mut out, windows);
+                write_text(&mut out, &cell.key)?;
+                write_count(&mut out, cell.windows.len(), "windows")?;
                 for window in &cell.windows {
                     put_u32(&mut out, window.end);
-                    put_f64s(&mut out, &window.values)?;
+                    write_f64s(&mut out, &window.values)?;
                 }
             }
         }
@@ -862,7 +843,7 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             put_f64(&mut out, *epsilon);
             put_f64(&mut out, *certified_error);
             put_f64(&mut out, *spent_epsilon);
-            put_f64s(&mut out, values)?;
+            write_f64s(&mut out, values)?;
         }
         Frame::StatsOk(stats) => {
             put_u64(&mut out, stats.hits);
@@ -884,11 +865,9 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             put_u64(&mut out, stats.recalibrations);
         }
         Frame::MetricsOk(metrics) => {
-            let count = u32::try_from(metrics.len())
-                .map_err(|_| FrameError::Unencodable(format!("{} metrics", metrics.len())))?;
-            put_u32(&mut out, count);
+            write_count(&mut out, metrics.len(), "metrics")?;
             for metric in metrics {
-                put_str(&mut out, &metric.name)?;
+                write_text(&mut out, &metric.name)?;
                 out.push(metric.value.tag());
                 match metric.value {
                     WireMetricValue::Counter(v) | WireMetricValue::Gauge(v) => {
@@ -922,7 +901,7 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
         }
         Frame::Error { code, message } => {
             put_u16(&mut out, *code as u16);
-            put_str(&mut out, message)?;
+            write_text(&mut out, message)?;
         }
     }
 
@@ -942,82 +921,53 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Cursor over a frame payload with bounds-checked typed reads.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<CodecError> for FrameError {
+    /// A payload holds its declared length, so a field past its end is
+    /// malformed, not [`FrameError::Truncated`].
+    fn from(error: CodecError) -> Self {
+        FrameError::Malformed(error.to_string())
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+/// Reads a u32 count prefix, refused unless that many items of
+/// `item_bytes` each fit the rest of the payload.
+fn read_count(r: &mut Cursor, item_bytes: usize) -> Result<usize, FrameError> {
+    let declared = r.u32()?;
+    Ok(r.count(declared.into(), item_bytes)?)
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+fn read_text(r: &mut Cursor) -> Result<String, FrameError> {
+    let len = r.u32()? as usize;
+    Ok(r.text(len)?)
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
+fn read_f64s(r: &mut Cursor) -> Result<Vec<f64>, FrameError> {
+    let count = read_count(r, 8)?;
+    Ok((0..count).map(|_| r.f64()).collect::<Result<_, _>>()?)
+}
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
+fn read_u16s(r: &mut Cursor) -> Result<Vec<u16>, FrameError> {
+    let count = read_count(r, 2)?;
+    Ok((0..count).map(|_| r.u16()).collect::<Result<_, _>>()?)
+}
 
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+/// The payload length a frame's prefix declares, refused past
+/// `max_frame_len` or short of the header.
+pub(crate) fn payload_len(prefix: [u8; 4], max_frame_len: u32) -> Result<usize, FrameError> {
+    let declared = u32::from_le_bytes(prefix);
+    if declared > max_frame_len {
+        return Err(FrameError::Oversized {
+            declared,
+            max: max_frame_len,
+        });
     }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    let len = declared as usize;
+    if len < HEADER_LEN {
+        return Err(FrameError::Malformed(format!(
+            "declared length {len} is shorter than the {HEADER_LEN}-byte header"
+        )));
     }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a collection count and proves the payload could actually hold
-    /// `count` items of `item_bytes` each *before* any allocation happens —
-    /// the guard that makes adversarial "4-billion-element" headers cheap to
-    /// refuse.
-    fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, FrameError> {
-        let count = self.u32()? as usize;
-        let needed = count
-            .checked_mul(item_bytes)
-            .ok_or_else(|| FrameError::Malformed(format!("{what} count {count} overflows")))?;
-        if needed > self.remaining() {
-            return Err(FrameError::Malformed(format!(
-                "{what} declares {count} items ({needed} bytes) but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        Ok(count)
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.count(1, "string")?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FrameError::Malformed("string is not UTF-8".to_string()))
-    }
-
-    fn f64s(&mut self, what: &str) -> Result<Vec<f64>, FrameError> {
-        let count = self.count(8, what)?;
-        (0..count).map(|_| self.f64()).collect()
-    }
+    Ok(len)
 }
 
 /// Decodes one envelope from the front of `buf`, returning it and the
@@ -1029,41 +979,23 @@ impl<'a> Reader<'a> {
 /// the declared length exceeds `max_frame_len`; the other variants for
 /// structurally broken frames.
 pub fn decode(buf: &[u8], max_frame_len: u32) -> Result<(Envelope, usize), FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated {
-            needed: 4,
-            available: buf.len(),
-        });
-    }
-    let declared = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    if declared > max_frame_len {
-        return Err(FrameError::Oversized {
-            declared,
-            max: max_frame_len,
-        });
-    }
-    let frame_len = declared as usize;
-    if frame_len < HEADER_LEN {
-        return Err(FrameError::Malformed(format!(
-            "declared length {frame_len} is shorter than the {HEADER_LEN}-byte header"
-        )));
-    }
-    if buf.len() < 4 + frame_len {
-        return Err(FrameError::Truncated {
-            needed: 4 + frame_len,
-            available: buf.len(),
-        });
-    }
-    let envelope = decode_payload(&buf[4..4 + frame_len])?;
-    Ok((envelope, 4 + frame_len))
+    let truncated = |needed| FrameError::Truncated {
+        needed,
+        available: buf.len(),
+    };
+    let prefix = *buf.first_chunk::<4>().ok_or_else(|| truncated(4))?;
+    let end = 4 + payload_len(prefix, max_frame_len)?;
+    let payload = buf.get(4..end).ok_or_else(|| truncated(end))?;
+    Ok((decode_payload(payload)?, end))
 }
 
 /// Decodes a frame payload (everything after the length prefix).
 ///
 /// # Errors
-/// As for [`decode`], minus the length-prefix checks.
+/// As for [`decode`], minus the length-prefix checks: the payload is taken
+/// to be complete, so it never reports [`FrameError::Truncated`].
 pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
-    let mut r = Reader::new(payload);
+    let mut r = Cursor::new(payload);
     let magic = r.u32()?;
     if magic != MAGIC {
         return Err(FrameError::BadMagic { found: magic });
@@ -1077,7 +1009,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
 
     let frame = match kind {
         0x01 => Frame::Hello {
-            tenant: r.string()?,
+            tenant: read_text(&mut r)?,
         },
         0x02 => {
             let user = r.u64()?;
@@ -1109,8 +1041,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
             };
             let epsilon = r.f64()?;
             let seed = r.u64()?;
-            let count = r.count(2, "database")?;
-            let database = (0..count).map(|_| r.u16()).collect::<Result<_, _>>()?;
+            let database = read_u16s(&mut r)?;
             Frame::Release {
                 user,
                 query,
@@ -1121,8 +1052,8 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
         }
         0x03 => Frame::Query {
             user: r.u64()?,
-            table: r.string()?,
-            statement: r.string()?,
+            table: read_text(&mut r)?,
+            statement: read_text(&mut r)?,
             seed: r.u64()?,
         },
         0x04 => Frame::Stats,
@@ -1133,7 +1064,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
             let confidence = r.f64()?;
             let seed = r.u64()?;
             // A step is 20 bytes: prefix (4) + epsilon (8) + error bound (8).
-            let step_count = r.count(20, "refinement steps")?;
+            let step_count = read_count(&mut r, 20)?;
             let mut steps = Vec::with_capacity(step_count);
             for _ in 0..step_count {
                 steps.push(WireRefinementStep {
@@ -1142,8 +1073,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
                     error_bound: r.f64()?,
                 });
             }
-            let count = r.count(2, "database")?;
-            let database = (0..count).map(|_| r.u16()).collect::<Result<_, _>>()?;
+            let database = read_u16s(&mut r)?;
             Frame::Progressive {
                 user,
                 confidence,
@@ -1158,24 +1088,24 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
         },
         0x82 => Frame::ReleaseOk {
             scale: r.f64()?,
-            values: r.f64s("values")?,
+            values: read_f64s(&mut r)?,
         },
         0x83 => {
-            let mechanism = r.string()?;
+            let mechanism = read_text(&mut r)?;
             let noise_scale = r.f64()?;
             let total_epsilon = r.f64()?;
             // A cell is at least 8 bytes (empty key + zero windows).
-            let cell_count = r.count(8, "cells")?;
+            let cell_count = read_count(&mut r, 8)?;
             let mut cells = Vec::with_capacity(cell_count);
             for _ in 0..cell_count {
-                let key = r.string()?;
+                let key = read_text(&mut r)?;
                 // A window is at least 8 bytes (end + empty values).
-                let window_count = r.count(8, "windows")?;
+                let window_count = read_count(&mut r, 8)?;
                 let mut windows = Vec::with_capacity(window_count);
                 for _ in 0..window_count {
                     windows.push(WireWindow {
                         end: r.u32()?,
-                        values: r.f64s("window values")?,
+                        values: read_f64s(&mut r)?,
                     });
                 }
                 cells.push(WireCell { key, windows });
@@ -1225,16 +1155,16 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
             epsilon: r.f64()?,
             certified_error: r.f64()?,
             spent_epsilon: r.f64()?,
-            values: r.f64s("refined values")?,
+            values: read_f64s(&mut r)?,
         },
         0x88 => {
             // A metric is at least 13 bytes: empty name (4) + kind tag (1) +
             // one u64 (8) — checked against the remaining payload before any
             // allocation, like every other collection count.
-            let count = r.count(13, "metrics")?;
+            let count = read_count(&mut r, 13)?;
             let mut metrics = Vec::with_capacity(count);
             for _ in 0..count {
-                let name = r.string()?;
+                let name = read_text(&mut r)?;
                 let tag = r.u8()?;
                 let value = match tag {
                     0 => WireMetricValue::Counter(r.u64()?),
@@ -1267,7 +1197,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
                 .ok_or_else(|| FrameError::Malformed(format!("unknown error code {raw}")))?;
             Frame::Error {
                 code,
-                message: r.string()?,
+                message: read_text(&mut r)?,
             }
         }
         other => return Err(FrameError::UnknownKind { found: other }),

@@ -505,6 +505,7 @@ fn read_loop(
                         return;
                     }
                 }
+                // Only the length prefix reports `Truncated`: read more.
                 Err(FrameError::Truncated { .. }) => break,
                 Err(error) => {
                     // The stream cannot be resynchronised after a framing

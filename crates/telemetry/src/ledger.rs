@@ -10,10 +10,10 @@
 //!
 //! ## Format
 //!
-//! The codec follows the calibration-snapshot style: little-endian
-//! throughout, explicit magic and version, FNV-1a integrity checks — but
-//! checksummed *per record*, so corruption is localised to the event it hit
-//! and a torn tail write cannot invalidate the whole log:
+//! Written and read through the shared [`codec`](crate::codec):
+//! little-endian throughout, explicit magic and version, FNV-1a integrity
+//! checks — but checksummed *per record*, so corruption is localised to the
+//! event it hit and a torn tail write cannot invalidate the whole log:
 //!
 //! ```text
 //! file   := magic version record*
@@ -30,27 +30,18 @@
 //! ```
 //!
 //! Every decode failure is a typed [`LedgerError`] — a truncated or
-//! corrupted ledger never yields a silent partial replay.
+//! corrupted ledger never yields a silent partial replay; a body that
+//! passed its checksum yet does not parse is [`LedgerError::Malformed`].
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+
+use crate::codec::{fnv1a, fnv1a_words, put_u32, CodecError, Cursor};
 
 /// The eight magic bytes an ε-ledger starts with.
 pub const LEDGER_MAGIC: [u8; 8] = *b"PFEPSLOG";
 /// The ledger format version this crate reads and writes.
 pub const LEDGER_VERSION: u32 = 1;
-
-/// 64-bit FNV-1a — the same integrity hash the calibration snapshot codec
-/// uses: not cryptographic, exactly right for catching truncation and
-/// bit-rot.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// FNV-1a signature of a query name — the `query_sig` field budget hooks
 /// record, so an auditor can group charges by query without logging the
@@ -58,26 +49,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn query_signature(name: &str) -> u64 {
     fnv1a(name.as_bytes())
-}
-
-/// The per-record integrity checksum: FNV-1a folded over little-endian
-/// 64-bit words (byte-wise over the < 8-byte tail). Record appends sit on
-/// the warm admission path, and folding eight bytes per multiply keeps the
-/// checksum a rounding error there while still catching truncation and
-/// bit-rot; byte-wise FNV-1a's dependent multiply per *byte* was the single
-/// most expensive instruction chain in the append.
-fn record_checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        hash ^= u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    for &byte in chunks.remainder() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// What kind of budget event a ledger record describes.
@@ -215,6 +186,12 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
+impl From<CodecError> for LedgerError {
+    fn from(error: CodecError) -> Self {
+        LedgerError::Malformed(error.to_string())
+    }
+}
+
 struct LedgerInner {
     bytes: Vec<u8>,
     next_index: u64,
@@ -264,7 +241,7 @@ impl EpsilonLedger {
     pub fn new() -> Self {
         let mut bytes = Vec::with_capacity(4096);
         bytes.extend_from_slice(&LEDGER_MAGIC);
-        bytes.extend_from_slice(&LEDGER_VERSION.to_le_bytes());
+        put_u32(&mut bytes, LEDGER_VERSION);
         EpsilonLedger {
             inner: Mutex::new(LedgerInner {
                 bytes,
@@ -312,7 +289,7 @@ impl EpsilonLedger {
         bytes.extend_from_slice(family.as_bytes());
         debug_assert_eq!(bytes.len() - body_start, body_len);
 
-        let checksum = record_checksum(&bytes[body_start..]);
+        let checksum = fnv1a_words(&bytes[body_start..]);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         index
     }
@@ -358,56 +335,31 @@ impl EpsilonLedger {
     /// A [`LedgerError`] naming the first problem found — never a silently
     /// shortened event list.
     pub fn replay(bytes: &[u8]) -> Result<Vec<LedgerEvent>, LedgerError> {
-        let header_len = LEDGER_MAGIC.len() + 4;
-        if bytes.len() < header_len {
-            if bytes.len() >= LEDGER_MAGIC.len() && bytes[..LEDGER_MAGIC.len()] != LEDGER_MAGIC {
-                return Err(LedgerError::BadMagic {
-                    found: bytes[..LEDGER_MAGIC.len()].to_vec(),
-                });
-            }
-            return Err(LedgerError::Truncated {
-                needed: header_len,
-                available: bytes.len(),
-            });
-        }
-        if bytes[..LEDGER_MAGIC.len()] != LEDGER_MAGIC {
+        let truncated = |needed| LedgerError::Truncated {
+            needed,
+            available: bytes.len(),
+        };
+        let magic = bytes.get(..LEDGER_MAGIC.len());
+        if let Some(found) = magic.filter(|magic| **magic != LEDGER_MAGIC) {
             return Err(LedgerError::BadMagic {
-                found: bytes[..LEDGER_MAGIC.len()].to_vec(),
+                found: found.to_vec(),
             });
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 header bytes"));
+        let mut r = Cursor::new(bytes.get(LEDGER_MAGIC.len()..).unwrap_or_default());
+        let version = r.u32().map_err(|_| truncated(LEDGER_MAGIC.len() + 4))?;
         if version != LEDGER_VERSION {
             return Err(LedgerError::UnsupportedVersion { found: version });
         }
 
         let mut events = Vec::new();
-        let mut pos = header_len;
-        let mut record = 0u64;
-        while pos < bytes.len() {
-            let remaining = bytes.len() - pos;
-            if remaining < 4 {
-                return Err(LedgerError::Truncated {
-                    needed: pos + 4,
-                    available: bytes.len(),
-                });
-            }
-            let body_len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 length bytes"))
-                    as usize;
-            let record_end = pos + 4 + body_len + 8;
-            if record_end > bytes.len() {
-                return Err(LedgerError::Truncated {
-                    needed: record_end,
-                    available: bytes.len(),
-                });
-            }
-            let body = &bytes[pos + 4..pos + 4 + body_len];
-            let stored = u64::from_le_bytes(
-                bytes[pos + 4 + body_len..record_end]
-                    .try_into()
-                    .expect("8 checksum bytes"),
-            );
-            let computed = record_checksum(body);
+        while r.remaining() > 0 {
+            let record = events.len() as u64;
+            let start = bytes.len() - r.remaining();
+            let body_len = r.u32().map_err(|_| truncated(start + 4))? as usize;
+            let end = start + 4 + body_len + 8;
+            let body = r.bytes(body_len).map_err(|_| truncated(end))?;
+            let stored = r.u64().map_err(|_| truncated(end))?;
+            let computed = fnv1a_words(body);
             if stored != computed {
                 return Err(LedgerError::ChecksumMismatch {
                     record,
@@ -423,8 +375,6 @@ impl EpsilonLedger {
                 )));
             }
             events.push(event);
-            pos = record_end;
-            record += 1;
         }
         Ok(events)
     }
@@ -440,38 +390,23 @@ impl std::fmt::Debug for EpsilonLedger {
 
 /// Decodes one record body (already checksum-verified).
 fn decode_body(body: &[u8], record: u64) -> Result<LedgerEvent, LedgerError> {
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], LedgerError> {
-        if body.len() - pos < n {
-            return Err(LedgerError::Malformed(format!(
-                "record {record} body ends early: needed {n} bytes at offset {pos}, \
-                 had {}",
-                body.len() - pos
-            )));
-        }
-        let slice = &body[pos..pos + n];
-        pos += n;
-        Ok(slice)
-    };
-
-    let index = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let raw_kind = take(1)?[0];
+    let mut r = Cursor::new(body);
+    let index = r.u64()?;
+    let raw_kind = r.u8()?;
     let kind = LedgerEventKind::from_u8(raw_kind).ok_or_else(|| {
         LedgerError::Malformed(format!("record {record} has unknown event kind {raw_kind}"))
     })?;
-    let seq = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let query_sig = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let epsilon = f64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let user_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let user = String::from_utf8(take(user_len)?.to_vec())
-        .map_err(|_| LedgerError::Malformed(format!("record {record} user is not UTF-8")))?;
-    let family_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let family = String::from_utf8(take(family_len)?.to_vec())
-        .map_err(|_| LedgerError::Malformed(format!("record {record} family is not UTF-8")))?;
-    if pos != body.len() {
+    let seq = r.u64()?;
+    let query_sig = r.u64()?;
+    let epsilon = r.f64()?;
+    let user_len = r.u32()? as usize;
+    let user = r.text(user_len)?;
+    let family_len = r.u32()? as usize;
+    let family = r.text(family_len)?;
+    if r.remaining() != 0 {
         return Err(LedgerError::Malformed(format!(
             "record {record} has {} trailing body bytes",
-            body.len() - pos
+            r.remaining()
         )));
     }
     Ok(LedgerEvent {
@@ -678,7 +613,7 @@ mod tests {
         let mut spliced = good[..12].to_vec();
         spliced.extend_from_slice(&(body.len() as u32).to_le_bytes());
         spliced.extend_from_slice(&body);
-        spliced.extend_from_slice(&record_checksum(&body).to_le_bytes());
+        spliced.extend_from_slice(&fnv1a_words(&body).to_le_bytes());
         assert!(events.len() > 1);
         assert!(matches!(
             EpsilonLedger::replay(&spliced),

@@ -1,7 +1,7 @@
 //! Dependency-free observability substrate for the Pufferfish serving
 //! stack.
 //!
-//! Three pieces, each usable alone, designed to thread through every layer
+//! Four pieces, each usable alone, designed to thread through every layer
 //! of the stack without adding a dependency or a lock to the hot path:
 //!
 //! - **Metrics registry** ([`Registry`]): a process-wide (or per-test)
@@ -25,9 +25,12 @@
 //!   FNV-1a-checksummed binary log of every privacy-budget event — charge,
 //!   refund, refusal, recalibration — replayable offline to per-user spend
 //!   that agrees *bitwise* with the live accountant.
+//! - **Byte codec** ([`codec`]): the byte rules the ledger, calibration
+//!   snapshots, class tokens and wire frames share — little-endian writers,
+//!   one bounds-checked read cursor, FNV-1a.
 //!
 //! The crate is `std`-only and panic-free on untrusted input: every decode
-//! failure is a typed [`LedgerError`].
+//! failure is a typed error ([`LedgerError`], [`codec::CodecError`]).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -40,6 +43,7 @@
     clippy::missing_panics_doc
 )]
 
+pub mod codec;
 mod histogram;
 mod ledger;
 mod registry;

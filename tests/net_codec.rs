@@ -843,3 +843,39 @@ fn golden_frames_encode_to_pinned_bytes() {
         .collect();
     assert_eq!(actual, PINNED);
 }
+
+/// Frames the payload `bytes[4..end]` with a length prefix that declares
+/// exactly that much.
+fn reframe(bytes: &[u8], end: usize) -> Vec<u8> {
+    let mut framed = u32::try_from(end - 4).unwrap().to_le_bytes().to_vec();
+    framed.extend_from_slice(&bytes[4..end]);
+    framed
+}
+
+/// A frame whose length prefix has all arrived is complete: a body that
+/// stops short of its fields is `Malformed`, never the streaming
+/// `Truncated` ("read more") that would leave a reader waiting for bytes
+/// that can never complete it. Checked for every request and answer kind
+/// with a body, with a prefix covering only the header and with the frame
+/// cut inside its first and its last field.
+#[test]
+fn complete_frames_with_short_bodies_are_malformed() {
+    let mut kinds = 0;
+    for (name, envelope) in golden_envelopes() {
+        let bytes = encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let header_end = 4 + 14;
+        if bytes.len() == header_end {
+            continue; // STATS, GOODBYE and METRICS have no body
+        }
+        kinds += 1;
+        for end in [header_end, header_end + 1, bytes.len() - 1] {
+            match decode(&reframe(&bytes, end), DEFAULT_MAX_FRAME_LEN) {
+                Err(FrameError::Malformed(_)) => {}
+                other => panic!("{name} cut to {end} bytes decoded as {other:?}"),
+            }
+        }
+    }
+    // Every kind but STATS, GOODBYE and METRICS, and RELEASE once per
+    // query tag.
+    assert_eq!(kinds, 17);
+}

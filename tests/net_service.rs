@@ -802,6 +802,40 @@ fn malformed_bytes_get_a_typed_error_and_the_listener_survives() {
         other => panic!("expected NotHello, got {other:?}"),
     }
 
+    // A complete frame whose body is short: HELLO, then a valid header of
+    // kind RELEASE with no body. It is malformed, not "read more": the
+    // server answers it and closes instead of waiting for bytes that can
+    // never complete it. The read timeout fails a server that waits within
+    // seconds rather than after its idle timeout.
+    let mut short = TcpStream::connect(addr).unwrap();
+    short
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hello = Envelope {
+        seq: 0,
+        frame: Frame::Hello {
+            tenant: "short".to_string(),
+        },
+    };
+    short
+        .write_all(&encode(&hello, DEFAULT_MAX_FRAME_LEN).unwrap())
+        .unwrap();
+    let mut release = stats.clone();
+    release[9] = 0x02; // the kind byte: RELEASE, with no body behind it
+    short.write_all(&release).unwrap();
+    short.flush().unwrap();
+    let mut response = Vec::new();
+    short
+        .read_to_end(&mut response)
+        .expect("the server answers a short body and closes");
+    let (envelope, consumed) = decode(&response, DEFAULT_MAX_FRAME_LEN).unwrap();
+    assert!(matches!(envelope.frame, Frame::HelloOk { .. }));
+    let (envelope, _) = decode(&response[consumed..], DEFAULT_MAX_FRAME_LEN).unwrap();
+    match envelope.frame {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected a typed Malformed error, got {other:?}"),
+    }
+
     // The listener shrugged it all off.
     let mut fine = NetClient::connect(addr, "fine").unwrap();
     fine.release(1, test_query(), &database(6), 0.1, 1).unwrap();
