@@ -24,20 +24,23 @@
 
 use std::sync::Arc;
 
-use pufferfish_baselines::{EntryDp, Gk16, GroupDp};
+use pufferfish_baselines::{EntryDp, Gk16, Gk16Calibrator, GroupDp};
 use pufferfish_bayesnet::{chain_quilts, Dag, DiscreteBayesianNetwork};
 use pufferfish_core::engine::{
-    FnCalibrator, MqmApproxCalibrator, MqmExactCalibrator, QuiltCalibrator, ReleaseEngine,
-    WassersteinCalibrator,
+    Calibrator, FnCalibrator, MqmApproxCalibrator, MqmExactCalibrator, QuiltCalibrator,
+    ReleaseEngine, WassersteinCalibrator,
 };
 use pufferfish_core::flu::flu_clique_framework;
 use pufferfish_core::queries::{RelativeFrequencyHistogram, StateCountQuery};
+use pufferfish_core::snapshot::ScaleForm;
 use pufferfish_core::{
     LipschitzQuery, MarkovQuiltMechanism, Mechanism, MqmApprox, MqmApproxOptions, MqmExact,
     MqmExactOptions, NoisyRelease, Parallelism, PrivacyBudget, PufferfishError,
     QuiltMechanismOptions, WassersteinMechanism,
 };
 use pufferfish_markov::{IntervalClassBuilder, MarkovChain, MarkovChainClass};
+use pufferfish_query::{plan_refinement, MechanismCatalog, RefinementGoal};
+use pufferfish_service::StreamBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -489,7 +492,7 @@ fn parallel_calibration_is_bitwise_identical_to_serial() {
 /// the build before the three searches shared one scorer.
 #[test]
 fn calibrated_sigma_bits_are_pinned() {
-    use pufferfish_core::ChainQuiltShape::{RightOnly, TwoSided};
+    use pufferfish_core::ChainQuiltShape::{RightOnly, Trivial, TwoSided};
     use pufferfish_core::QuiltSearchStrategy::{Auto, Full};
 
     // (class, ε, MQMExact σ bits, MQMExact (node, shape, score bits) per θ,
@@ -646,10 +649,7 @@ fn calibrated_sigma_bits_are_pinned() {
 
     // GK16 on the benchmark's analyst class at T 100: the noise multiplier
     // `1 / (1 − ‖I‖₂)` and the spectral norm, neither of which depends on ε.
-    let analyst = IntervalClassBuilder::symmetric(0.4)
-        .grid_points(2)
-        .build()
-        .unwrap();
+    let analyst = analyst_class();
     for epsilon in [0.05, 1.0] {
         let gk16 = Gk16::calibrate(&analyst, 100, PrivacyBudget::new(epsilon).unwrap()).unwrap();
         assert_eq!(
@@ -658,6 +658,163 @@ fn calibrated_sigma_bits_are_pinned() {
             "GK16 at ε {epsilon}"
         );
     }
+
+    // The engines' calibrators, each asked for several ε in turn, give the
+    // bits of a direct calibration at every ε.
+    // MQMApprox: the release engine (T 60, ε 0.1), then full node searches
+    // (T < 8a*) at T 16 and 32: (T, [(ε, (σ bits, worst node, best quilt))]).
+    let approx_pins = [
+        (
+            60,
+            vec![(
+                0.1,
+                (0x4067_bedc_85eb_53d4_u64, 11, TwoSided { a: 9, b: 8 }),
+            )],
+        ),
+        (
+            16,
+            vec![
+                (0.05, (0x4074_0000_0000_0000, 7, Trivial)),
+                (1.0, (0x4028_362e_a7fd_c147, 7, TwoSided { a: 6, b: 5 })),
+            ],
+        ),
+        (
+            32,
+            vec![
+                (0.05, (0x407a_3757_34d8_9802, 12, TwoSided { a: 10, b: 9 })),
+                (1.0, (0x4028_362e_a7fd_c147, 7, TwoSided { a: 6, b: 5 })),
+            ],
+        ),
+    ];
+    for (length, pins) in approx_pins {
+        let options = MqmApproxOptions::default();
+        let calibrator = MqmApproxCalibrator::new(analyst.clone(), length, options);
+        let query = RelativeFrequencyHistogram::new(2, length).unwrap();
+        for (epsilon, pin) in pins {
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct = MqmApprox::calibrate(&analyst, length, budget, options).unwrap();
+            assert!(length < 8 * direct.a_star(), "every node is searched");
+            let diagnostics = (
+                direct.sigma_max().to_bits(),
+                direct.worst_node(),
+                direct.best_quilt(),
+            );
+            assert_eq!(diagnostics, pin, "MQMApprox at T {length}, ε {epsilon}");
+            let engine = calibrator.calibrate(&query, budget).unwrap();
+            assert_eq!(
+                multiplier_bits(&*engine),
+                pin.0,
+                "MQMApprox calibrator at T {length}, ε {epsilon}"
+            );
+        }
+    }
+
+    // MQMExact at T 100 over the analyst catalog's scale grid, one
+    // calibrator for all 8 ε.
+    let grid = pufferfish_core::EpsilonGrid::log_spaced(0.02, 1.0, 8).unwrap();
+    let exact_pins: [u64; 8] = [
+        0x407f_1c9a_0f7c_2605,
+        0x406f_7902_cfad_2987,
+        0x4060_f8a9_42e0_0fa3,
+        0x4051_6c4a_8c51_1c56,
+        0x4041_8aea_7ca5_7768,
+        0x4031_eb6e_6500_e659,
+        0x4020_4425_17eb_ae86,
+        0x400f_9592_d87e_8a5c,
+    ];
+    let options = MqmExactOptions::default();
+    let calibrator = MqmExactCalibrator::new(analyst.clone(), 100, options);
+    let query = RelativeFrequencyHistogram::new(2, 100).unwrap();
+    for (&epsilon, pin) in grid.points().iter().zip(exact_pins) {
+        let budget = PrivacyBudget::new(epsilon).unwrap();
+        let direct = MqmExact::calibrate(&analyst, 100, budget, options).unwrap();
+        assert_eq!(direct.sigma_max().to_bits(), pin, "MQMExact at ε {epsilon}");
+        let engine = calibrator.calibrate(&query, budget).unwrap();
+        assert_eq!(
+            multiplier_bits(&*engine),
+            pin,
+            "MQMExact calibrator at ε {epsilon}"
+        );
+    }
+
+    // GK16's inflation and norm: the analyst class at T 99 (its `AᵀA`
+    // splits into parity blocks of 50 and 49 indices), and a 16-chain grid
+    // whose chains share some influence pairs.
+    let shared = IntervalClassBuilder::symmetric(0.45)
+        .grid_points(4)
+        .build()
+        .unwrap();
+    for (class, length, pin) in [
+        (
+            &analyst,
+            99,
+            (0x4015_1c8d_331d_7afe_u64, 0x3fe9_efdc_c27a_8912_u64),
+        ),
+        (&shared, 100, (0x3ffa_b7be_b0d4_7a3b, 0x3fd9_ac65_8943_0931)),
+    ] {
+        let budget = PrivacyBudget::new(0.5).unwrap();
+        let gk16 = Gk16::calibrate(class, length, budget).unwrap();
+        assert_eq!(
+            (gk16.inflation().to_bits(), gk16.spectral_norm().to_bits()),
+            pin,
+            "GK16 at T {length}"
+        );
+        let query = RelativeFrequencyHistogram::new(2, length).unwrap();
+        let engine = Gk16Calibrator::new(class.clone(), length)
+            .calibrate(&query, budget)
+            .unwrap();
+        assert_eq!(
+            engine.noise_scale_for(&query).to_bits(),
+            gk16.noise_scale_for(&query).to_bits()
+        );
+    }
+}
+
+/// The benchmark's analyst class.
+fn analyst_class() -> MarkovChainClass {
+    IntervalClassBuilder::symmetric(0.4)
+        .grid_points(2)
+        .build()
+        .unwrap()
+}
+
+/// The calibrated `σ_max` bits of a Markov Quilt family's mechanism.
+fn multiplier_bits(mechanism: &dyn Mechanism) -> u64 {
+    match mechanism.state().scale {
+        ScaleForm::LipschitzTimes { multiplier } => multiplier.to_bits(),
+        other => panic!("expected a Lipschitz-times scale, got {other:?}"),
+    }
+}
+
+/// The analyst's progressive ladder, planned by 252 MQMApprox calibrations
+/// over 6 prefixes: each step's prefix and its ε and error-bound bits.
+#[test]
+fn analyst_refinement_plan_is_pinned() {
+    let catalog = MechanismCatalog::new(analyst_class());
+    let goal = RefinementGoal {
+        target_error: 0.25,
+        confidence: 0.9,
+        first_answer_by: 16,
+    };
+    let schedule = plan_refinement(&catalog, StreamBackend::MqmApprox, 128, goal).unwrap();
+    let steps: Vec<(usize, u64, u64)> = schedule
+        .steps()
+        .iter()
+        .map(|step| {
+            (
+                step.prefix,
+                step.epsilon.to_bits(),
+                step.error_bound.to_bits(),
+            )
+        })
+        .collect();
+    let pinned = vec![
+        (16, 0x3ffe_2bb6_089e_58b0_u64, 0x4000_0000_0000_0000_u64),
+        (32, 0x3ffe_2bb6_089e_58b0, 0x3ff0_0000_0000_0000),
+        (64, 0x3ffe_2bb6_089e_58b0, 0x3fe0_0000_0000_0000),
+        (128, 0x3ffe_2bb6_089e_58b0, 0x3fd0_0000_0000_0000),
+    ];
+    assert_eq!(steps, pinned);
 }
 
 #[test]
