@@ -20,9 +20,14 @@
 //! Figure 4 and every real-data column of Tables 1 and 3), and its error
 //! grows as the spectral norm approaches 1.
 //!
-//! The norm depends on the class and the chain length, never on ε, and it
-//! costs a dense eigensolve per chain. [`Gk16::calibrate`] computes it for
-//! one ε; [`Gk16Calibrator`] computes it once and folds every ε from it.
+//! The norm depends on the class and the chain length, never on ε: for a
+//! chain it is a function of its forward and backward influences and the
+//! length, and up to [`EXPLICIT_NORM_LIMIT`] it costs one symmetric
+//! eigensolve, of `AᵀA` for the tridiagonal influence matrix `A`, whose even
+//! and odd indices form two blocks the solver sweeps apart. Chains of a
+//! grid class often share their influences, so each distinct pair is solved
+//! once. [`Gk16::calibrate`] computes the norm for one ε;
+//! [`Gk16Calibrator`] computes it once and folds every ε from it.
 
 use std::sync::{Arc, OnceLock};
 
@@ -58,8 +63,9 @@ struct Profile {
 }
 
 impl Profile {
-    /// Computes every chain's influence summary — one dense eigensolve per
-    /// chain up to [`EXPLICIT_NORM_LIMIT`] — or refuses the class.
+    /// Computes every chain's influence summary or refuses the class. The
+    /// spectral norm is solved once per distinct (bitwise) pair of forward
+    /// and backward influences, and chains that share the pair share it.
     fn new(class: &MarkovChainClass, length: usize) -> Result<Self> {
         if length == 0 {
             return Err(PufferfishError::InvalidQuery(
@@ -67,11 +73,23 @@ impl Profile {
             ));
         }
         let mut worst_norm: f64 = 0.0;
-        let mut summaries = Vec::with_capacity(class.len());
+        let mut summaries: Vec<InfluenceMatrixSummary> = Vec::with_capacity(class.len());
         for chain in class.chains() {
-            let summary = influence_summary(chain, length)?;
-            worst_norm = worst_norm.max(summary.spectral_norm);
-            summaries.push(summary);
+            let (forward, backward) = influences(chain)?;
+            let solved = summaries.iter().find(|summary| {
+                summary.forward_influence.to_bits() == forward.to_bits()
+                    && summary.backward_influence.to_bits() == backward.to_bits()
+            });
+            let spectral_norm = match solved {
+                Some(summary) => summary.spectral_norm,
+                None => influence_norm(forward, backward, length)?,
+            };
+            worst_norm = worst_norm.max(spectral_norm);
+            summaries.push(InfluenceMatrixSummary {
+                forward_influence: forward,
+                backward_influence: backward,
+                spectral_norm,
+            });
         }
         if worst_norm >= 1.0 {
             return Err(PufferfishError::CannotCalibrate(format!(
@@ -213,24 +231,24 @@ impl Calibrator for Gk16Calibrator {
     }
 }
 
-/// Builds the influence summary of a single chain.
-fn influence_summary(chain: &MarkovChain, length: usize) -> Result<InfluenceMatrixSummary> {
+/// A chain's forward and backward (time-reversed) max-divergence
+/// influences.
+fn influences(chain: &MarkovChain) -> Result<(f64, f64)> {
     let forward = kernel_max_divergence(chain.transition());
     let reversed = time_reversal(chain)?;
-    let backward = kernel_max_divergence(reversed.transition());
+    Ok((forward, kernel_max_divergence(reversed.transition())))
+}
 
-    let spectral_norm = if forward.is_infinite() || backward.is_infinite() {
+/// The spectral norm of the influence matrix of a chain of `length` with
+/// the given influences.
+fn influence_norm(forward: f64, backward: f64, length: usize) -> Result<f64> {
+    Ok(if forward.is_infinite() || backward.is_infinite() {
         f64::INFINITY
     } else if length <= EXPLICIT_NORM_LIMIT {
         explicit_tridiagonal_norm(forward, backward, length)?
     } else {
         // Toeplitz symbol limit: sup_ω |a e^{iω} + b e^{-iω}| = a + b.
         forward + backward
-    };
-    Ok(InfluenceMatrixSummary {
-        forward_influence: forward,
-        backward_influence: backward,
-        spectral_norm,
     })
 }
 
@@ -443,6 +461,28 @@ mod tests {
             empty.calibrate(&query, budget()),
             Err(PufferfishError::InvalidQuery(_))
         ));
+    }
+
+    #[test]
+    fn chains_sharing_influences_share_one_solve_bit_for_bit() {
+        let class = IntervalClassBuilder::symmetric(0.45)
+            .grid_points(4)
+            .build()
+            .unwrap();
+        let gk = Gk16::calibrate(&class, 100, budget()).unwrap();
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for (summary, chain) in gk.summaries().iter().zip(class.chains()) {
+            let (forward, backward) = influences(chain).unwrap();
+            assert_eq!(summary.forward_influence.to_bits(), forward.to_bits());
+            assert_eq!(summary.backward_influence.to_bits(), backward.to_bits());
+            let alone = explicit_tridiagonal_norm(forward, backward, 100).unwrap();
+            assert_eq!(summary.spectral_norm.to_bits(), alone.to_bits());
+            let pair = (forward.to_bits(), backward.to_bits());
+            if !pairs.contains(&pair) {
+                pairs.push(pair);
+            }
+        }
+        assert_eq!((gk.summaries().len(), pairs.len()), (16, 12));
     }
 
     #[test]

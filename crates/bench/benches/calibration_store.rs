@@ -4,8 +4,9 @@
 //!
 //! Four measurements:
 //!
-//! * **cold_start** — calibrating N distinct ε keys from scratch, plus the
-//!   cost of exporting the resulting cache to a snapshot file.
+//! * **cold_start** — calibrating N distinct ε keys on a fresh engine (its
+//!   calibrator builds the per-θ tables at the first and reuses them), plus
+//!   the cost of exporting the resulting cache to a snapshot file.
 //! * **warm_start** — a fresh engine importing that file: wall-clock
 //!   speedup over cold calibration, an asserted **zero** miss counter, and
 //!   asserted bitwise-identical releases against the cold engine.

@@ -39,6 +39,7 @@ use pufferfish_parallel::Parallelism;
 
 use crate::framework::DiscretePufferfishFramework;
 use crate::mechanism::{Mechanism, NoisyRelease, PrivacyBudget};
+use crate::mqm_exact::PreparedClass;
 use crate::queries::LipschitzQuery;
 use crate::{
     MarkovQuiltMechanism, MqmApprox, MqmApproxOptions, MqmExact, MqmExactOptions, PufferfishError,
@@ -881,11 +882,19 @@ impl Calibrator for WassersteinCalibrator {
 }
 
 /// Calibrator for MQMExact (Algorithm 3) over a Markov chain class.
+///
+/// Each θ's matrix powers, influence tables and node list depend on the
+/// class, the length and the search options, never on ε, so the calibrator
+/// prepares them on its first calibration and searches them again at every
+/// later ε — bitwise the mechanism [`MqmExact::calibrate`] returns. A class
+/// whose tables cannot be built is refused once, and that refusal is
+/// returned for every ε.
 pub struct MqmExactCalibrator {
     class: MarkovChainClass,
     length: usize,
     options: MqmExactOptions,
     token: u64,
+    prepared: OnceLock<Result<PreparedClass>>,
 }
 
 impl MqmExactCalibrator {
@@ -902,6 +911,7 @@ impl MqmExactCalibrator {
             length,
             options,
             token,
+            prepared: OnceLock::new(),
         }
     }
 }
@@ -926,21 +936,32 @@ impl Calibrator for MqmExactCalibrator {
         _query: &dyn LipschitzQuery,
         budget: PrivacyBudget,
     ) -> Result<Arc<dyn Mechanism>> {
-        Ok(Arc::new(MqmExact::calibrate(
-            &self.class,
-            self.length,
+        let prepared = self
+            .prepared
+            .get_or_init(|| MqmExact::prepare(&self.class, self.length, self.options))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(Arc::new(MqmExact::search(
+            prepared,
             budget,
-            self.options,
+            self.options.parallelism,
         )?))
     }
 }
 
 /// Calibrator for MQMApprox (Algorithm 4) over a Markov chain class.
+///
+/// `(π^min_Θ, g_Θ)` depend on the class and the reversibility mode, never
+/// on ε, so the calibrator computes them on its first calibration and sends
+/// every ε through [`MqmApprox::calibrate_from_parameters`] — bitwise the
+/// mechanism [`MqmApprox::calibrate`] returns. A class it refuses is
+/// refused once, and that refusal is returned for every ε.
 pub struct MqmApproxCalibrator {
     class: MarkovChainClass,
     length: usize,
     options: MqmApproxOptions,
     token: u64,
+    parameters: OnceLock<Result<(f64, f64)>>,
 }
 
 impl MqmApproxCalibrator {
@@ -957,6 +978,7 @@ impl MqmApproxCalibrator {
             length,
             options,
             token,
+            parameters: OnceLock::new(),
         }
     }
 }
@@ -981,8 +1003,14 @@ impl Calibrator for MqmApproxCalibrator {
         _query: &dyn LipschitzQuery,
         budget: PrivacyBudget,
     ) -> Result<Arc<dyn Mechanism>> {
-        Ok(Arc::new(MqmApprox::calibrate(
-            &self.class,
+        let (pi_min, eigengap) = self
+            .parameters
+            .get_or_init(|| MqmApprox::class_parameters(&self.class, self.options))
+            .clone()?;
+        Ok(Arc::new(MqmApprox::calibrate_from_parameters(
+            pi_min,
+            eigengap,
+            self.class.num_states(),
             self.length,
             budget,
             self.options,
@@ -1050,6 +1078,7 @@ impl Calibrator for QuiltCalibrator {
 mod tests {
     use super::*;
     use crate::queries::{RelativeFrequencyHistogram, StateFrequencyQuery};
+    use crate::snapshot::ScaleForm;
     use crate::PufferfishError;
     use pufferfish_markov::MarkovChain;
     use rand::rngs::StdRng;
@@ -1059,6 +1088,74 @@ mod tests {
         MarkovChainClass::singleton(
             MarkovChain::new(vec![1.0, 0.0], vec![vec![0.9, 0.1], vec![0.4, 0.6]]).unwrap(),
         )
+    }
+
+    /// Markov Quilt calibrators keep their ε-free work: every ε, including
+    /// ε arriving together, calibrates bitwise as a direct calibration, and
+    /// a refused class is refused with the direct calibration's error at
+    /// every ε.
+    #[test]
+    fn chain_calibrators_fold_every_epsilon_like_direct_calibrations() {
+        let class = pufferfish_markov::IntervalClassBuilder::symmetric(0.4)
+            .grid_points(2)
+            .build()
+            .unwrap();
+        let epsilons = [0.02, 0.3, 0.05, 1.0, 4.0];
+        let query = RelativeFrequencyHistogram::new(2, 40).unwrap();
+        let sigma = |mechanism: &dyn Mechanism| match mechanism.state().scale {
+            ScaleForm::LipschitzTimes { multiplier } => multiplier.to_bits(),
+            other => panic!("unexpected scale {other:?}"),
+        };
+        let approx_options = MqmApproxOptions::default();
+        let exact_options = MqmExactOptions::default();
+        let approx = MqmApproxCalibrator::new(class.clone(), 40, approx_options);
+        let exact = MqmExactCalibrator::new(class.clone(), 40, exact_options);
+        let folds: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = epsilons
+                .iter()
+                .map(|&epsilon| {
+                    let (approx, exact, query) = (&approx, &exact, &query);
+                    scope.spawn(move || {
+                        let budget = PrivacyBudget::new(epsilon).unwrap();
+                        let approx = approx.calibrate(query, budget).unwrap();
+                        let exact = exact.calibrate(query, budget).unwrap();
+                        (sigma(&*approx), sigma(&*exact))
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (&epsilon, fold) in epsilons.iter().zip(folds) {
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct_approx = MqmApprox::calibrate(&class, 40, budget, approx_options).unwrap();
+            let direct_exact = MqmExact::calibrate(&class, 40, budget, exact_options).unwrap();
+            let direct = (
+                direct_approx.sigma_max().to_bits(),
+                direct_exact.sigma_max().to_bits(),
+            );
+            assert_eq!(fold, direct, "ε {epsilon}");
+            // A later calibration reuses the kept state.
+            let again = (
+                sigma(&*approx.calibrate(&query, budget).unwrap()),
+                sigma(&*exact.calibrate(&query, budget).unwrap()),
+            );
+            assert_eq!(again, direct, "ε {epsilon}, again");
+        }
+
+        let periodic = MarkovChainClass::singleton(
+            MarkovChain::new(vec![1.0, 0.0], vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap(),
+        );
+        let refused = MqmApproxCalibrator::new(periodic.clone(), 40, approx_options);
+        let empty = MqmExactCalibrator::new(periodic.clone(), 0, exact_options);
+        for epsilon in [0.05, 1.0] {
+            let budget = PrivacyBudget::new(epsilon).unwrap();
+            let direct = MqmApprox::calibrate(&periodic, 40, budget, approx_options).unwrap_err();
+            let engine = refused.calibrate(&query, budget).err().unwrap();
+            assert_eq!(engine.to_string(), direct.to_string());
+            let direct = MqmExact::calibrate(&periodic, 0, budget, exact_options).unwrap_err();
+            let engine = empty.calibrate(&query, budget).err().unwrap();
+            assert_eq!(engine.to_string(), direct.to_string());
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! Each node's quilt is chosen by the scorer Algorithms 2–4 share
 //! (`best_quilt` in `mqm_chain_influence.rs`), with the closed-form bound
 //! as the influence.
+//!
+//! Neither `(π^min_Θ, g_Θ)` nor the bound of one side at a given distance
+//! depends on ε. A calibration tabulates the side bound once for every
+//! distance its search can reach, and the engine's `MqmApproxCalibrator`
+//! computes `(π^min_Θ, g_Θ)` once for every ε it calibrates.
 
 use pufferfish_markov::{
     class_eigengap_with, class_pi_min_with, MarkovChainClass, ReversibilityMode,
@@ -86,8 +91,7 @@ impl MqmApprox {
         budget: PrivacyBudget,
         options: MqmApproxOptions,
     ) -> Result<Self> {
-        let pi_min = class_pi_min_with(class, options.parallelism)?;
-        let eigengap = class_eigengap_with(class, options.reversibility, options.parallelism)?;
+        let (pi_min, eigengap) = Self::class_parameters(class, options)?;
         Self::calibrate_from_parameters(
             pi_min,
             eigengap,
@@ -96,6 +100,17 @@ impl MqmApprox {
             budget,
             options,
         )
+    }
+
+    /// `(π^min_Θ, g_Θ)`, the class's part of a calibration: it depends on
+    /// the class and the reversibility mode, never on ε or the length.
+    pub(crate) fn class_parameters(
+        class: &MarkovChainClass,
+        options: MqmApproxOptions,
+    ) -> Result<(f64, f64)> {
+        let pi_min = class_pi_min_with(class, options.parallelism)?;
+        let eigengap = class_eigengap_with(class, options.reversibility, options.parallelism)?;
+        Ok((pi_min, eigengap))
     }
 
     /// Calibrates directly from `(π^min_Θ, g_Θ)`, the only quantities the
@@ -150,14 +165,19 @@ impl MqmApprox {
             ),
         };
 
+        // The width cap also bounds the offsets, so one side's bound is
+        // needed at distances up to the cap (and inside the chain) only.
+        let sides: Vec<f64> = (0..=width_cap.min(length - 1))
+            .map(|distance| side_bound(distance, pi_min, eigengap))
+            .collect();
+
         // Per-node scores are independent pure math: map (in parallel for
         // the full-search strategies) and fold in node order, reproducing
-        // the serial first-strict-maximum selection bit for bit. The width
-        // cap also bounds the offsets.
+        // the serial first-strict-maximum selection bit for bit.
         let scores = try_par_map(options.parallelism, &nodes, |&i| {
             let candidates = ChainQuiltShape::candidates(i, length, width_cap, width_cap);
             best_quilt(epsilon, candidates, |&shape| {
-                Ok(influence_bound(shape, pi_min, eigengap))
+                Ok(influence_bound(shape, |distance| sides[distance]))
             })
         })?;
 
@@ -303,16 +323,15 @@ fn side_bound(distance: usize, pi_min: f64, eigengap: f64) -> f64 {
     ((pi_min + decay) / (pi_min - decay)).ln()
 }
 
-/// Upper bound on the max-influence of a quilt of the given shape.
-fn influence_bound(shape: ChainQuiltShape, pi_min: f64, eigengap: f64) -> f64 {
+/// Upper bound on the max-influence of a quilt of the given shape, from
+/// `side(d)`, the [`side_bound`] at distance `d`.
+fn influence_bound(shape: ChainQuiltShape, side: impl Fn(usize) -> f64) -> f64 {
     match shape {
         ChainQuiltShape::Trivial => 0.0,
         // The backward (left) side enters the bound twice (Lemma 4.8).
-        ChainQuiltShape::LeftOnly { a } => 2.0 * side_bound(a, pi_min, eigengap),
-        ChainQuiltShape::RightOnly { b } => side_bound(b, pi_min, eigengap),
-        ChainQuiltShape::TwoSided { a, b } => {
-            2.0 * side_bound(a, pi_min, eigengap) + side_bound(b, pi_min, eigengap)
-        }
+        ChainQuiltShape::LeftOnly { a } => 2.0 * side(a),
+        ChainQuiltShape::RightOnly { b } => side(b),
+        ChainQuiltShape::TwoSided { a, b } => 2.0 * side(a) + side(b),
     }
 }
 
@@ -376,7 +395,9 @@ mod tests {
                             (0, b) => ChainQuiltShape::RightOnly { b },
                             (a, b) => ChainQuiltShape::TwoSided { a, b },
                         };
-                        let bound = influence_bound(shape, pi_min, eigengap);
+                        let bound = influence_bound(shape, |distance| {
+                            side_bound(distance, pi_min, eigengap)
+                        });
                         assert!(
                             bound >= 0.0,
                             "{shape:?} at π {pi_min}, g {eigengap}: {bound}"

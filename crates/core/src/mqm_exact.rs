@@ -4,6 +4,12 @@
 //! Each node's quilt is chosen by the scorer Algorithms 2–4 share
 //! (`best_quilt` in `mqm_chain_influence.rs`), over the chain candidates
 //! that module enumerates.
+//!
+//! A calibration is two stages: the per-θ tables (matrix powers, marginals,
+//! influence tables, the node list), which do not depend on ε, then the
+//! quilt search at ε. [`MqmExact::calibrate`] runs both; the engine's
+//! `MqmExactCalibrator` prepares the tables once and searches them at every
+//! ε it calibrates.
 
 use pufferfish_markov::{MarkovChain, MarkovChainClass, TransitionPowers};
 use pufferfish_parallel::{try_par_map, Parallelism};
@@ -61,6 +67,16 @@ struct PreparedTheta {
     max_offset: usize,
 }
 
+/// The ε-free stage of an MQMExact calibration of one `(class, length,
+/// options)`: every θ's [`PreparedTheta`], in class order.
+pub(crate) struct PreparedClass {
+    thetas: Vec<PreparedTheta>,
+    length: usize,
+    width_cap: usize,
+    mode: InitialDistributionMode,
+    num_states: usize,
+}
+
 /// A calibrated MQMExact mechanism.
 ///
 /// Calibration computes, for every chain `θ ∈ Θ` and every node `X_i`, the
@@ -90,39 +106,72 @@ impl MqmExact {
         budget: PrivacyBudget,
         options: MqmExactOptions,
     ) -> Result<Self> {
+        Self::search(
+            &Self::prepare(class, length, options)?,
+            budget,
+            options.parallelism,
+        )
+    }
+
+    /// Stage 1, which does not depend on ε: per-θ precomputation (matrix
+    /// powers, marginals, per-offset influence tables) in parallel across
+    /// the class.
+    pub(crate) fn prepare(
+        class: &MarkovChainClass,
+        length: usize,
+        options: MqmExactOptions,
+    ) -> Result<PreparedClass> {
         if length == 0 {
             return Err(PufferfishError::InvalidQuery(
                 "chain length must be positive".to_string(),
             ));
         }
-        let epsilon = budget.epsilon();
         let mode = if class.allows_all_initial_distributions() {
             InitialDistributionMode::AllInitials
         } else {
             InitialDistributionMode::FixedInitial
         };
-
         let width_cap = options.max_quilt_width.unwrap_or(length).min(length);
-
-        // Stage 1: per-θ precomputation (matrix powers, marginals,
-        // per-offset influence tables) in parallel across the class.
-        let prepared: Vec<PreparedTheta> = try_par_map(options.parallelism, class.chains(), {
+        let thetas = try_par_map(options.parallelism, class.chains(), {
             |chain| Self::prepare_theta(chain, length, width_cap, mode, options)
         })?;
+        Ok(PreparedClass {
+            thetas,
+            length,
+            width_cap,
+            mode,
+            num_states: class.num_states(),
+        })
+    }
 
-        // Stage 2: one flat sweep over every (θ, node) pair, so the full
-        // thread budget applies whether the work is dominated by many
-        // chains (interval grids) or many nodes (singleton classes). The
-        // jobs are θ-major, so each θ below folds its own run of scores in
-        // node order, reproducing the nested serial loops' first-strict-
-        // maximum selection exactly.
-        let jobs: Vec<(usize, usize)> = prepared
+    /// Stage 2: the quilt search at `budget` over prepared tables.
+    pub(crate) fn search(
+        prepared: &PreparedClass,
+        budget: PrivacyBudget,
+        parallelism: Parallelism,
+    ) -> Result<Self> {
+        let PreparedClass {
+            ref thetas,
+            length,
+            width_cap,
+            mode,
+            num_states,
+        } = *prepared;
+        let epsilon = budget.epsilon();
+
+        // One flat sweep over every (θ, node) pair, so the full thread
+        // budget applies whether the work is dominated by many chains
+        // (interval grids) or many nodes (singleton classes). The jobs are
+        // θ-major, so each θ below folds its own run of scores in node
+        // order, reproducing the nested serial loops' first-strict-maximum
+        // selection exactly.
+        let jobs: Vec<(usize, usize)> = thetas
             .iter()
             .enumerate()
             .flat_map(|(theta_index, prep)| prep.nodes.iter().map(move |&node| (theta_index, node)))
             .collect();
-        let scores = try_par_map(options.parallelism, &jobs, |&(theta_index, node)| {
-            let prep = &prepared[theta_index];
+        let scores = try_par_map(parallelism, &jobs, |&(theta_index, node)| {
+            let prep = &thetas[theta_index];
             let candidates = ChainQuiltShape::candidates(node, length, prep.max_offset, width_cap);
             // Candidates come `a`-major, so keeping the secret pairs of the
             // last evaluation index serves each run of quilts that share it.
@@ -141,9 +190,9 @@ impl MqmExact {
         })?;
 
         let mut sigma_max: f64 = 0.0;
-        let mut selections = Vec::with_capacity(class.len());
+        let mut selections = Vec::with_capacity(thetas.len());
         let mut scores = scores.into_iter();
-        for (theta_index, prep) in prepared.iter().enumerate() {
+        for (theta_index, prep) in thetas.iter().enumerate() {
             let (mut node, mut shape, mut score) = (prep.nodes[0], ChainQuiltShape::Trivial, 0.0);
             let run = scores.by_ref().take(prep.nodes.len());
             for (&i, best) in prep.nodes.iter().zip(run) {
@@ -174,9 +223,7 @@ impl MqmExact {
                 scale: ScaleForm::LipschitzTimes {
                     multiplier: sigma_max,
                 },
-                validation: ValidationForm::StateRange {
-                    num_states: class.num_states(),
-                },
+                validation: ValidationForm::StateRange { num_states },
             },
             sigma_max,
             length,

@@ -20,14 +20,23 @@ const JACOBI_TOLERANCE: f64 = 1e-12;
 /// Computes all eigenvalues of a symmetric matrix using the cyclic Jacobi
 /// method. The returned eigenvalues are sorted in descending order.
 ///
+/// The sweep runs on the connected components of the matrix's nonzero
+/// pattern, each held as its own dense block. An entry between two
+/// components is an exact zero that no rotation changes, so the blocks
+/// replay the sweep over the whole matrix bit for bit while each rotation
+/// touches only its block's rows: a block-diagonal matrix, such as the
+/// `AᵀA` of a tridiagonal `A` (its even and odd indices), costs the sum of
+/// its blocks, and a dense matrix is one block.
+///
 /// # Errors
 /// * [`LinalgError::NotSquare`] if the matrix is not square.
-/// * [`LinalgError::NotStochastic`] is never returned here; asymmetric input
-///   is reported as [`LinalgError::NonFinite`]-free but asymmetric matrices
-///   are rejected with [`LinalgError::DimensionMismatch`]-style errors: we use
-///   [`LinalgError::NotSquare`] for shape and a dedicated check for symmetry.
+/// * [`LinalgError::NonFinite`] if an entry is not finite.
+/// * [`LinalgError::Empty`] for a 0 × 0 matrix.
 /// * [`LinalgError::DidNotConverge`] if the sweeps fail to reduce the
 ///   off-diagonal mass below tolerance.
+///
+/// Small asymmetries (round-off) are averaged away; a matrix that is far
+/// from symmetric is a caller bug and yields meaningless eigenvalues.
 pub fn symmetric_eigenvalues(a: &Matrix) -> Result<Vec<f64>> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -48,30 +57,25 @@ pub fn symmetric_eigenvalues(a: &Matrix) -> Result<Vec<f64>> {
         return Ok(vec![a[(0, 0)]]);
     }
 
-    let mut m = a.clone();
-    // Symmetrize tiny asymmetries coming from floating-point round-off; large
-    // asymmetries are a caller bug and produce garbage, so guard loosely.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
-            m[(i, j)] = avg;
-            m[(j, i)] = avg;
-        }
-    }
-
+    let mut blocks = Blocks::new(a);
     for _sweep in 0..MAX_JACOBI_SWEEPS {
-        let off = off_diagonal_norm(&m);
-        if off < JACOBI_TOLERANCE {
-            let mut eigs: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+        if blocks.off_diagonal_norm() < JACOBI_TOLERANCE {
+            let mut eigs = blocks.diagonal();
             eigs.sort_by(|a, b| b.partial_cmp(a).expect("finite eigenvalues"));
             return Ok(eigs);
         }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                if m[(p, q)].abs() < JACOBI_TOLERANCE * 1e-3 {
-                    continue;
+        // A rotation reads and writes only its own block, so sweeping the
+        // blocks one after another performs each block's rotations in the
+        // order of the whole-matrix sweep (pairs `p < q` in index order).
+        for block in &mut blocks.blocks {
+            let k = block.rows();
+            for p in 0..k {
+                for q in (p + 1)..k {
+                    if block[(p, q)].abs() < JACOBI_TOLERANCE * 1e-3 {
+                        continue;
+                    }
+                    jacobi_rotate(block, p, q);
                 }
-                jacobi_rotate(&mut m, p, q);
             }
         }
     }
@@ -90,15 +94,87 @@ pub fn largest_eigenvalue_symmetric(a: &Matrix) -> Result<f64> {
     eigs.into_iter().reduce(f64::max).ok_or(LinalgError::Empty)
 }
 
-fn off_diagonal_norm(m: &Matrix) -> f64 {
-    let n = m.rows();
-    let mut sum = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            sum += m[(i, j)] * m[(i, j)];
+/// A symmetrised square matrix held as one dense block per connected
+/// component of its nonzero pattern (`a[(i, j)] != 0` or `a[(j, i)] != 0`).
+///
+/// Each block lists its indices in increasing order, so a block's pairs
+/// `p < q` are the matrix's pairs between those indices, in index order.
+/// Every entry between two components symmetrises to an exact zero, and a
+/// rotation of a block multiplies the zeros of the other components' rows
+/// and columns into zeros, so the components never merge; those zeros add
+/// nothing to the off-diagonal sum and are never rotated.
+struct Blocks {
+    /// `(block, position within the block)` of each matrix index.
+    place: Vec<(usize, usize)>,
+    blocks: Vec<Matrix>,
+}
+
+impl Blocks {
+    fn new(a: &Matrix) -> Self {
+        let n = a.rows();
+        let mut place = vec![(usize::MAX, 0); n];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for root in 0..n {
+            if place[root].0 != usize::MAX {
+                continue;
+            }
+            // Label the component of `root`, the lowest unlabelled index,
+            // by a walk over the pattern.
+            let block = members.len();
+            place[root].0 = block;
+            let (mut group, mut stack) = (Vec::new(), vec![root]);
+            while let Some(i) = stack.pop() {
+                group.push(i);
+                for j in 0..n {
+                    if place[j].0 == usize::MAX && (a[(i, j)] != 0.0 || a[(j, i)] != 0.0) {
+                        place[j].0 = block;
+                        stack.push(j);
+                    }
+                }
+            }
+            group.sort_unstable();
+            members.push(group);
         }
+        let blocks = members
+            .iter()
+            .map(|group| {
+                let mut block = Matrix::zeros(group.len(), group.len());
+                for (p, &i) in group.iter().enumerate() {
+                    place[i].1 = p;
+                    block[(p, p)] = a[(i, i)];
+                    for (q, &j) in group.iter().enumerate().skip(p + 1) {
+                        // Round-off asymmetry averages away.
+                        let avg = 0.5 * (a[(i, j)] + a[(j, i)]);
+                        block[(p, q)] = avg;
+                        block[(q, p)] = avg;
+                    }
+                }
+                block
+            })
+            .collect();
+        Blocks { place, blocks }
     }
-    sum.sqrt()
+
+    /// The off-diagonal Frobenius norm of the upper triangle, summed in
+    /// the matrix's index order.
+    fn off_diagonal_norm(&self) -> f64 {
+        let mut sum = 0.0;
+        for &(block, p) in &self.place {
+            let block = &self.blocks[block];
+            for q in (p + 1)..block.rows() {
+                sum += block[(p, q)] * block[(p, q)];
+            }
+        }
+        sum.sqrt()
+    }
+
+    /// The diagonal, in the matrix's index order.
+    fn diagonal(&self) -> Vec<f64> {
+        self.place
+            .iter()
+            .map(|&(block, p)| self.blocks[block][(p, p)])
+            .collect()
+    }
 }
 
 /// One Jacobi rotation zeroing out the (p, q) entry of a symmetric matrix.
@@ -245,6 +321,102 @@ mod tests {
         let mut nan = Matrix::identity(2);
         nan[(0, 0)] = f64::NAN;
         assert!(symmetric_eigenvalues(&nan).is_err());
+    }
+
+    /// The Jacobi sweep over the whole dense matrix, as it ran before the
+    /// sweep was split into component blocks: the oracle the block sweep
+    /// must match bit for bit.
+    fn dense_symmetric_eigenvalues(a: &Matrix) -> Result<Vec<f64>> {
+        let n = a.rows();
+        if n == 1 {
+            return Ok(vec![a[(0, 0)]]);
+        }
+        let mut m = a.clone();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
+                m[(i, j)] = avg;
+                m[(j, i)] = avg;
+            }
+        }
+        for _sweep in 0..MAX_JACOBI_SWEEPS {
+            let mut off = 0.0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    off += m[(i, j)] * m[(i, j)];
+                }
+            }
+            if off.sqrt() < JACOBI_TOLERANCE {
+                let mut eigs: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+                eigs.sort_by(|a, b| b.partial_cmp(a).expect("finite eigenvalues"));
+                return Ok(eigs);
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    if m[(p, q)].abs() < JACOBI_TOLERANCE * 1e-3 {
+                        continue;
+                    }
+                    jacobi_rotate(&mut m, p, q);
+                }
+            }
+        }
+        Err(LinalgError::DidNotConverge {
+            routine: "jacobi eigenvalue iteration",
+            iterations: MAX_JACOBI_SWEEPS,
+        })
+    }
+
+    fn assert_matches_dense(a: &Matrix, what: &str) {
+        let bits = |eigs: Result<Vec<f64>>| eigs.map(|e| e.iter().map(|x| x.to_bits()).collect());
+        let blocks: Result<Vec<u64>> = bits(symmetric_eigenvalues(a));
+        assert_eq!(blocks, bits(dense_symmetric_eigenvalues(a)), "{what}");
+    }
+
+    #[test]
+    fn block_sweep_matches_the_dense_sweep_on_random_block_patterns() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        for trial in 0..1_000 {
+            let n = rng.gen_range(2..=32usize);
+            // Indices draw one of a few labels; entries join equal labels
+            // only, some of them zero, with round-off asymmetry.
+            let labels = rng.gen_range(1..=4usize);
+            let label: Vec<usize> = (0..n).map(|_| rng.gen_range(0..labels)).collect();
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                a[(i, i)] = rng.gen_range(-3.0..3.0);
+                for j in (i + 1)..n {
+                    if label[i] != label[j] || rng.gen_range(0.0..1.0) < 0.3 {
+                        continue;
+                    }
+                    let value = rng.gen_range(-2.0..2.0);
+                    a[(i, j)] = value;
+                    a[(j, i)] = value * (1.0 + 1e-15 * rng.gen_range(-1.0..1.0));
+                }
+            }
+            assert_matches_dense(&a, &format!("trial {trial}, n {n}"));
+        }
+    }
+
+    #[test]
+    fn block_sweep_matches_the_dense_sweep_on_tridiagonal_gram_matrices() {
+        // GK16's influence matrix: constant super-diagonal `forward` and
+        // sub-diagonal `backward`; its `AᵀA` splits by index parity. Every
+        // length up to 64, then every fourth (the dense oracle's cost grows
+        // as T³), plus the odd lengths 99 and 255.
+        let pairs = [(1.5f64.ln(), 1.5f64.ln()), (0.3, 0.45), (0.0, 2.2e-16)];
+        let lengths = (2..=64).chain((68..=256).step_by(4)).chain([99, 255]);
+        for length in lengths {
+            let (forward, backward) = pairs[length % pairs.len()];
+            let mut a = Matrix::zeros(length, length);
+            for t in 0..length - 1 {
+                a[(t, t + 1)] = forward;
+                a[(t + 1, t)] = backward;
+            }
+            let gram = a.transpose().matmul(&a).unwrap();
+            assert_matches_dense(&gram, &format!("T {length}"));
+        }
     }
 
     #[test]

@@ -305,8 +305,10 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Spectral norm (largest singular value), computed via power iteration on
-    /// `A^T A`. Intended for the small matrices used in this workspace.
+    /// Spectral norm (largest singular value): the square root of the largest
+    /// eigenvalue of `A^T A`, found by the Jacobi sweep of
+    /// [`symmetric_eigenvalues`](crate::eigen::symmetric_eigenvalues).
+    /// Intended for the small matrices used in this workspace.
     pub fn spectral_norm(&self) -> Result<f64> {
         let ata = self.transpose().matmul(self)?;
         let lambda = crate::eigen::largest_eigenvalue_symmetric(&ata)?;

@@ -941,14 +941,27 @@ fn read_text(r: &mut Cursor) -> Result<String, FrameError> {
     Ok(r.text(len)?)
 }
 
+/// A counted list of `item_bytes`-wide items, read into one allocation of
+/// the count [`read_count`] checked.
+fn read_list<'a, T>(
+    r: &mut Cursor<'a>,
+    item_bytes: usize,
+    read: fn(&mut Cursor<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, FrameError> {
+    let count = read_count(r, item_bytes)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
 fn read_f64s(r: &mut Cursor) -> Result<Vec<f64>, FrameError> {
-    let count = read_count(r, 8)?;
-    Ok((0..count).map(|_| r.f64()).collect::<Result<_, _>>()?)
+    read_list(r, 8, Cursor::f64)
 }
 
 fn read_u16s(r: &mut Cursor) -> Result<Vec<u16>, FrameError> {
-    let count = read_count(r, 2)?;
-    Ok((0..count).map(|_| r.u16()).collect::<Result<_, _>>()?)
+    read_list(r, 2, Cursor::u16)
 }
 
 /// The payload length a frame's prefix declares, refused past

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -457,23 +457,57 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
         });
     let Ok(writer) = writer else { return };
 
-    read_loop(inner, stream, &tx, &inflight);
+    let stop = read_loop(inner, &stream, &tx, &inflight);
 
     // The writer now drains what is still in flight, under one deadline,
     // and exits once every sender is gone.
     let _ = tx.send(Outgoing::ReaderStopped);
     drop(tx);
     let _ = writer.join();
+    if stop == Stop::Violation {
+        close_after_error(&stream, config.read_timeout);
+    }
+}
+
+/// Why a connection's reader stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// EOF, GOODBYE, shutdown, idle timeout, a closed service or a dead
+    /// writer: the socket just closes.
+    Close,
+    /// A protocol violation, answered with a typed ERROR. The client may
+    /// have pipelined frames behind the bad one.
+    Violation,
+}
+
+/// Closes a connection after its ERROR without resetting it. Closing a
+/// socket whose received bytes are unread makes the kernel send a reset,
+/// which can reach the client before it reads the ERROR. So once the writer
+/// has flushed, the write side is half-closed (the client reads EOF after
+/// the ERROR), and incoming bytes are discarded until EOF or one `tick`
+/// passes.
+fn close_after_error(mut stream: &TcpStream, tick: Duration) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let started = Instant::now();
+    let mut scratch = [0u8; 4096];
+    while started.elapsed() < tick {
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Decodes and dispatches frames until EOF, Goodbye, shutdown, idle
 /// timeout, or a protocol error.
 fn read_loop(
     inner: &Arc<Inner>,
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
-) {
+) -> Stop {
     let config = &inner.config;
     let mut buffer: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut scratch = [0u8; 16 * 1024];
@@ -501,8 +535,8 @@ fn read_loop(
                         trace
                     });
                     start += consumed;
-                    if !dispatch(inner, envelope, &mut tenant, tx, inflight, trace) {
-                        return;
+                    if let Err(stop) = dispatch(inner, envelope, &mut tenant, tx, inflight, trace) {
+                        return stop;
                     }
                 }
                 // Only the length prefix reports `Truncated`: read more.
@@ -517,14 +551,14 @@ fn read_loop(
                             message: error.to_string(),
                         },
                     ));
-                    return;
+                    return Stop::Violation;
                 }
             }
         }
         buffer.drain(..start);
 
         match stream.read(&mut scratch) {
-            Ok(0) => return,
+            Ok(0) => return Stop::Close,
             Ok(n) => {
                 if let Some(watch) = &inner.telemetry {
                     watch.rx_bytes.add(n as u64);
@@ -545,19 +579,19 @@ fn read_loop(
                             message: "server shutting down".to_string(),
                         },
                     ));
-                    return;
+                    return Stop::Close;
                 }
                 if last_activity.elapsed() >= config.idle_timeout {
-                    return;
+                    return Stop::Close;
                 }
             }
-            Err(_) => return,
+            Err(_) => return Stop::Close,
         }
     }
 }
 
-/// Handles one decoded envelope. Returns `false` when the connection should
-/// close.
+/// Handles one decoded envelope. Returns why the connection should close,
+/// if it should.
 fn dispatch(
     inner: &Arc<Inner>,
     envelope: Envelope,
@@ -565,17 +599,30 @@ fn dispatch(
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
     trace: Option<RequestTrace>,
-) -> bool {
+) -> Result<(), Stop> {
     let config = &inner.config;
     let seq = envelope.seq;
-    let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
+    let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).map_err(|_| Stop::Close);
+    // A protocol violation: answer typed, then close.
+    let violation = |code: ErrorCode, message: &str| {
+        let _ = send_now(Frame::Error {
+            code,
+            message: message.to_string(),
+        });
+        Err(Stop::Violation)
+    };
     // The release service refused a request whose pipeline slot was taken:
     // give the slot back and answer typed. A closed service serves nothing
     // more on this connection.
     let refused = |error: ServiceError| {
         inflight.fetch_sub(1, Ordering::SeqCst);
         let open = !matches!(error, ServiceError::ServiceClosed);
-        send_now(service_error_frame(error, config)) && open
+        send_now(service_error_frame(error, config))?;
+        if open {
+            Ok(())
+        } else {
+            Err(Stop::Close)
+        }
     };
 
     let Some(tenant_name) = tenant.as_deref() else {
@@ -588,24 +635,12 @@ fn dispatch(
                     max_frame_len: config.max_frame_len,
                 })
             }
-            _ => {
-                send_now(Frame::Error {
-                    code: ErrorCode::NotHello,
-                    message: "first frame must be HELLO".to_string(),
-                });
-                false
-            }
+            _ => violation(ErrorCode::NotHello, "first frame must be HELLO"),
         };
     };
 
     match envelope.frame {
-        Frame::Hello { .. } => {
-            send_now(Frame::Error {
-                code: ErrorCode::Malformed,
-                message: "duplicate HELLO".to_string(),
-            });
-            false
-        }
+        Frame::Hello { .. } => violation(ErrorCode::Malformed, "duplicate HELLO"),
         Frame::Release {
             user,
             query,
@@ -646,7 +681,7 @@ fn dispatch(
                 .try_submit_with(request, trace, move |result, trace| {
                     let _ = reply_tx.send(Outgoing::Done(seq, result, trace));
                 })
-                .map_or_else(refused, |()| true)
+                .or_else(refused)
         }
         Frame::Query {
             user,
@@ -745,7 +780,7 @@ fn dispatch(
                     };
                     run_progressive(&task_inner, &task_tx, request);
                 })
-                .map_or_else(refused, |()| true)
+                .or_else(refused)
         }
         Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
         Frame::Metrics => match &inner.telemetry {
@@ -755,15 +790,9 @@ fn dispatch(
                 message: "this server has no telemetry attached".to_string(),
             }),
         },
-        Frame::Goodbye => false,
+        Frame::Goodbye => Err(Stop::Close),
         // Response kinds arriving at the server are a protocol violation.
-        _ => {
-            send_now(Frame::Error {
-                code: ErrorCode::Malformed,
-                message: "response frame sent to server".to_string(),
-            });
-            false
-        }
+        _ => violation(ErrorCode::Malformed, "response frame sent to server"),
     }
 }
 

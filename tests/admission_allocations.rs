@@ -1,12 +1,14 @@
 //! Budget admission for a known identity allocates nothing: the accountant
 //! finds the id by its bytes, and a one-ε spend lives inline in its
-//! accountant. This binary's global allocator counts every allocation made
-//! on the calling thread, so a test reads only its own work.
+//! accountant. Decoding a RELEASE frame allocates its database once. This
+//! binary's global allocator counts every allocation made on the calling
+//! thread, so a test reads only its own work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pufferfish_core::CompositionAccountant;
+use pufferfish_net::{decode_payload, encode, Envelope, Frame, WireQuery, DEFAULT_MAX_FRAME_LEN};
 use pufferfish_service::BudgetAccountant;
 
 /// The system allocator, counting allocations per thread.
@@ -87,4 +89,27 @@ fn records_of_one_epsilon_allocate_nothing() {
     assert_eq!(accountant.releases(), 1_000);
     // A second distinct ε is what moves the multiset to the heap.
     assert_eq!(allocations_in(|| accountant.record(0.2)), 1);
+}
+
+#[test]
+fn decoding_a_release_allocates_its_database_once() {
+    let release = Envelope {
+        seq: 7,
+        frame: Frame::Release {
+            user: 42,
+            query: WireQuery::StateFrequency {
+                state: 1,
+                length: 60,
+            },
+            epsilon: 0.1,
+            seed: 9,
+            database: (0..60).map(|t| (t / 7 % 2) as u16).collect(),
+        },
+    };
+    let bytes = encode(&release, DEFAULT_MAX_FRAME_LEN).unwrap();
+    let mut decoded = None;
+    // The counted database is reserved whole, not grown by doubling.
+    let allocations = allocations_in(|| decoded = Some(decode_payload(&bytes[4..]).unwrap()));
+    assert_eq!(allocations, 1);
+    assert_eq!(decoded, Some(release));
 }

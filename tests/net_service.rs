@@ -843,6 +843,68 @@ fn malformed_bytes_get_a_typed_error_and_the_listener_survives() {
     server.shutdown();
 }
 
+/// A connection the server refuses with an ERROR ends in EOF, not a
+/// reset, even when the client pipelined 1,000 frames behind the bad one:
+/// the server half-closes once the ERROR is out and discards what the
+/// client already sent, so closing the socket throws away no answer.
+#[test]
+fn an_error_and_close_ends_in_eof_with_frames_pipelined_behind_it() {
+    let service = service(64, 2, 10.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let frame = |seq, frame| encode(&Envelope { seq, frame }, DEFAULT_MAX_FRAME_LEN).unwrap();
+    let hello = frame(
+        0,
+        Frame::Hello {
+            tenant: "pipelined".to_string(),
+        },
+    );
+    let stats = frame(1, Frame::Stats);
+    let mut short_release = stats.clone();
+    short_release[9] = 0x02; // the kind byte: RELEASE, with no body behind it
+    let response_kind = frame(1, Frame::Busy { retry_hint_ms: 1 });
+    let behind: Vec<u8> = (0..1_000).flat_map(|_| stats.iter().copied()).collect();
+
+    // (bytes up to the violation, answers expected before EOF).
+    let cases = [
+        ([&hello[..], &short_release].concat(), ErrorCode::Malformed),
+        (stats.clone(), ErrorCode::NotHello),
+        ([&hello[..], &hello].concat(), ErrorCode::Malformed),
+        ([&hello[..], &response_kind].concat(), ErrorCode::Malformed),
+    ];
+    for (case, (bytes, code)) in cases.into_iter().enumerate() {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&[&bytes[..], &behind].concat()).unwrap();
+        let mut response = Vec::new();
+        stream
+            .read_to_end(&mut response)
+            .unwrap_or_else(|e| panic!("case {case}: EOF expected, got {e}"));
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < response.len() {
+            let (envelope, consumed) = decode(&response[at..], DEFAULT_MAX_FRAME_LEN).unwrap();
+            frames.push(envelope.frame);
+            at += consumed;
+        }
+        let error = frames.pop().expect("an ERROR frame");
+        assert!(
+            matches!(error, Frame::Error { code: c, .. } if c == code),
+            "case {case}: {error:?}"
+        );
+        let hello_ok = usize::from(code != ErrorCode::NotHello);
+        assert_eq!(frames.len(), hello_ok, "case {case}: {frames:?}");
+        assert!(frames.iter().all(|f| matches!(f, Frame::HelloOk { .. })));
+    }
+    server.shutdown();
+}
+
 #[test]
 fn connection_cap_refuses_with_a_typed_frame() {
     let service = service(64, 2, 10.0);
