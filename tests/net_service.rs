@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pufferfish_core::engine::{Calibrator, FnCalibrator, MqmApproxCalibrator, ReleaseEngine};
-use pufferfish_core::{MqmApproxOptions, Parallelism};
+use pufferfish_core::{MqmApproxOptions, Parallelism, PrivacyBudget};
 use pufferfish_markov::IntervalClassBuilder;
 use pufferfish_net::{
     decode, encode, ClientError, Envelope, ErrorCode, Frame, FrameError, NetClient, NetServer,
@@ -383,6 +383,93 @@ fn busy_refusals_do_not_charge_the_budget() {
         other => panic!("expected BudgetExhausted, got {other:?}"),
     }
     client.goodbye().unwrap();
+    server.shutdown();
+}
+
+/// Caches the one class-scoped calibration a release at `epsilon` needs,
+/// without charging anyone, so every such release after it is warm.
+fn warm_engine(service: &ReleaseService, epsilon: f64) {
+    let query = test_query().build().unwrap();
+    service
+        .engine()
+        .mechanism(&*query, PrivacyBudget::new(epsilon).unwrap())
+        .unwrap();
+}
+
+/// Encodes one frame for a raw socket.
+fn encoded(seq: u64, frame: Frame) -> Vec<u8> {
+    encode(&Envelope { seq, frame }, DEFAULT_MAX_FRAME_LEN).unwrap()
+}
+
+/// HELLO under `tenant`, as seq 0.
+fn hello(tenant: &str) -> Vec<u8> {
+    encoded(
+        0,
+        Frame::Hello {
+            tenant: tenant.to_string(),
+        },
+    )
+}
+
+#[test]
+fn a_warm_overload_sheds_busy_and_charges_only_the_releases_it_answers() {
+    // A cached calibration, one worker and a 2-deep queue under 120
+    // releases for distinct users, all in one write: some must be BUSY,
+    // every seq is answered once, and a refused release is refunded.
+    const EPSILON: f64 = 0.25;
+    let service = service(2, 1, 1.0);
+    warm_engine(&service, EPSILON);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let db = database(4);
+    let mut bytes = hello("surge");
+    for seq in 1..=120u64 {
+        let release = Frame::release(seq, test_query(), &db, EPSILON, seq).unwrap();
+        bytes.extend_from_slice(&encoded(seq, release));
+    }
+    raw.write_all(&bytes).unwrap();
+
+    let mut inbox = Vec::new();
+    let mut unanswered: std::collections::HashSet<u64> = (0..=120).collect();
+    let (mut ok, mut busy) = (0u64, 0u64);
+    for Envelope { seq, frame } in read_frames(&mut raw, &mut inbox, 121) {
+        assert!(unanswered.remove(&seq), "seq {seq} answered twice");
+        let spent = service.budget().spent(&format!("surge#{seq:x}"));
+        match frame {
+            Frame::HelloOk { .. } if seq == 0 => {}
+            Frame::ReleaseOk { .. } => {
+                ok += 1;
+                assert_eq!(spent, EPSILON, "seq {seq}");
+            }
+            Frame::Busy { .. } => {
+                busy += 1;
+                assert_eq!(spent, 0.0, "seq {seq}: a BUSY release stays charged");
+            }
+            other => panic!("seq {seq} got {other:?}"),
+        }
+    }
+    assert!(unanswered.is_empty());
+    assert!(
+        busy > 0,
+        "a 2-deep queue under 120 releases must refuse some"
+    );
+    assert!(ok > 0, "admission control must not starve everything");
+    // Nothing trails the 121 answers: the next frame is the STATS reply.
+    raw.write_all(&encoded(121, Frame::Stats)).unwrap();
+    match read_frames(&mut raw, &mut inbox, 1).pop().unwrap() {
+        Envelope {
+            seq: 121,
+            frame: Frame::StatsOk(stats),
+        } => assert!(stats.queue_refusals > 0, "refusals must surface in STATS"),
+        other => panic!("expected STATS_OK for seq 121, got {other:?}"),
+    }
+    assert_eq!(service.budget().total_spent(), ok as f64 * EPSILON);
     server.shutdown();
 }
 
