@@ -517,6 +517,17 @@ impl ReleaseEngine {
         }
     }
 
+    /// Whether the calibration for `(query, budget)` is cached: one read
+    /// lock and one hash. It never calibrates and moves no counter, so a
+    /// thread that must not calibrate can ask before it serves a release.
+    pub fn is_cached(&self, query: &dyn LipschitzQuery, budget: PrivacyBudget) -> bool {
+        self.cache
+            .read()
+            .expect("calibration cache poisoned")
+            .get(&self.key_for(query, budget))
+            .is_some_and(|slot| slot.mechanism.get().is_some())
+    }
+
     /// Counts one cache hit and hands out the cached mechanism.
     fn hit(&self, mechanism: &Arc<dyn Mechanism>) -> Arc<dyn Mechanism> {
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -1171,8 +1182,13 @@ mod tests {
         let data = vec![0usize; 200];
 
         assert_eq!(engine.stats().misses, 0);
+        // The probe neither calibrates nor counts.
+        assert!(!engine.is_cached(&query, budget));
+        assert_eq!((engine.stats(), engine.len()), (CacheStats::default(), 0));
         engine.release(&query, &data, budget, &mut rng).unwrap();
         assert_eq!(engine.stats().misses, 1);
+        assert_eq!(engine.stats().hits, 0);
+        assert!(engine.is_cached(&query, budget));
         assert_eq!(engine.stats().hits, 0);
 
         // Same (class, epsilon, query signature): served from cache.
@@ -1199,6 +1215,7 @@ mod tests {
 
         engine.clear_cache();
         assert_eq!(engine.len(), 0);
+        assert!(!engine.is_cached(&scalar, budget));
         engine.release(&query, &data, budget, &mut rng).unwrap();
         assert_eq!(engine.stats().misses, 3);
     }

@@ -288,7 +288,8 @@ pub struct WireStats {
     pub coalesced: u64,
     /// Distinct calibrations currently cached.
     pub cached_calibrations: u64,
-    /// Requests admitted but not yet picked up by a worker.
+    /// Requests admitted but not yet taken: queued for a worker or held
+    /// by a connection reader.
     pub queue_depth: u64,
     /// Admission-queue capacity.
     pub queue_capacity: u64,

@@ -16,10 +16,15 @@
 //!   *connection* proved, not a string the caller made up.
 //! * [`NetServer`] — listener + pipelined connection handlers. Each
 //!   connection keeps many sequence-numbered requests in flight; responses
-//!   return in completion order. Admission-queue refusals become typed
-//!   `BUSY{retry_hint}` frames (the refused request's budget spend is
-//!   rolled back by the service), never blocking. Connection limits, read
-//!   timeouts, and graceful drain-then-close shutdown are built in.
+//!   return in completion order. A RELEASE whose calibration is already
+//!   cached is served and written by the connection's reader thread, all
+//!   of one read's answers in one write; the connection's writer thread
+//!   writes what the service's workers answer (cold releases and
+//!   PROGRESSIVE refinements) and every other frame kind's answers.
+//!   Admission-queue refusals become typed `BUSY{retry_hint}` frames (the
+//!   refused request's budget spend is rolled back by the service), never
+//!   blocking. Connection limits, read timeouts, and graceful
+//!   drain-then-close shutdown are built in.
 //! * [`NetClient`] — a blocking client: raw pipelined send/recv plus
 //!   one-shot helpers mapping the typed refusal frames onto
 //!   [`ClientError`].

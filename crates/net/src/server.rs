@@ -4,47 +4,60 @@
 //! One [`NetServer`] owns a listener thread plus two threads per live
 //! connection, and runs no thread per request:
 //!
-//! * the **reader** decodes frames off the socket and dispatches them. A
-//!   RELEASE is pushed into the shared [`ReleaseService`] via
-//!   `try_submit_with`, and a PROGRESSIVE is queued as a task on the same
-//!   service's workers via `try_spawn` — never the blocking path — so when
-//!   the bounded admission queue refuses, the client gets a typed
-//!   [`Frame::Busy`] immediately instead of stalling every other request
-//!   on the connection. A QUERY runs inline on the reader;
+//! * the **reader** decodes frames off the socket and dispatches them, one
+//!   read pass at a time. A RELEASE is admitted into the shared
+//!   [`ReleaseService`] via `try_submit_or_hold` — never the blocking path
+//!   — so when the bounded admission queue refuses, the client gets a
+//!   typed [`Frame::Busy`] instead of stalling every other request on the
+//!   connection. A RELEASE whose calibration is already cached is held by
+//!   the reader and served on it when the pass ends, through the same serve
+//!   path the service's workers run; a cold one goes to the workers, so no
+//!   calibration ever runs on a reader. The reader answers the HELLO and
+//!   every RELEASE frame it can itself (OK for a warm release, BUSY, BUDGET
+//!   or ERROR) and writes all of a pass's answers in one write. A
+//!   PROGRESSIVE is queued as a task on the service's workers via
+//!   `try_spawn`, and a QUERY runs inline on the reader;
 //! * the **writer** blocks on an in-process channel and writes whatever
-//!   arrives: the reader's immediate responses, finished releases that the
-//!   service's workers push through the reply each RELEASE carries, and
-//!   the refinements a PROGRESSIVE task sends as each one is ready.
-//!   Responses therefore return **out of order**, in completion order,
-//!   matched by sequence number — that is what lets one connection keep
-//!   `max_pipeline` requests in flight.
+//!   arrives: the answers to every other frame kind, cold releases that the
+//!   service's workers push through the reply each one carries, and the
+//!   refinements a PROGRESSIVE task sends as each one is ready.
+//!
+//! Reader and writer share the connection's one buffered write half, behind
+//! a mutex. Responses return **out of order**, matched by sequence number —
+//! that is what lets one connection keep `max_pipeline` requests in flight.
+//! A pass's answers are written before the reader reads again, dispatches a
+//! frame the writer answers, or stops, and right after the HELLO, so no
+//! answer overtakes HELLO_OK and a closing ERROR follows every answer to an
+//! earlier frame.
 //!
 //! Back-pressure has three layers, all surfaced as typed frames rather
-//! than silence: per-connection pipeline depth ([`Frame::Busy`]), the
-//! service admission queue ([`Frame::Busy`] again — nothing stays charged),
-//! and the listener's connection cap ([`ErrorCode::TooManyConnections`]).
+//! than silence: per-connection pipeline depth ([`Frame::Busy`]; a release
+//! counts until its answer is written), the service admission queue
+//! ([`Frame::Busy`] again — nothing stays charged; its capacity bounds the
+//! releases admitted and not yet served, queued or held by a reader), and
+//! the listener's connection cap ([`ErrorCode::TooManyConnections`]).
 //!
 //! Shutdown is graceful: the accept loop stops, readers notice the flag at
-//! their next read-timeout tick and stop decoding, and each writer keeps
-//! writing the responses still in flight until nothing can send it another
-//! (the reader, every in-flight reply and every queued or running
-//! PROGRESSIVE task hold a sender) or one per-connection `drain_timeout`
-//! passes, then closes the socket.
+//! their next read-timeout tick, serve and write what their pass holds, and
+//! stop decoding, and each writer keeps writing the responses still in
+//! flight until nothing can send it another (the reader, every in-flight
+//! reply and every queued or running PROGRESSIVE task hold a sender) or one
+//! per-connection `drain_timeout` passes, then closes the socket.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pufferfish_core::{NoisyRelease, ReleaseEngine};
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_query::{QueryError, QueryResult, QueryService, Table};
 use pufferfish_service::{
-    ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest, ReleaseService,
-    ServiceError, ServiceTelemetry, StreamBackend,
+    HeldRelease, ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest,
+    ReleaseService, ServiceError, ServiceTelemetry, StreamBackend,
 };
 use pufferfish_telemetry::{Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage};
 
@@ -52,6 +65,12 @@ use crate::frame::{
     decode, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireMetric, WireMetricValue,
     WireQueryResult, WireStats, WireWindow, DEFAULT_MAX_FRAME_LEN,
 };
+
+/// Thread names. Linux keeps 15 bytes of a thread name, so each one fits
+/// whole in `/proc`, `top` and `gdb`.
+const ACCEPT_THREAD: &str = "pf-net-accept";
+const READ_THREAD: &str = "pf-net-read";
+const WRITE_THREAD: &str = "pf-net-write";
 
 /// Tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -307,7 +326,7 @@ impl NetServer {
         });
         let accept_inner = Arc::clone(&inner);
         let accept_handle = std::thread::Builder::new()
-            .name("pufferfish-net-accept".to_string())
+            .name(ACCEPT_THREAD.to_string())
             .spawn(move || accept_loop(listener, accept_inner))
             .expect("spawning the accept thread failed");
         Ok(NetServer {
@@ -385,7 +404,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
         inner.total.fetch_add(1, Ordering::SeqCst);
         let conn_inner = Arc::clone(&inner);
         match std::thread::Builder::new()
-            .name("pufferfish-net-conn".to_string())
+            .name(READ_THREAD.to_string())
             .spawn(move || {
                 handle_connection(&conn_inner, stream);
                 conn_inner.active.fetch_sub(1, Ordering::SeqCst);
@@ -430,6 +449,12 @@ enum Outgoing {
     ReaderStopped,
 }
 
+/// A connection's buffered write half, shared by its reader, which writes
+/// each read pass's answers in one write, and its writer thread. Each
+/// holder writes whole frames only, so a holder that panicked left the
+/// buffer whole and the other takes a poisoned lock over.
+type WriteHalf = Mutex<std::io::BufWriter<TcpStream>>;
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let config = &inner.config;
     let _ = stream.set_nodelay(true);
@@ -439,16 +464,21 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let Ok(write_stream) = stream.try_clone() else {
         return;
     };
+    let out = Arc::new(Mutex::new(std::io::BufWriter::with_capacity(
+        64 * 1024,
+        write_stream,
+    )));
     let (tx, rx) = std::sync::mpsc::channel::<Outgoing>();
     let inflight = Arc::new(AtomicUsize::new(0));
+    let writer_out = Arc::clone(&out);
     let writer_inflight = Arc::clone(&inflight);
     let writer_config = config.clone();
     let writer_telemetry = inner.telemetry.clone();
     let writer = std::thread::Builder::new()
-        .name("pufferfish-net-write".to_string())
+        .name(WRITE_THREAD.to_string())
         .spawn(move || {
             writer_loop(
-                write_stream,
+                &writer_out,
                 rx,
                 &writer_inflight,
                 &writer_config,
@@ -457,7 +487,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
         });
     let Ok(writer) = writer else { return };
 
-    let stop = read_loop(inner, &stream, &tx, &inflight);
+    let stop = read_loop(inner, &stream, &tx, &inflight, &out);
 
     // The writer now drains what is still in flight, under one deadline,
     // and exits once every sender is gone.
@@ -500,6 +530,45 @@ fn close_after_error(mut stream: &TcpStream, tick: Duration) {
     }
 }
 
+/// What one read pass answers itself: HELLO_OK and every answer to a
+/// RELEASE frame, encoded in order, plus the warm releases admitted in the
+/// pass, which are served when it ends.
+struct Pass<'s> {
+    answers: Vec<u8>,
+    held: Vec<(u64, HeldRelease<'s>)>,
+}
+
+impl Pass<'_> {
+    fn answer(&mut self, seq: u64, frame: Frame, config: &NetServerConfig) {
+        write_frame(&mut self.answers, seq, frame, config);
+    }
+
+    /// Ends the pass: serves its held releases on this thread, writes all
+    /// its answers in one write, and only then gives the served releases'
+    /// pipeline slots back.
+    fn end(&mut self, inner: &Inner, out: &WriteHalf, inflight: &AtomicUsize) -> Result<(), Stop> {
+        let served = self.held.len();
+        let (config, telemetry) = (&inner.config, inner.telemetry.as_ref());
+        for (seq, held) in self.held.drain(..) {
+            let (result, trace) = held.serve();
+            write_release(&mut self.answers, seq, result, trace, config, telemetry);
+        }
+        if self.answers.is_empty() {
+            return Ok(());
+        }
+        let written = {
+            let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            out.write_all(&self.answers).and_then(|()| out.flush())
+        };
+        if let Some(watch) = &inner.telemetry {
+            watch.tx_bytes.add(self.answers.len() as u64);
+        }
+        self.answers.clear();
+        inflight.fetch_sub(served, Ordering::SeqCst);
+        written.map_err(|_| Stop::Close)
+    }
+}
+
 /// Decodes and dispatches frames until EOF, Goodbye, shutdown, idle
 /// timeout, or a protocol error.
 fn read_loop(
@@ -507,11 +576,16 @@ fn read_loop(
     mut stream: &TcpStream,
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
+    out: &WriteHalf,
 ) -> Stop {
     let config = &inner.config;
     let mut buffer: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut scratch = [0u8; 16 * 1024];
     let mut tenant: Option<String> = None;
+    let mut pass = Pass {
+        answers: Vec::with_capacity(16 * 1024),
+        held: Vec::new(),
+    };
     let mut last_activity = Instant::now();
 
     loop {
@@ -535,7 +609,24 @@ fn read_loop(
                         trace
                     });
                     start += consumed;
-                    if let Err(stop) = dispatch(inner, envelope, &mut tenant, tx, inflight, trace) {
+                    // The pass answers the HELLO and RELEASE frames; the
+                    // writer answers every other kind, so the pass ends
+                    // before one is dispatched. It also ends right after
+                    // the HELLO, since the writer answers a cold RELEASE.
+                    let hello = tenant.is_none();
+                    if !hello && !matches!(envelope.frame, Frame::Release { .. }) {
+                        if let Err(stop) = pass.end(inner, out, inflight) {
+                            return stop;
+                        }
+                    }
+                    let dispatched =
+                        dispatch(inner, envelope, &mut tenant, tx, inflight, &mut pass, trace);
+                    let ended = if hello || dispatched.is_err() {
+                        pass.end(inner, out, inflight)
+                    } else {
+                        Ok(())
+                    };
+                    if let Err(stop) = dispatched.and(ended) {
                         return stop;
                     }
                 }
@@ -543,7 +634,9 @@ fn read_loop(
                 Err(FrameError::Truncated { .. }) => break,
                 Err(error) => {
                     // The stream cannot be resynchronised after a framing
-                    // error; answer once, typed, and close.
+                    // error; answer once, typed, after the pass's answers,
+                    // and close.
+                    let _ = pass.end(inner, out, inflight);
                     let _ = tx.send(Outgoing::Now(
                         0,
                         Frame::Error {
@@ -556,6 +649,9 @@ fn read_loop(
             }
         }
         buffer.drain(..start);
+        if let Err(stop) = pass.end(inner, out, inflight) {
+            return stop;
+        }
 
         match stream.read(&mut scratch) {
             Ok(0) => return Stop::Close,
@@ -592,12 +688,13 @@ fn read_loop(
 
 /// Handles one decoded envelope. Returns why the connection should close,
 /// if it should.
-fn dispatch(
-    inner: &Arc<Inner>,
+fn dispatch<'s>(
+    inner: &'s Arc<Inner>,
     envelope: Envelope,
     tenant: &mut Option<String>,
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
+    pass: &mut Pass<'s>,
     trace: Option<RequestTrace>,
 ) -> Result<(), Stop> {
     let config = &inner.config;
@@ -612,12 +709,12 @@ fn dispatch(
         Err(Stop::Violation)
     };
     // The release service refused a request whose pipeline slot was taken:
-    // give the slot back and answer typed. A closed service serves nothing
-    // more on this connection.
-    let refused = |error: ServiceError| {
+    // give the slot back and answer typed, through `answer`. A closed
+    // service serves nothing more on this connection.
+    let refused = |error: ServiceError, answer: &mut dyn FnMut(Frame) -> Result<(), Stop>| {
         inflight.fetch_sub(1, Ordering::SeqCst);
         let open = !matches!(error, ServiceError::ServiceClosed);
-        send_now(service_error_frame(error, config))?;
+        answer(service_error_frame(error, config))?;
         if open {
             Ok(())
         } else {
@@ -630,10 +727,12 @@ fn dispatch(
         return match envelope.frame {
             Frame::Hello { tenant: name } => {
                 *tenant = Some(name);
-                send_now(Frame::HelloOk {
+                let hello_ok = Frame::HelloOk {
                     max_pipeline: config.max_pipeline as u32,
                     max_frame_len: config.max_frame_len,
-                })
+                };
+                pass.answer(seq, hello_ok, config);
+                Ok(())
             }
             _ => violation(ErrorCode::NotHello, "first frame must be HELLO"),
         };
@@ -648,15 +747,20 @@ fn dispatch(
             seed,
             database,
         } => {
+            // Every answer to a RELEASE is given in the pass.
+            let mut answer = |frame| {
+                pass.answer(seq, frame, config);
+                Ok(())
+            };
             if inflight.load(Ordering::SeqCst) >= config.max_pipeline {
-                return send_now(Frame::Busy {
+                return answer(Frame::Busy {
                     retry_hint_ms: config.busy_retry_hint_ms,
                 });
             }
             let built = match query.build() {
                 Ok(built) => built,
                 Err(error) => {
-                    return send_now(Frame::Error {
+                    return answer(Frame::Error {
                         code: ErrorCode::Malformed,
                         message: error.to_string(),
                     });
@@ -672,16 +776,25 @@ fn dispatch(
                 epsilon,
                 seed,
             };
-            // Counted before submission: a worker may finish the release,
-            // and the writer count it out, before try_submit_with returns.
+            // Counted before submission: a worker may finish a cold
+            // release, and the writer count it out, before admission
+            // returns. A warm one counts until its pass is written.
             inflight.fetch_add(1, Ordering::SeqCst);
             let reply_tx = tx.clone();
-            inner
-                .release
-                .try_submit_with(request, trace, move |result, trace| {
-                    let _ = reply_tx.send(Outgoing::Done(seq, result, trace));
-                })
-                .or_else(refused)
+            let admitted =
+                inner
+                    .release
+                    .try_submit_or_hold(request, trace, move |result, trace| {
+                        let _ = reply_tx.send(Outgoing::Done(seq, result, trace));
+                    });
+            match admitted {
+                Ok(None) => Ok(()),
+                Ok(Some(held)) => {
+                    pass.held.push((seq, held));
+                    Ok(())
+                }
+                Err(error) => refused(error, &mut answer),
+            }
         }
         Frame::Query {
             user,
@@ -780,7 +893,7 @@ fn dispatch(
                     };
                     run_progressive(&task_inner, &task_tx, request);
                 })
-                .or_else(refused)
+                .or_else(|error| refused(error, &mut |frame| send_now(frame)))
         }
         Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
         Frame::Metrics => match &inner.telemetry {
@@ -1017,18 +1130,17 @@ fn query_error_frame(error: QueryError, config: &NetServerConfig) -> Frame {
     }
 }
 
-/// Writes responses in the order they arrive: block for one, write it and
-/// everything else already queued, then flush once. Once the reader stops,
-/// the writer keeps going until every sender is gone or `drain_timeout`
-/// passes, whichever comes first.
+/// Writes responses in the order they arrive: block for one, then write it
+/// and everything else already queued under one hold of the write half,
+/// and flush once. Once the reader stops, the writer keeps going until
+/// every sender is gone or `drain_timeout` passes, whichever comes first.
 fn writer_loop(
-    stream: TcpStream,
+    out: &WriteHalf,
     rx: Receiver<Outgoing>,
     inflight: &AtomicUsize,
     config: &NetServerConfig,
     telemetry: Option<&NetTelemetry>,
 ) {
-    let mut out = std::io::BufWriter::with_capacity(64 * 1024, stream);
     let mut drain_deadline: Option<Instant> = None;
     loop {
         let next = match drain_deadline {
@@ -1038,12 +1150,18 @@ fn writer_loop(
                 .ok(),
         };
         let Some(first) = next else { break };
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
         for outgoing in std::iter::once(first).chain(rx.try_iter()) {
             let written = match outgoing {
-                Outgoing::Now(seq, frame) => write_frame(&mut out, seq, frame, config),
-                Outgoing::Done(seq, result, trace) => {
+                Outgoing::Now(seq, frame) => write_frame(&mut *out, seq, frame, config),
+                Outgoing::Done(seq, result, mut trace) => {
                     inflight.fetch_sub(1, Ordering::SeqCst);
-                    write_release(&mut out, seq, result, trace, config, telemetry)
+                    // The trace restarts as the writer takes it: the hop
+                    // from the worker is in no stage.
+                    if let Some(trace) = trace.as_mut() {
+                        trace.restart();
+                    }
+                    write_release(&mut *out, seq, result, trace, config, telemetry)
                 }
                 Outgoing::ReaderStopped => {
                     drain_deadline = Some(Instant::now() + config.drain_timeout);
@@ -1059,14 +1177,14 @@ fn writer_loop(
             return;
         }
     }
-    let _ = out.flush();
+    let _ = out.lock().unwrap_or_else(PoisonError::into_inner).flush();
 }
 
 /// Writes one finished release as its response frame. Encode plus the
 /// buffered write is the request trace's final stage; the finished trace
 /// then goes to the flight recorder.
 fn write_release(
-    out: &mut std::io::BufWriter<TcpStream>,
+    out: &mut impl Write,
     seq: u64,
     result: Result<NoisyRelease, ServiceError>,
     trace: Option<RequestTrace>,
@@ -1080,12 +1198,8 @@ fn write_release(
         },
         Err(error) => service_error_frame(error, config),
     };
-    let mut traced = trace.zip(telemetry);
-    if let Some((trace, _)) = traced.as_mut() {
-        trace.restart();
-    }
     let written = write_frame(out, seq, frame, config)?;
-    if let Some((mut trace, watch)) = traced {
+    if let Some((mut trace, watch)) = trace.zip(telemetry) {
         finish_trace(&mut trace, Stage::Encode, watch);
     }
     Some(written)
@@ -1094,7 +1208,7 @@ fn write_release(
 /// Encodes and writes one response frame, returning the bytes written
 /// (`None` when the socket is dead and the connection should close).
 fn write_frame(
-    out: &mut std::io::BufWriter<TcpStream>,
+    out: &mut impl Write,
     seq: u64,
     frame: Frame,
     config: &NetServerConfig,

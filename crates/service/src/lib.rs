@@ -10,7 +10,9 @@
 //!   [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
 //!   stampede-coalesced there). Submitters get a [`Ticket`] and wait for
 //!   their [`pufferfish_core::NoisyRelease`], or hand over a reply the
-//!   worker calls with it ([`ReleaseService::try_submit_with`]); a full
+//!   worker calls with it ([`ReleaseService::try_submit_with`]), or serve a
+//!   release whose calibration is already cached on their own thread as a
+//!   [`HeldRelease`] ([`ReleaseService::try_submit_or_hold`]); a full
 //!   queue is explicit back-pressure, not unbounded growth.
 //! * [`BudgetAccountant`] — per-user ε-budget accounting under the paper's
 //!   Theorem 4.4 composition (via
@@ -105,7 +107,7 @@ pub use budget::{BudgetAccountant, SpendTag};
 pub use error::ServiceError;
 pub use observer::ReleaseObserver;
 pub use progressive::{ProgressiveRelease, ProgressiveUpdate, RefinementSchedule, RefinementStep};
-pub use service::{ReleaseRequest, ReleaseService, ServiceConfig, Ticket};
+pub use service::{HeldRelease, ReleaseRequest, ReleaseService, ServiceConfig, Ticket};
 pub use stats::{MonitorStats, ServiceStats, SnapshotInfo};
 pub use stream::{ContinualRelease, StreamBackend, StreamConfig, WindowRelease};
 pub use telemetry::ServiceTelemetry;

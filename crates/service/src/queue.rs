@@ -6,6 +6,10 @@
 //! unbounded memory growth; closable so shutdown is a clean handshake —
 //! after [`BoundedQueue::close`], producers are refused but consumers drain
 //! the remaining items before [`BoundedQueue::pop`] returns `None`.
+//!
+//! A producer that runs an item itself instead of queueing it can still
+//! take one place of the capacity for it ([`BoundedQueue::try_hold`]), so
+//! the capacity bounds every admitted item, queued or held.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,6 +26,9 @@ pub enum PushError<T> {
 
 struct QueueState<T> {
     items: VecDeque<T>,
+    /// Places taken by [`HeldSlot`]s: counted against the capacity like
+    /// queued items, but never popped.
+    held: usize,
     closed: bool,
     /// Pushes refused because the queue was at capacity (the admission-
     /// control signal the network front-end turns into BUSY frames).
@@ -35,6 +42,13 @@ struct QueueState<T> {
     /// even when no thread waits.
     parked_consumers: usize,
     parked_producers: usize,
+}
+
+impl<T> QueueState<T> {
+    /// Places taken: queued items plus held slots.
+    fn occupied(&self) -> usize {
+        self.items.len() + self.held
+    }
 }
 
 /// A fixed-capacity multi-producer multi-consumer queue.
@@ -61,9 +75,10 @@ pub struct BoundedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// Lock-free mirror of `items.len()`, updated while the state mutex is
-    /// held — so telemetry (the `queue_depth` gauge on every taken item) can
-    /// read the depth without contending with producers for the lock.
+    /// Lock-free mirror of the places taken (queued items plus held
+    /// slots), updated while the state mutex is held — so telemetry (the
+    /// `queue_depth` gauge on every taken item) can read the depth without
+    /// contending with producers for the lock.
     depth: AtomicUsize,
 }
 
@@ -74,6 +89,7 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
+                held: 0,
                 closed: false,
                 refusals: 0,
                 high_water: 0,
@@ -92,9 +108,9 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Current number of queued items.
+    /// Places currently taken: queued items plus held slots.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
+        self.state.lock().expect("queue poisoned").occupied()
     }
 
     /// The queue depth without taking the lock: reads the atomic mirror
@@ -105,7 +121,7 @@ impl<T> BoundedQueue<T> {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// `true` when no items are queued.
+    /// `true` when no item is queued and no slot held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -118,7 +134,8 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").refusals
     }
 
-    /// The deepest the queue has ever been (its depth high-water mark).
+    /// The deepest the queue has ever been (its depth high-water mark,
+    /// held slots included).
     /// `high_water == capacity` means admitted traffic has touched the
     /// back-pressure threshold at least once.
     pub fn high_water(&self) -> usize {
@@ -131,14 +148,43 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Full`] / [`PushError::Closed`], returning the item.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
+        match self.room(&mut state) {
+            Ok(()) => {
+                state.items.push_back(item);
+                self.taken(state);
+                Ok(())
+            }
+            Err(PushError::Full(())) => Err(PushError::Full(item)),
+            Err(PushError::Closed(())) => Err(PushError::Closed(item)),
+        }
+    }
+
+    /// Takes one place of the capacity for an item its caller runs itself
+    /// instead of queueing it. The place counts in [`Self::len`], the
+    /// high-water mark and the capacity check exactly like a queued item,
+    /// and no consumer ever sees it; dropping the returned slot gives it
+    /// back.
+    ///
+    /// # Errors
+    /// [`PushError::Full`] (counted in [`Self::refusals`]) and
+    /// [`PushError::Closed`], as for [`Self::try_push`].
+    pub fn try_hold(&self) -> Result<HeldSlot<'_, T>, PushError<()>> {
+        let mut state = self.state.lock().expect("queue poisoned");
+        self.room(&mut state)?;
+        state.held += 1;
+        self.taken(state);
+        Ok(HeldSlot { queue: self })
+    }
+
+    /// Whether `state` has a free place, counting a refusal when it is full.
+    fn room(&self, state: &mut QueueState<T>) -> Result<(), PushError<()>> {
         if state.closed {
-            return Err(PushError::Closed(item));
+            return Err(PushError::Closed(()));
         }
-        if state.items.len() >= self.capacity {
+        if state.occupied() >= self.capacity {
             state.refusals += 1;
-            return Err(PushError::Full(item));
+            return Err(PushError::Full(()));
         }
-        self.admit(state, item);
         Ok(())
     }
 
@@ -152,8 +198,9 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return Err(item);
             }
-            if state.items.len() < self.capacity {
-                self.admit(state, item);
+            if state.occupied() < self.capacity {
+                state.items.push_back(item);
+                self.taken(state);
                 return Ok(());
             }
             state.parked_producers += 1;
@@ -162,16 +209,26 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Appends `item` (the caller has checked there is room) and wakes a
-    /// parked consumer, if there is one.
-    fn admit(&self, mut state: MutexGuard<'_, QueueState<T>>, item: T) {
-        state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
-        self.depth.store(state.items.len(), Ordering::Relaxed);
-        let wake = state.parked_consumers > 0;
+    /// Records a place just taken (a pushed item or a held slot) and wakes
+    /// a parked consumer, if there is one and an item to take.
+    fn taken(&self, mut state: MutexGuard<'_, QueueState<T>>) {
+        state.high_water = state.high_water.max(state.occupied());
+        self.depth.store(state.occupied(), Ordering::Relaxed);
+        let wake = state.parked_consumers > 0 && !state.items.is_empty();
         drop(state);
         if wake {
             self.not_empty.notify_one();
+        }
+    }
+
+    /// Records a place just given back (a popped item or a dropped held
+    /// slot) and wakes a producer parked on the full queue, if there is one.
+    fn freed(&self, state: MutexGuard<'_, QueueState<T>>) {
+        self.depth.store(state.occupied(), Ordering::Relaxed);
+        let wake = state.parked_producers > 0;
+        drop(state);
+        if wake {
+            self.not_full.notify_one();
         }
     }
 
@@ -181,12 +238,7 @@ impl<T> BoundedQueue<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
-                self.depth.store(state.items.len(), Ordering::Relaxed);
-                let wake = state.parked_producers > 0;
-                drop(state);
-                if wake {
-                    self.not_full.notify_one();
-                }
+                self.freed(state);
                 return Some(item);
             }
             if state.closed {
@@ -216,6 +268,27 @@ impl<T> BoundedQueue<T> {
     fn parked(&self) -> (usize, usize) {
         let state = self.state.lock().expect("queue poisoned");
         (state.parked_consumers, state.parked_producers)
+    }
+}
+
+/// One place of a [`BoundedQueue`]'s capacity, taken by
+/// [`BoundedQueue::try_hold`] for an item its holder runs itself; dropping
+/// it gives the place back.
+pub struct HeldSlot<'a, T> {
+    queue: &'a BoundedQueue<T>,
+}
+
+impl<T> Drop for HeldSlot<'_, T> {
+    fn drop(&mut self) {
+        // A drop must not panic (it may run while its holder unwinds), and
+        // every update under this lock leaves the state whole.
+        let mut state = self
+            .queue
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.held -= 1;
+        self.queue.freed(state);
     }
 }
 
@@ -283,6 +356,46 @@ mod tests {
         assert_eq!(queue.approx_len(), 1);
         queue.pop();
         assert_eq!(queue.approx_len(), 0);
+    }
+
+    #[test]
+    fn a_held_slot_counts_like_a_queued_item_until_dropped() {
+        let queue = BoundedQueue::new(2);
+        let held = queue.try_hold().unwrap();
+        queue.try_push(1).unwrap();
+        assert_eq!(
+            (queue.len(), queue.approx_len(), queue.high_water()),
+            (2, 2, 2)
+        );
+        // Full: both a push and another hold are refused and counted.
+        assert_eq!(queue.try_push(2), Err(PushError::Full(2)));
+        assert!(matches!(queue.try_hold(), Err(PushError::Full(()))));
+        assert_eq!(queue.refusals(), 2);
+        // A consumer sees only the queued item.
+        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(queue.len(), 1);
+        drop(held);
+        assert_eq!(
+            (queue.len(), queue.approx_len(), queue.high_water()),
+            (0, 0, 2)
+        );
+        queue.close();
+        assert!(matches!(queue.try_hold(), Err(PushError::Closed(()))));
+        assert_eq!(queue.refusals(), 2);
+    }
+
+    #[test]
+    fn dropping_a_held_slot_wakes_a_blocked_producer() {
+        let queue = Arc::new(BoundedQueue::new(1));
+        let held = queue.try_hold().unwrap();
+        let producer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.push(7))
+        };
+        wait_until_parked(&queue, 0, 1);
+        drop(held);
+        producer.join().unwrap().unwrap();
+        assert_eq!(queue.pop(), Some(7));
     }
 
     #[test]

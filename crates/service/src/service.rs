@@ -8,8 +8,14 @@
 //! which is one such reply; the network front-end's reply pushes the
 //! finished release straight into its connection writer. The same queue
 //! also carries callers' own tasks ([`ReleaseService::try_spawn`]), so one
-//! fixed set of workers runs both. Back-pressure is explicit: a full queue
-//! refuses [`ReleaseService::try_submit`] rather than growing without bound.
+//! fixed set of workers runs both. A caller may instead serve a release
+//! whose calibration is already cached on its own thread
+//! ([`ReleaseService::try_submit_or_hold`]): it then holds one place of the
+//! queue's capacity, not a queued item, until the release is served, and
+//! the release runs through the same serve path a worker runs. Back-pressure
+//! is explicit: the queue's capacity bounds the releases admitted and not
+//! yet served, queued or held, and a full queue refuses
+//! [`ReleaseService::try_submit`] rather than growing without bound.
 //!
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
@@ -35,9 +41,14 @@ use pufferfish_parallel::{Parallelism, WorkerPool};
 use pufferfish_telemetry::{query_signature, LedgerEventKind, RequestTrace, Stage};
 
 use crate::budget::SpendTag;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{BoundedQueue, HeldSlot, PushError};
 use crate::telemetry::ServiceTelemetry;
 use crate::{BudgetAccountant, ReleaseObserver, ServiceError, ServiceStats};
+
+/// The release workers' thread name; the pool suffixes `-{index}`. Linux
+/// keeps 15 bytes of a thread name, so `pf-release-{i}` shows whole in
+/// `/proc`, `top` and `gdb` for up to 10,000 workers.
+const WORKER_THREADS: &str = "pf-release";
 
 /// One release request, self-contained and thread-portable.
 ///
@@ -199,7 +210,10 @@ enum Work {
 pub struct ServiceConfig {
     /// Worker-pool size ([`Parallelism::Auto`] = one worker per core).
     pub workers: Parallelism,
-    /// Admission-queue capacity (back-pressure threshold, clamped to ≥ 1).
+    /// Admission-queue capacity (back-pressure threshold, clamped to ≥ 1):
+    /// it bounds the releases and tasks admitted and not yet taken, whether
+    /// they wait in the queue for a worker or are held by a caller that
+    /// serves them itself ([`ReleaseService::try_submit_or_hold`]).
     pub queue_capacity: usize,
     /// Total ε budget granted to each user across all their releases.
     pub per_user_epsilon: f64,
@@ -274,24 +288,122 @@ impl Default for ServiceConfig {
 /// service.shutdown();
 /// ```
 pub struct ReleaseService {
-    /// The engine behind one level of indirection so
-    /// [`ReleaseService::swap_engine`] can replace it atomically while
-    /// requests are in flight. Workers clone the inner `Arc` out under the
-    /// read lock *once per request*, then serve entirely from that clone —
-    /// a request is always answered by exactly one engine's calibration,
-    /// never a torn mix of pre- and post-swap entries.
-    engine: Arc<RwLock<Arc<ReleaseEngine>>>,
-    /// Write-once hooks, like the engine's metrics and the budget's ledger:
-    /// reading either on the release path is one atomic load.
-    observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>>,
-    telemetry: Arc<OnceLock<Arc<ServiceTelemetry>>>,
-    budget: Arc<BudgetAccountant>,
-    queue: Arc<BoundedQueue<Work>>,
+    serving: Arc<Serving>,
+    budget: BudgetAccountant,
     pool: Option<WorkerPool>,
-    served: Arc<AtomicU64>,
     /// Provenance of the warm-start snapshot, when the service was built
     /// with [`ReleaseService::warm_start`].
     warm_start: Option<WarmStartProvenance>,
+}
+
+/// Everything serving an admitted release touches, shared by the service
+/// and its workers: a release is served the same way on a worker and on a
+/// caller that holds it.
+struct Serving {
+    /// The engine behind one level of indirection so
+    /// [`ReleaseService::swap_engine`] can replace it atomically while
+    /// requests are in flight. A release clones the inner `Arc` out under
+    /// the read lock *once*, then is served entirely from that clone — a
+    /// request is always answered by exactly one engine's calibration,
+    /// never a torn mix of pre- and post-swap entries.
+    engine: RwLock<Arc<ReleaseEngine>>,
+    /// Write-once hooks, like the engine's metrics and the budget's ledger:
+    /// reading either on the release path is one atomic load.
+    observer: OnceLock<Arc<dyn ReleaseObserver>>,
+    telemetry: OnceLock<Arc<ServiceTelemetry>>,
+    queue: BoundedQueue<Work>,
+    served: AtomicU64,
+}
+
+impl Serving {
+    fn engine(&self) -> Arc<ReleaseEngine> {
+        Arc::clone(&self.engine.read().expect("engine lock poisoned"))
+    }
+
+    /// The telemetry, if attached, with its queue-depth gauge set to the
+    /// places now taken; called as a worker takes an item or a holder
+    /// serves its release.
+    fn taking(&self) -> Option<&ServiceTelemetry> {
+        let watch = self.telemetry.get().map(Arc::as_ref);
+        if let Some(watch) = watch {
+            // The atomic mirror, not `len()`: re-locking the queue here
+            // would contend with every submitter.
+            watch.queue_depth().set(self.queue.approx_len() as u64);
+        }
+        watch
+    }
+
+    /// Serves one admitted release on the calling thread, a worker or a
+    /// holder, inside its own panic boundary: laps the queue-wait stage and
+    /// counts the admission (when `trace` is given and telemetry is
+    /// attached), serves through [`ReleaseService::serve`], reports a
+    /// success to the observer and counts the release served. A panic is
+    /// answered [`ServiceError::ServiceClosed`], like a job dropped
+    /// unserved, and counts nothing.
+    fn serve_admitted(
+        &self,
+        engine: &ReleaseEngine,
+        request: &ReleaseRequest,
+        trace: Option<&mut RequestTrace>,
+        watch: Option<&ServiceTelemetry>,
+    ) -> Result<NoisyRelease, ServiceError> {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut staged = trace.zip(watch);
+            if let Some((trace, watch)) = staged.as_mut() {
+                watch.stages().lap(trace, Stage::QueueWait);
+                watch.admitted().inc();
+            }
+            let response = ReleaseService::serve(engine, request, staged);
+            if let (Ok(release), Some(observer)) = (&response, self.observer.get()) {
+                observer.observe_release(&request.database, release);
+            }
+            self.served.fetch_add(1, Ordering::Relaxed);
+            response
+        }))
+        .unwrap_or(Err(ServiceError::ServiceClosed))
+    }
+}
+
+/// A release admitted by [`ReleaseService::try_submit_or_hold`] for its
+/// caller to serve on its own thread: its ε is charged and its calibration
+/// was cached at admission. It holds one place of the admission queue's
+/// capacity until [`HeldRelease::serve`] has served it, or until it is
+/// dropped unserved.
+pub struct HeldRelease<'a> {
+    serving: &'a Serving,
+    request: ReleaseRequest,
+    /// The engine its calibration was found in, which serves it.
+    engine: Arc<ReleaseEngine>,
+    trace: Option<RequestTrace>,
+    _slot: HeldSlot<'a, Work>,
+}
+
+impl HeldRelease<'_> {
+    /// Serves the release on the calling thread through the path a worker
+    /// runs for a queued one (same RNG seeding, observer, `served` count,
+    /// stages and panic boundary; a panic is answered
+    /// [`ServiceError::ServiceClosed`]), then gives the queue place back.
+    /// Returns the outcome and the request's trace, lapped through the
+    /// mechanism stage as a callback reply receives it.
+    pub fn serve(mut self) -> (Result<NoisyRelease, ServiceError>, Option<RequestTrace>) {
+        let watch = self.serving.taking();
+        let response =
+            self.serving
+                .serve_admitted(&self.engine, &self.request, self.trace.as_mut(), watch);
+        (response, self.trace)
+    }
+}
+
+/// How an admission that passed the budget ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Queue the job, waiting for space.
+    Wait,
+    /// Queue the job, or refuse it when the queue is full.
+    Try,
+    /// Hold a queue place for the caller when the calibration is cached,
+    /// otherwise as [`Admission::Try`].
+    HoldIfWarm,
 }
 
 /// What [`ReleaseService::warm_start`] remembers about the snapshot it
@@ -310,57 +422,45 @@ impl ReleaseService {
     /// # Errors
     /// [`ServiceError::InvalidConfig`] for a non-positive per-user budget.
     pub fn start(engine: Arc<ReleaseEngine>, config: ServiceConfig) -> Result<Self, ServiceError> {
-        let budget = Arc::new(BudgetAccountant::new(config.per_user_epsilon)?);
-        let queue: Arc<BoundedQueue<Work>> = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let served = Arc::new(AtomicU64::new(0));
-        let engine = Arc::new(RwLock::new(engine));
-        let observer: Arc<OnceLock<Arc<dyn ReleaseObserver>>> = Arc::new(OnceLock::new());
-        let telemetry: Arc<OnceLock<Arc<ServiceTelemetry>>> = Arc::new(OnceLock::new());
-
+        let budget = BudgetAccountant::new(config.per_user_epsilon)?;
+        let serving = Arc::new(Serving {
+            engine: RwLock::new(engine),
+            observer: OnceLock::new(),
+            telemetry: OnceLock::new(),
+            queue: BoundedQueue::new(config.queue_capacity),
+            served: AtomicU64::new(0),
+        });
         let pool = {
-            let engine = Arc::clone(&engine);
-            let observer = Arc::clone(&observer);
-            let telemetry = Arc::clone(&telemetry);
-            let queue = Arc::clone(&queue);
-            let served = Arc::clone(&served);
-            WorkerPool::spawn(config.workers, "pufferfish-release", move |_worker| {
-                while let Some(work) = queue.pop() {
-                    let watch = telemetry.get().map(Arc::as_ref);
-                    if let Some(watch) = watch {
-                        // The atomic mirror, not `len()`: re-locking the
-                        // queue here would contend with every submitter.
-                        watch.queue_depth().set(queue.approx_len() as u64);
-                    }
-                    // One panic boundary for every queued item: a panicking
-                    // job is answered ServiceClosed by its drop guard as it
-                    // unwinds, and the worker lives on to take the next.
+            let serving = Arc::clone(&serving);
+            WorkerPool::spawn(config.workers, WORKER_THREADS, move |_worker| {
+                while let Some(work) = serving.queue.pop() {
+                    let watch = serving.taking();
+                    // One panic boundary for every queued item: a task, a
+                    // reply or a release that panics unwinds out of itself
+                    // alone (a job left unanswered is answered
+                    // ServiceClosed by its drop guard), and the worker
+                    // lives on to take the next.
                     let _ = panic::catch_unwind(AssertUnwindSafe(|| {
                         let mut job = match work {
                             Work::Release(job) => job,
                             Work::Task(task) => return task(),
                         };
-                        // A job is timed when it carries a trace and
-                        // telemetry is attached; admission gives every job
-                        // one then.
-                        let mut staged = job.trace.as_mut().zip(watch);
-                        if let Some((trace, watch)) = staged.as_mut() {
-                            watch.stages().lap(trace, Stage::QueueWait);
-                            watch.admitted().inc();
-                        }
                         // One engine per request: the clone taken here
                         // outlives any concurrent swap_engine, so the whole
                         // release is served from a single consistent
                         // calibration.
-                        let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
-                        let response = Self::serve(&current, &job.request, staged);
-                        if let (Ok(release), Some(observer)) = (&response, observer.get()) {
-                            observer.observe_release(&job.request.database, release);
-                        }
-                        // Count, and offer a ticket's trace to the recorder,
-                        // before replying: a submitter woken by its ticket
-                        // must find its own request in `served()` and in the
-                        // recorder. A callback gets its trace back instead.
-                        served.fetch_add(1, Ordering::Relaxed);
+                        let engine = serving.engine();
+                        let response = serving.serve_admitted(
+                            &engine,
+                            &job.request,
+                            job.trace.as_mut(),
+                            watch,
+                        );
+                        // Offer a ticket's trace to the recorder before
+                        // replying, as serving counted the release: a
+                        // submitter woken by its ticket must find its own
+                        // request in `served()` and in the recorder. A
+                        // callback gets its trace back instead.
                         if let (Some(Reply::Ticket(_)), Some(trace), Some(recorder)) = (
                             &job.reply,
                             &job.trace,
@@ -375,13 +475,9 @@ impl ReleaseService {
         };
 
         Ok(ReleaseService {
-            engine,
-            observer,
-            telemetry,
+            serving,
             budget,
-            queue,
             pool: Some(pool),
-            served,
             warm_start: None,
         })
     }
@@ -442,12 +538,12 @@ impl ReleaseService {
         Ok(self.engine().export_snapshot().write_to_file(path)?)
     }
 
-    /// One worker's handling of one request: the steps of
-    /// [`ReleaseEngine::release`], split so that a staged job's trace can
-    /// time the engine stage (the cache probe, plus calibration on a miss)
-    /// apart from the mechanism stage (RNG setup, query evaluation and
-    /// noise sampling). The RNG sees the same draws either way. A failed
-    /// release records nothing past its failure point.
+    /// The handling of one admitted request, on a worker or on a holder:
+    /// the steps of [`ReleaseEngine::release`], split so that a staged
+    /// job's trace can time the engine stage (the cache probe, plus
+    /// calibration on a miss) apart from the mechanism stage (RNG setup,
+    /// query evaluation and noise sampling). The RNG sees the same draws
+    /// either way. A failed release records nothing past its failure point.
     fn serve(
         engine: &ReleaseEngine,
         request: &ReleaseRequest,
@@ -476,7 +572,7 @@ impl ReleaseService {
     /// spend rolled back).
     pub fn try_submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
         let (ticket, reply) = Ticket::with_reply();
-        self.admit(request, None, reply, false)?;
+        self.admit(request, None, || reply, Admission::Try)?;
         Ok(ticket)
     }
 
@@ -507,7 +603,44 @@ impl ReleaseService {
         trace: Option<RequestTrace>,
         reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
     ) -> Result<(), ServiceError> {
-        self.admit(request, trace, Reply::Call(Box::new(reply)), false)
+        self.admit(
+            request,
+            trace,
+            || Reply::Call(Box::new(reply)),
+            Admission::Try,
+        )?;
+        Ok(())
+    }
+
+    /// [`ReleaseService::try_submit_with`], except that a release whose
+    /// calibration is already cached is not queued: it comes back as a
+    /// [`HeldRelease`] for the caller to serve on its own thread, and
+    /// `reply` is dropped uncalled. Admission is the same for both: the
+    /// budget is charged first, then a held release takes one place of the
+    /// queue's capacity where a queued one takes a queue item, and a full
+    /// or closed queue refuses either and refunds the charge. A release
+    /// that is not warm is queued as by `try_submit_with` (`Ok(None)`), so
+    /// no calibration ever runs on the caller's thread.
+    ///
+    /// A held release is served, through the same path a worker runs, by
+    /// [`HeldRelease::serve`]; until then its place counts in
+    /// [`ReleaseService::pending`] and against the capacity. The network
+    /// front-end's connection readers serve warm RELEASE frames this way.
+    ///
+    /// # Errors
+    /// As for [`ReleaseService::try_submit`].
+    pub fn try_submit_or_hold(
+        &self,
+        request: ReleaseRequest,
+        trace: Option<RequestTrace>,
+        reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
+    ) -> Result<Option<HeldRelease<'_>>, ServiceError> {
+        self.admit(
+            request,
+            trace,
+            || Reply::Call(Box::new(reply)),
+            Admission::HoldIfWarm,
+        )
     }
 
     /// Queues `task` to run once on a worker, in FIFO order with the release
@@ -529,21 +662,19 @@ impl ReleaseService {
     /// [`ServiceError::QueueFull`] and [`ServiceError::ServiceClosed`]; the
     /// task is then dropped without running.
     pub fn try_spawn(&self, task: impl FnOnce() + Send + 'static) -> Result<(), ServiceError> {
-        self.queue
+        self.serving
+            .queue
             .try_push(Work::Task(Box::new(task)))
-            .map_err(|refused| self.refusal(refused).0)
+            .map_err(|refused| self.refusal(&refused))
     }
 
-    /// The error a queue refusal answers, and the refused item.
-    fn refusal(&self, refused: PushError<Work>) -> (ServiceError, Work) {
+    /// The error a queue refusal answers.
+    fn refusal<T>(&self, refused: &PushError<T>) -> ServiceError {
         match refused {
-            PushError::Full(work) => (
-                ServiceError::QueueFull {
-                    capacity: self.queue.capacity(),
-                },
-                work,
-            ),
-            PushError::Closed(work) => (ServiceError::ServiceClosed, work),
+            PushError::Full(_) => ServiceError::QueueFull {
+                capacity: self.serving.queue.capacity(),
+            },
+            PushError::Closed(_) => ServiceError::ServiceClosed,
         }
     }
 
@@ -554,26 +685,29 @@ impl ReleaseService {
     /// [`ServiceError::BudgetExhausted`] and [`ServiceError::ServiceClosed`].
     pub fn submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
         let (ticket, reply) = Ticket::with_reply();
-        self.admit(request, None, reply, true)?;
+        self.admit(request, None, || reply, Admission::Wait)?;
         Ok(ticket)
     }
 
-    /// Shared admission path: spend the budget, enqueue (waiting for space
-    /// when `blocking`), and roll the spend back when the queue refuses (the
-    /// refused job comes back, and its reply is dropped uncalled; no worker
-    /// will ever see it). Every budget event carries its audit tag — query
-    /// signature, engine family, request seed — into an attached ε ledger.
+    /// The one admission path: spend the budget, then queue the job
+    /// (waiting for space under [`Admission::Wait`]) or, for a warm release
+    /// under [`Admission::HoldIfWarm`], hold a queue place for the caller.
+    /// A queue refusal rolls the spend back (a refused job's reply is
+    /// dropped uncalled; no worker will ever see it). Every budget event
+    /// carries its audit tag — query signature, engine family, request
+    /// seed — into an attached ε ledger. `reply` is built only for a job
+    /// that is queued.
     fn admit(
         &self,
         request: ReleaseRequest,
         mut trace: Option<RequestTrace>,
-        reply: Reply,
-        blocking: bool,
-    ) -> Result<(), ServiceError> {
+        reply: impl FnOnce() -> Reply,
+        how: Admission,
+    ) -> Result<Option<HeldRelease<'_>>, ServiceError> {
         // With telemetry attached the request is timed from its arrival
         // here. Admission ends before the enqueue, so time spent *inside*
         // the enqueue call is part of the queue-wait stage.
-        let watch = self.telemetry.get();
+        let watch = self.serving.telemetry.get();
         if watch.is_some() {
             match trace.as_mut() {
                 Some(trace) => trace.restart(),
@@ -585,7 +719,7 @@ impl ReleaseService {
         let tag = if self.budget.has_ledger() {
             SpendTag {
                 query_sig: query_signature(request.query.name()),
-                family: self.engine.read().expect("engine lock poisoned").kind(),
+                family: self.engine().kind(),
                 seq: request.seed,
             }
         } else {
@@ -604,33 +738,72 @@ impl ReleaseService {
         let admission_ns = watch
             .and(trace.as_mut())
             .map(|trace| trace.lap(Stage::Admission));
-        let job = Work::Release(Job {
-            request,
-            reply: Some(reply),
-            trace,
-        });
-        let refused = if blocking {
-            self.queue.push(job).err().map(PushError::Closed)
-        } else {
-            self.queue.try_push(job).err()
-        };
-        let Some(refused) = refused else {
-            // Only an admission the queue took is sampled.
+        // Only an admission the queue took is sampled.
+        let admitted = || {
             if let Some((watch, ns)) = watch.zip(admission_ns) {
                 watch.stages().record(Stage::Admission, ns);
             }
-            return Ok(());
         };
-        let (error, work) = self.refusal(refused);
-        if let Work::Release(mut job) = work {
-            job.reply = None;
-            self.budget
-                .refund_tagged(&job.request.user, job.request.epsilon, tag);
-        }
+        let warm = match how {
+            Admission::HoldIfWarm => self.warm_engine(&request),
+            Admission::Wait | Admission::Try => None,
+        };
+        let refused = match warm {
+            Some(engine) => match self.serving.queue.try_hold() {
+                Ok(slot) => {
+                    admitted();
+                    return Ok(Some(HeldRelease {
+                        serving: &self.serving,
+                        request,
+                        engine,
+                        trace,
+                        _slot: slot,
+                    }));
+                }
+                Err(refused) => {
+                    self.budget
+                        .refund_tagged(&request.user, request.epsilon, tag);
+                    self.refusal(&refused)
+                }
+            },
+            None => {
+                let job = Work::Release(Job {
+                    request,
+                    reply: Some(reply()),
+                    trace,
+                });
+                let pushed = if how == Admission::Wait {
+                    self.serving.queue.push(job).map_err(PushError::Closed)
+                } else {
+                    self.serving.queue.try_push(job)
+                };
+                let Err(refused) = pushed else {
+                    admitted();
+                    return Ok(None);
+                };
+                let error = self.refusal(&refused);
+                if let PushError::Full(Work::Release(mut job))
+                | PushError::Closed(Work::Release(mut job)) = refused
+                {
+                    job.reply = None;
+                    self.budget
+                        .refund_tagged(&job.request.user, job.request.epsilon, tag);
+                }
+                error
+            }
+        };
         if let Some(watch) = watch {
             watch.refused().inc();
         }
-        Err(error)
+        Err(refused)
+    }
+
+    /// The engine to serve `request` from on the caller's thread: the
+    /// current one, when it already has the request's calibration cached.
+    fn warm_engine(&self, request: &ReleaseRequest) -> Option<Arc<ReleaseEngine>> {
+        let budget = PrivacyBudget::new(request.epsilon).ok()?;
+        let engine = self.engine();
+        engine.is_cached(&*request.query, budget).then_some(engine)
     }
 
     /// Convenience: submit (blocking) and wait for the response.
@@ -648,7 +821,7 @@ impl ReleaseService {
     /// [`ReleaseService::swap_engine`] — like the workers, callers see one
     /// consistent engine, not a moving target.
     pub fn engine(&self) -> Arc<ReleaseEngine> {
-        Arc::clone(&self.engine.read().expect("engine lock poisoned"))
+        self.serving.engine()
     }
 
     /// Atomically replaces the engine serving future requests, returning the
@@ -671,8 +844,8 @@ impl ReleaseService {
         // slot is read under the write lock, so a concurrent
         // `enable_telemetry` either is seen here or reads the engine after
         // this swap and enables the new one itself.
-        let mut current = self.engine.write().expect("engine lock poisoned");
-        if let Some(watch) = self.telemetry.get() {
+        let mut current = self.serving.engine.write().expect("engine lock poisoned");
+        if let Some(watch) = self.serving.telemetry.get() {
             engine.enable_telemetry(watch.registry());
         }
         std::mem::replace(&mut *current, engine)
@@ -692,7 +865,7 @@ impl ReleaseService {
     /// registry.
     pub fn enable_telemetry(&self, telemetry: Arc<ServiceTelemetry>) -> bool {
         let registry = Arc::clone(telemetry.registry());
-        if self.telemetry.set(telemetry).is_err() {
+        if self.serving.telemetry.set(telemetry).is_err() {
             return false;
         }
         self.engine().enable_telemetry(&registry);
@@ -708,7 +881,7 @@ impl ReleaseService {
     /// `true`; later calls return `false` and leave the first observer in
     /// place, so a monitor never silently stops seeing releases.
     pub fn set_observer(&self, observer: Arc<dyn ReleaseObserver>) -> bool {
-        self.observer.set(observer).is_ok()
+        self.serving.observer.set(observer).is_ok()
     }
 
     /// One observability snapshot of the whole service: engine cache
@@ -719,10 +892,10 @@ impl ReleaseService {
         ServiceStats {
             cache: engine.stats(),
             cached_calibrations: engine.len(),
-            queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
-            queue_refusals: self.queue.refusals(),
-            queue_high_water: self.queue.high_water(),
+            queue_depth: self.serving.queue.len(),
+            queue_capacity: self.serving.queue.capacity(),
+            queue_refusals: self.serving.queue.refusals(),
+            queue_high_water: self.serving.queue.high_water(),
             served: self.served(),
             users: self.budget.users(),
             spent_epsilon: self.budget.total_spent(),
@@ -733,7 +906,11 @@ impl ReleaseService {
                 entries: warm.entries,
                 bytes: warm.bytes,
             }),
-            monitor: self.observer.get().map(|observer| observer.monitor_stats()),
+            monitor: self
+                .serving
+                .observer
+                .get()
+                .map(|observer| observer.monitor_stats()),
         }
     }
 
@@ -745,19 +922,21 @@ impl ReleaseService {
     /// Release requests fulfilled so far (successfully or not); tasks are
     /// not counted.
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.serving.served.load(Ordering::Relaxed)
     }
 
-    /// Requests and tasks currently queued and not yet picked up by a
-    /// worker.
+    /// Releases and tasks admitted and not yet taken: queued for a worker,
+    /// or held by a caller that serves them itself
+    /// ([`ReleaseService::try_submit_or_hold`]). The queue capacity bounds
+    /// this count.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.serving.queue.len()
     }
 
     /// Graceful shutdown: refuses new submissions, lets the workers drain
     /// every queued request and task, and joins the pool.
     pub fn shutdown(mut self) {
-        self.queue.close();
+        self.serving.queue.close();
         if let Some(pool) = self.pool.take() {
             pool.join();
         }
@@ -768,7 +947,7 @@ impl Drop for ReleaseService {
     /// Same handshake as [`ReleaseService::shutdown`], for services that are
     /// simply dropped.
     fn drop(&mut self) {
-        self.queue.close();
+        self.serving.queue.close();
         self.pool.take();
     }
 }
@@ -1244,6 +1423,68 @@ mod tests {
         assert_eq!(service.served(), 1);
         assert_eq!(service.stats().served, 1);
         assert!((service.budget().total_spent() - 0.1).abs() < 1e-12);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_warm_release_is_held_against_the_capacity_and_served_like_a_job() {
+        let service = one_worker(1);
+        // Cold: queued for the worker, whose reply answers it.
+        let (reply, cold) = recorder();
+        assert!(matches!(
+            service.try_submit_or_hold(request("hal", 0.1, 1), None, reply),
+            Ok(None)
+        ));
+        called_once(&cold).unwrap();
+
+        // Warm: held for the caller, and the reply is dropped uncalled.
+        let (reply, unused) = recorder();
+        let held = service
+            .try_submit_or_hold(request("hal", 0.1, 2), None, reply)
+            .unwrap()
+            .expect("a cached calibration is held");
+        assert!(matches!(
+            unused.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected)
+        ));
+        // The held place fills the 1-deep queue: the next admission is
+        // refused and refunded, held or queued alike.
+        assert_eq!(service.pending(), 1);
+        let (reply, _refused) = recorder();
+        assert!(matches!(
+            service.try_submit_or_hold(request("hal", 0.1, 3), None, reply),
+            Err(ServiceError::QueueFull { capacity: 1 })
+        ));
+        assert!(matches!(
+            service.try_submit(request("hal", 0.1, 4)),
+            Err(ServiceError::QueueFull { capacity: 1 })
+        ));
+        assert!((service.budget().spent("hal") - 0.2).abs() < 1e-12);
+
+        // Served on this thread, bitwise as a worker serves the same seed.
+        let (served, trace) = held.serve();
+        assert!(trace.is_none(), "without telemetry no trace is made up");
+        let reference = service.release(request("ref", 0.1, 2)).unwrap();
+        assert_eq!(served.unwrap().values, reference.values);
+        let stats = service.stats();
+        assert_eq!((stats.queue_depth, stats.queue_high_water), (0, 1));
+        assert_eq!((stats.queue_refusals, stats.served), (2, 3));
+        assert_eq!(stats.cache.misses, 1);
+
+        // A panic while serving is answered ServiceClosed and gives the
+        // place back.
+        let panicking = ReleaseRequest {
+            query: Arc::new(PanickingQuery),
+            ..request("hal", 0.1, 5)
+        };
+        let (reply, _unused) = recorder();
+        let held = service
+            .try_submit_or_hold(panicking, None, reply)
+            .unwrap()
+            .expect("the class-scoped calibration is cached");
+        assert!(matches!(held.serve().0, Err(ServiceError::ServiceClosed)));
+        assert_eq!(service.pending(), 0);
+        assert_eq!(service.served(), 3);
         service.shutdown();
     }
 

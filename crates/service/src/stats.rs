@@ -60,10 +60,12 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Distinct calibrations currently held in the cache(s).
     pub cached_calibrations: usize,
-    /// Items admitted but not yet picked up by a worker: release requests
-    /// and the tasks queued through
+    /// Items admitted but not yet taken: release requests and the tasks
+    /// queued through
     /// [`ReleaseService::try_spawn`](crate::ReleaseService::try_spawn)
-    /// alike (the network front-end's PROGRESSIVE requests are such tasks).
+    /// alike (the network front-end's PROGRESSIVE requests are such tasks),
+    /// plus the warm releases a caller holds to serve itself
+    /// ([`ReleaseService::try_submit_or_hold`](crate::ReleaseService::try_submit_or_hold)).
     pub queue_depth: usize,
     /// Capacity of the admission queue (0 when the front-end has none).
     pub queue_capacity: usize,
@@ -72,8 +74,8 @@ pub struct ServiceStats {
     /// (`QueueFull` in process, a `BUSY` frame over the wire). The signal
     /// to watch when tuning `queue_capacity` and worker count.
     pub queue_refusals: u64,
-    /// The deepest the admission queue has ever been, counting requests and
-    /// tasks. A high-water mark at `queue_capacity` means traffic has
+    /// The deepest the admission queue has ever been, counting requests,
+    /// tasks and held releases. A high-water mark at `queue_capacity` means traffic has
     /// touched the refusal threshold.
     pub queue_high_water: usize,
     /// Requests fulfilled so far (successfully or not): releases on the

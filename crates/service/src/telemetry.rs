@@ -15,16 +15,18 @@ use std::sync::Arc;
 use pufferfish_telemetry::{Counter, FlightRecorder, Gauge, Registry, StageHistograms};
 
 /// The serving layer's resolved metric handles, shared by the admission
-/// path (the admission stage and refusals) and every worker (everything
-/// else — each admitted job is counted and staged by the worker that
-/// serves it, on the trace the job carries).
+/// path (the admission stage and refusals) and every thread that serves an
+/// admitted release (everything else — each one is counted and staged by
+/// the worker, or the caller holding it, that serves it, on the trace the
+/// request carries).
 ///
 /// Metric names: `service_admitted_total`, `service_refused_total` (budget
 /// *and* queue refusals — every release submission a caller saw fail),
 /// `queue_depth`, and the six `stage_*_ns` histograms. A task queued
 /// through [`ReleaseService::try_spawn`](crate::ReleaseService::try_spawn)
 /// is in no counter or stage here; only the `queue_depth` gauge, which
-/// reads the queue each time a worker takes an item, counts it.
+/// reads the queue each time a worker takes an item or a holder serves its
+/// release, counts it.
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     registry: Arc<Registry>,

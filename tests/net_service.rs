@@ -474,6 +474,178 @@ fn a_warm_overload_sheds_busy_and_charges_only_the_releases_it_answers() {
 }
 
 #[test]
+fn a_warm_release_is_answered_while_the_only_worker_is_busy() {
+    let service = service(4, 1, 10.0);
+    warm_engine(&service, 0.1);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "bypass").unwrap();
+
+    // Hold the only worker with a task. It lets go when the test opens its
+    // gate or after 2 s, so a server that queues the release behind it
+    // answers late instead of never.
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (open, gate) = std::sync::mpsc::channel::<()>();
+    let worker_free = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let freed = Arc::clone(&worker_free);
+    service
+        .try_spawn(move || {
+            entered_tx.send(()).unwrap();
+            let _ = gate.recv_timeout(Duration::from_secs(2));
+            freed.store(true, std::sync::atomic::Ordering::SeqCst);
+        })
+        .unwrap();
+    entered.recv().unwrap();
+
+    let (scale, values) = client
+        .release(1, test_query(), &database(2), 0.1, 5)
+        .unwrap();
+    assert!(
+        !worker_free.load(std::sync::atomic::Ordering::SeqCst),
+        "the warm release waited for the worker"
+    );
+    assert!(scale > 0.0);
+    assert_eq!(values.len(), 1);
+    open.send(()).unwrap();
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+/// Writes `bytes` in one write and reads every frame until EOF (or until
+/// the 5 s read timeout fails the test).
+fn frames_until_eof(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<Envelope> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .expect("the server closes the connection");
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < response.len() {
+        let (envelope, consumed) = decode(&response[at..], DEFAULT_MAX_FRAME_LEN).unwrap();
+        frames.push(envelope);
+        at += consumed;
+    }
+    frames
+}
+
+#[test]
+fn a_warm_release_keeps_hello_ok_first_and_a_closing_error_last() {
+    let service = service(16, 1, 10.0);
+    warm_engine(&service, 0.5);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let release = |seq: u64| {
+        let frame = Frame::release(seq, test_query(), &database(3), 0.5, seq).unwrap();
+        encoded(seq, frame)
+    };
+
+    // HELLO, a warm RELEASE and a STATS in one write: HELLO_OK comes first
+    // and both requests are answered.
+    let bytes = [
+        hello("order"),
+        release(1),
+        encoded(2, Frame::Stats),
+        encoded(3, Frame::Goodbye),
+    ]
+    .concat();
+    let frames = frames_until_eof(server.local_addr(), &bytes);
+    assert_eq!(frames.len(), 3, "{frames:?}");
+    assert!(
+        matches!(frames[0].frame, Frame::HelloOk { .. }),
+        "{frames:?}"
+    );
+    let mut rest: Vec<_> = frames[1..].iter().map(|e| (e.seq, &e.frame)).collect();
+    rest.sort_by_key(|&(seq, _)| seq);
+    assert!(matches!(rest[0], (1, Frame::ReleaseOk { .. })), "{rest:?}");
+    assert!(matches!(rest[1], (2, Frame::StatsOk(_))), "{rest:?}");
+
+    // HELLO, a warm RELEASE and a response-kind frame: the release is
+    // answered before the closing ERROR, then EOF, and charged once.
+    let bytes = [
+        hello("closing"),
+        release(1),
+        encoded(2, Frame::Busy { retry_hint_ms: 1 }),
+    ]
+    .concat();
+    let frames: Vec<_> = frames_until_eof(server.local_addr(), &bytes)
+        .into_iter()
+        .map(|e| (e.seq, e.frame))
+        .collect();
+    assert_eq!(frames.len(), 3, "{frames:?}");
+    assert!(
+        matches!(frames[0], (0, Frame::HelloOk { .. })),
+        "{frames:?}"
+    );
+    assert!(
+        matches!(frames[1], (1, Frame::ReleaseOk { .. })),
+        "{frames:?}"
+    );
+    assert!(
+        matches!(
+            frames[2],
+            (
+                2,
+                Frame::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                }
+            )
+        ),
+        "{frames:?}"
+    );
+    assert_eq!(service.budget().spent("closing#1"), 0.5);
+    server.shutdown();
+}
+
+#[test]
+fn server_threads_keep_role_and_index_within_the_kernel_name_limit() {
+    let service = service(16, 2, 10.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    // A HELLO round trip: the connection's reader and writer are running.
+    let client = NetClient::connect(server.local_addr(), "names").unwrap();
+    // Linux keeps 15 bytes of a thread name; a name that fits reads back
+    // whole. Other tests' threads share the process, so only look for ours.
+    if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+        let names: Vec<String> = tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        for expected in [
+            "pf-net-accept",
+            "pf-net-read",
+            "pf-net-write",
+            "pf-release-0",
+            "pf-release-1",
+        ] {
+            assert!(
+                names.iter().any(|name| name == expected),
+                "no thread named {expected} in {names:?}"
+            );
+        }
+    }
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn a_release_whose_epsilon_is_not_positive_and_finite_is_malformed_and_free() {
     let service = service(16, 1, 1.0);
     let server = NetServer::bind(
@@ -1194,6 +1366,9 @@ fn shutdown_drains_in_flight_releases() {
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "drain").unwrap();
     let db = database(8);
+    // Warm: the burst is served by the connection's reader, which must
+    // still answer all of it before the connection closes.
+    warm_engine(&service, 0.1);
 
     // Pipeline a burst, then shut the server down while they are in flight.
     let mut outstanding = std::collections::HashSet::new();
@@ -1238,6 +1413,7 @@ fn shutdown_drains_in_flight_releases() {
         answered > 0,
         "shutdown must drain, not drop, in-flight requests"
     );
+    assert!(outstanding.is_empty(), "unanswered: {outstanding:?}");
 }
 
 /// Opens a calibration gate when dropped.
