@@ -17,10 +17,10 @@
 //! * [`NetServer`] — listener + pipelined connection handlers. Each
 //!   connection keeps many sequence-numbered requests in flight; responses
 //!   return in completion order. A RELEASE whose calibration is already
-//!   cached is served and written by the connection's reader thread, all
-//!   of one read's answers in one write; the connection's writer thread
-//!   writes what the service's workers answer (cold releases and
-//!   PROGRESSIVE refinements) and every other frame kind's answers.
+//!   cached is served and written by the connection's reader thread, which
+//!   writes every answer it gives (all of one read's answers in one
+//!   write); the connection's writer thread writes what the service's
+//!   workers answer: cold releases and PROGRESSIVE refinements.
 //!   Admission-queue refusals become typed `BUSY{retry_hint}` frames (the
 //!   refused request's budget spend is rolled back by the service), never
 //!   blocking. Connection limits, read timeouts, and graceful

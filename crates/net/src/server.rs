@@ -12,23 +12,24 @@
 //!   connection. A RELEASE whose calibration is already cached is held by
 //!   the reader and served on it when the pass ends, through the same serve
 //!   path the service's workers run; a cold one goes to the workers, so no
-//!   calibration ever runs on a reader. The reader answers the HELLO and
-//!   every RELEASE frame it can itself (OK for a warm release, BUSY, BUDGET
-//!   or ERROR) and writes all of a pass's answers in one write. A
-//!   PROGRESSIVE is queued as a task on the service's workers via
-//!   `try_spawn`, and a QUERY runs inline on the reader;
-//! * the **writer** blocks on an in-process channel and writes whatever
-//!   arrives: the answers to every other frame kind, cold releases that the
-//!   service's workers push through the reply each one carries, and the
-//!   refinements a PROGRESSIVE task sends as each one is ready.
+//!   calibration ever runs on a reader. A PROGRESSIVE is queued as a task
+//!   on the service's workers via `try_spawn`, and a QUERY runs inline on
+//!   the reader. Every answer the reader gives (HELLO_OK, a warm release's
+//!   OK, QUERY_OK, STATS_OK, METRICS_OK, BUSY, BUDGET, a typed ERROR) goes
+//!   into the pass, and the pass's answers leave in one write;
+//! * the **writer** blocks on an in-process channel and writes what the
+//!   service's workers answer: cold releases, pushed through the reply each
+//!   one carries, and the refinements a PROGRESSIVE task sends as each one
+//!   is ready.
 //!
 //! Reader and writer share the connection's one buffered write half, behind
 //! a mutex. Responses return **out of order**, matched by sequence number —
 //! that is what lets one connection keep `max_pipeline` requests in flight.
-//! A pass's answers are written before the reader reads again, dispatches a
-//! frame the writer answers, or stops, and right after the HELLO, so no
-//! answer overtakes HELLO_OK and a closing ERROR follows every answer to an
-//! earlier frame.
+//! A pass ends, and its answers are written, before the reader reads
+//! again, before a QUERY runs, right after the HELLO, and when the reader
+//! stops, so no answer overtakes HELLO_OK, no warm release waits behind a
+//! query, and a closing ERROR follows every answer the reader gave before
+//! it.
 //!
 //! Back-pressure has three layers, all surfaced as typed frames rather
 //! than silence: per-connection pipeline depth ([`Frame::Busy`]; a release
@@ -436,11 +437,12 @@ fn refuse_connection(mut stream: TcpStream, max_frame_len: u32) {
     }
 }
 
-/// What the writer receives: a frame ready now, a finished release pushed
-/// by its reply (carrying the request trace so the writer can lap the
-/// encode stage and finish it), or the reader's notice that it stopped.
+/// What the writer receives: a finished release pushed by its reply
+/// (carrying the request trace so the writer can lap the encode stage and
+/// finish it), a frame a PROGRESSIVE task sends (a refinement, or the typed
+/// error that ends its stream), or the reader's notice that it stopped.
 enum Outgoing {
-    Now(u64, Frame),
+    Progressive(u64, Frame),
     Done(
         u64,
         Result<NoisyRelease, ServiceError>,
@@ -530,41 +532,102 @@ fn close_after_error(mut stream: &TcpStream, tick: Duration) {
     }
 }
 
-/// What one read pass answers itself: HELLO_OK and every answer to a
-/// RELEASE frame, encoded in order, plus the warm releases admitted in the
-/// pass, which are served when it ends.
+/// One read pass of a connection's reader: every answer the reader gives,
+/// encoded in order, plus the warm releases admitted in the pass, which are
+/// served when it ends.
 struct Pass<'s> {
+    inner: &'s Inner,
+    out: &'s WriteHalf,
+    inflight: &'s AtomicUsize,
     answers: Vec<u8>,
     held: Vec<(u64, HeldRelease<'s>)>,
+    /// Releases served in this pass whose answers are not yet written.
+    served: usize,
 }
 
-impl Pass<'_> {
-    fn answer(&mut self, seq: u64, frame: Frame, config: &NetServerConfig) {
-        write_frame(&mut self.answers, seq, frame, config);
+impl<'s> Pass<'s> {
+    fn new(inner: &'s Inner, out: &'s WriteHalf, inflight: &'s AtomicUsize) -> Self {
+        Pass {
+            inner,
+            out,
+            inflight,
+            answers: Vec::with_capacity(16 * 1024),
+            held: Vec::new(),
+            served: 0,
+        }
     }
 
-    /// Ends the pass: serves its held releases on this thread, writes all
-    /// its answers in one write, and only then gives the served releases'
-    /// pipeline slots back.
-    fn end(&mut self, inner: &Inner, out: &WriteHalf, inflight: &AtomicUsize) -> Result<(), Stop> {
-        let served = self.held.len();
-        let (config, telemetry) = (&inner.config, inner.telemetry.as_ref());
+    fn reply(&mut self, seq: u64, frame: Frame) -> Result<(), Stop> {
+        write_frame(&mut self.answers, seq, frame, &self.inner.config);
+        Ok(())
+    }
+
+    /// A protocol violation: answer typed, after every held release's
+    /// answer, then close.
+    fn violation(&mut self, seq: u64, code: ErrorCode, message: &str) -> Result<(), Stop> {
+        self.serve();
+        let _ = self.reply(
+            seq,
+            Frame::Error {
+                code,
+                message: message.to_string(),
+            },
+        );
+        Err(Stop::Violation)
+    }
+
+    /// The release service refused a request whose pipeline slot was taken:
+    /// give the slot back and answer typed. A closed service serves nothing
+    /// more on this connection.
+    fn refused(&mut self, seq: u64, error: ServiceError) -> Result<(), Stop> {
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        let open = !matches!(error, ServiceError::ServiceClosed);
+        self.reply(seq, service_error_frame(error, &self.inner.config))?;
+        if open {
+            Ok(())
+        } else {
+            Err(Stop::Close)
+        }
+    }
+
+    /// Serves the held releases on this thread, in order, after the answers
+    /// already given.
+    fn serve(&mut self) {
+        let (config, telemetry) = (&self.inner.config, self.inner.telemetry.as_ref());
+        self.served += self.held.len();
         for (seq, held) in self.held.drain(..) {
             let (result, trace) = held.serve();
             write_release(&mut self.answers, seq, result, trace, config, telemetry);
         }
+    }
+
+    /// Ends the pass: serves its held releases, writes all its answers in
+    /// one write, and only then gives the served releases' pipeline slots
+    /// back.
+    ///
+    /// A reader that served releases then yields its CPU. A busy client
+    /// keeps its reader's socket readable, so without the yield the reader
+    /// runs until the scheduler preempts it, and when runnable threads
+    /// outnumber the CPUs every other connection waits out that whole time
+    /// slice (milliseconds) instead of one pass.
+    fn end(&mut self) -> Result<(), Stop> {
+        self.serve();
         if self.answers.is_empty() {
             return Ok(());
         }
         let written = {
-            let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
             out.write_all(&self.answers).and_then(|()| out.flush())
         };
-        if let Some(watch) = &inner.telemetry {
+        if let Some(watch) = &self.inner.telemetry {
             watch.tx_bytes.add(self.answers.len() as u64);
         }
         self.answers.clear();
-        inflight.fetch_sub(served, Ordering::SeqCst);
+        let served = std::mem::take(&mut self.served);
+        self.inflight.fetch_sub(served, Ordering::SeqCst);
+        if served > 0 {
+            std::thread::yield_now();
+        }
         written.map_err(|_| Stop::Close)
     }
 }
@@ -582,10 +645,7 @@ fn read_loop(
     let mut buffer: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut scratch = [0u8; 16 * 1024];
     let mut tenant: Option<String> = None;
-    let mut pass = Pass {
-        answers: Vec::with_capacity(16 * 1024),
-        held: Vec::new(),
-    };
+    let mut pass = Pass::new(inner, out, inflight);
     let mut last_activity = Instant::now();
 
     loop {
@@ -609,20 +669,20 @@ fn read_loop(
                         trace
                     });
                     start += consumed;
-                    // The pass answers the HELLO and RELEASE frames; the
-                    // writer answers every other kind, so the pass ends
-                    // before one is dispatched. It also ends right after
-                    // the HELLO, since the writer answers a cold RELEASE.
-                    let hello = tenant.is_none();
-                    if !hello && !matches!(envelope.frame, Frame::Release { .. }) {
-                        if let Err(stop) = pass.end(inner, out, inflight) {
+                    // A QUERY runs inline, so the pass ends before it: no
+                    // warm release waits behind a query.
+                    if matches!(envelope.frame, Frame::Query { .. }) {
+                        if let Err(stop) = pass.end() {
                             return stop;
                         }
                     }
+                    // The writer answers cold releases and PROGRESSIVE
+                    // refinements, so the HELLO_OK is written at once.
+                    let hello = tenant.is_none();
                     let dispatched =
                         dispatch(inner, envelope, &mut tenant, tx, inflight, &mut pass, trace);
                     let ended = if hello || dispatched.is_err() {
-                        pass.end(inner, out, inflight)
+                        pass.end()
                     } else {
                         Ok(())
                     };
@@ -634,22 +694,15 @@ fn read_loop(
                 Err(FrameError::Truncated { .. }) => break,
                 Err(error) => {
                     // The stream cannot be resynchronised after a framing
-                    // error; answer once, typed, after the pass's answers,
-                    // and close.
-                    let _ = pass.end(inner, out, inflight);
-                    let _ = tx.send(Outgoing::Now(
-                        0,
-                        Frame::Error {
-                            code: ErrorCode::Malformed,
-                            message: error.to_string(),
-                        },
-                    ));
+                    // error; answer once, typed, and close.
+                    let _ = pass.violation(0, ErrorCode::Malformed, &error.to_string());
+                    let _ = pass.end();
                     return Stop::Violation;
                 }
             }
         }
         buffer.drain(..start);
-        if let Err(stop) = pass.end(inner, out, inflight) {
+        if let Err(stop) = pass.end() {
             return stop;
         }
 
@@ -668,13 +721,12 @@ fn read_loop(
             {
                 // The periodic tick: notice shutdown and idleness.
                 if inner.shutdown.load(Ordering::SeqCst) {
-                    let _ = tx.send(Outgoing::Now(
-                        0,
-                        Frame::Error {
-                            code: ErrorCode::Shutdown,
-                            message: "server shutting down".to_string(),
-                        },
-                    ));
+                    let shutdown = Frame::Error {
+                        code: ErrorCode::Shutdown,
+                        message: "server shutting down".to_string(),
+                    };
+                    let _ = pass.reply(0, shutdown);
+                    let _ = pass.end();
                     return Stop::Close;
                 }
                 if last_activity.elapsed() >= config.idle_timeout {
@@ -686,8 +738,8 @@ fn read_loop(
     }
 }
 
-/// Handles one decoded envelope. Returns why the connection should close,
-/// if it should.
+/// Handles one decoded envelope, giving any answer it has now to `pass`.
+/// Returns why the connection should close, if it should.
 fn dispatch<'s>(
     inner: &'s Arc<Inner>,
     envelope: Envelope,
@@ -699,47 +751,26 @@ fn dispatch<'s>(
 ) -> Result<(), Stop> {
     let config = &inner.config;
     let seq = envelope.seq;
-    let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).map_err(|_| Stop::Close);
-    // A protocol violation: answer typed, then close.
-    let violation = |code: ErrorCode, message: &str| {
-        let _ = send_now(Frame::Error {
-            code,
-            message: message.to_string(),
-        });
-        Err(Stop::Violation)
-    };
-    // The release service refused a request whose pipeline slot was taken:
-    // give the slot back and answer typed, through `answer`. A closed
-    // service serves nothing more on this connection.
-    let refused = |error: ServiceError, answer: &mut dyn FnMut(Frame) -> Result<(), Stop>| {
-        inflight.fetch_sub(1, Ordering::SeqCst);
-        let open = !matches!(error, ServiceError::ServiceClosed);
-        answer(service_error_frame(error, config))?;
-        if open {
-            Ok(())
-        } else {
-            Err(Stop::Close)
-        }
-    };
 
     let Some(tenant_name) = tenant.as_deref() else {
         // First frame must authenticate the tenant.
         return match envelope.frame {
             Frame::Hello { tenant: name } => {
                 *tenant = Some(name);
-                let hello_ok = Frame::HelloOk {
-                    max_pipeline: config.max_pipeline as u32,
-                    max_frame_len: config.max_frame_len,
-                };
-                pass.answer(seq, hello_ok, config);
-                Ok(())
+                pass.reply(
+                    seq,
+                    Frame::HelloOk {
+                        max_pipeline: config.max_pipeline as u32,
+                        max_frame_len: config.max_frame_len,
+                    },
+                )
             }
-            _ => violation(ErrorCode::NotHello, "first frame must be HELLO"),
+            _ => pass.violation(seq, ErrorCode::NotHello, "first frame must be HELLO"),
         };
     };
 
     match envelope.frame {
-        Frame::Hello { .. } => violation(ErrorCode::Malformed, "duplicate HELLO"),
+        Frame::Hello { .. } => pass.violation(seq, ErrorCode::Malformed, "duplicate HELLO"),
         Frame::Release {
             user,
             query,
@@ -747,23 +778,24 @@ fn dispatch<'s>(
             seed,
             database,
         } => {
-            // Every answer to a RELEASE is given in the pass.
-            let mut answer = |frame| {
-                pass.answer(seq, frame, config);
-                Ok(())
-            };
             if inflight.load(Ordering::SeqCst) >= config.max_pipeline {
-                return answer(Frame::Busy {
-                    retry_hint_ms: config.busy_retry_hint_ms,
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Busy {
+                        retry_hint_ms: config.busy_retry_hint_ms,
+                    },
+                );
             }
             let built = match query.build() {
                 Ok(built) => built,
                 Err(error) => {
-                    return answer(Frame::Error {
-                        code: ErrorCode::Malformed,
-                        message: error.to_string(),
-                    });
+                    return pass.reply(
+                        seq,
+                        Frame::Error {
+                            code: ErrorCode::Malformed,
+                            message: error.to_string(),
+                        },
+                    );
                 }
             };
             let request = ReleaseRequest {
@@ -793,7 +825,7 @@ fn dispatch<'s>(
                     pass.held.push((seq, held));
                     Ok(())
                 }
-                Err(error) => refused(error, &mut answer),
+                Err(error) => pass.refused(seq, error),
             }
         }
         Frame::Query {
@@ -803,21 +835,27 @@ fn dispatch<'s>(
             seed,
         } => {
             let Some(endpoint) = &inner.query else {
-                return send_now(Frame::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "this server has no query endpoint".to_string(),
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Error {
+                        code: ErrorCode::Unsupported,
+                        message: "this server has no query endpoint".to_string(),
+                    },
+                );
             };
             let Some(table) = endpoint.tables.get(&table) else {
-                return send_now(Frame::Error {
-                    code: ErrorCode::TableNotFound,
-                    message: format!("no table named {table:?}"),
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Error {
+                        code: ErrorCode::TableNotFound,
+                        message: format!("no table named {table:?}"),
+                    },
+                );
             };
             let user = scoped_user(tenant_name, user);
             match endpoint.service.query(&user, &statement, table, seed) {
-                Ok(result) => send_now(Frame::QueryOk(wire_result(&result))),
-                Err(error) => send_now(query_error_frame(error, config)),
+                Ok(result) => pass.reply(seq, Frame::QueryOk(wire_result(&result))),
+                Err(error) => pass.reply(seq, query_error_frame(error, config)),
             }
         }
         Frame::Progressive {
@@ -828,15 +866,21 @@ fn dispatch<'s>(
             database,
         } => {
             if inner.progressive.is_none() {
-                return send_now(Frame::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "this server has no progressive endpoint".to_string(),
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Error {
+                        code: ErrorCode::Unsupported,
+                        message: "this server has no progressive endpoint".to_string(),
+                    },
+                );
             }
             if inflight.load(Ordering::SeqCst) >= config.max_pipeline {
-                return send_now(Frame::Busy {
-                    retry_hint_ms: config.busy_retry_hint_ms,
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Busy {
+                        retry_hint_ms: config.busy_retry_hint_ms,
+                    },
+                );
             }
             // Re-validate the schedule server-side: the wire carries claims,
             // the schedule invariants are what admission trusts.
@@ -851,21 +895,27 @@ fn dispatch<'s>(
             let schedule = match RefinementSchedule::new(steps, confidence) {
                 Ok(schedule) => schedule,
                 Err(error) => {
-                    return send_now(Frame::Error {
-                        code: ErrorCode::Malformed,
-                        message: error.to_string(),
-                    });
+                    return pass.reply(
+                        seq,
+                        Frame::Error {
+                            code: ErrorCode::Malformed,
+                            message: error.to_string(),
+                        },
+                    );
                 }
             };
             if database.len() != schedule.window() {
-                return send_now(Frame::Error {
-                    code: ErrorCode::Malformed,
-                    message: format!(
-                        "progressive database has {} events but the schedule's window is {}",
-                        database.len(),
-                        schedule.window()
-                    ),
-                });
+                return pass.reply(
+                    seq,
+                    Frame::Error {
+                        code: ErrorCode::Malformed,
+                        message: format!(
+                            "progressive database has {} events but the schedule's window is {}",
+                            database.len(),
+                            schedule.window()
+                        ),
+                    },
+                );
             }
             let request = ProgressiveRequest {
                 seq,
@@ -893,19 +943,25 @@ fn dispatch<'s>(
                     };
                     run_progressive(&task_inner, &task_tx, request);
                 })
-                .or_else(|error| refused(error, &mut |frame| send_now(frame)))
+                .or_else(|error| pass.refused(seq, error))
         }
-        Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
+        Frame::Stats => pass.reply(seq, Frame::StatsOk(inner.stats())),
         Frame::Metrics => match &inner.telemetry {
-            Some(watch) => send_now(Frame::MetricsOk(wire_metrics(watch.service.registry()))),
-            None => send_now(Frame::Error {
-                code: ErrorCode::Unsupported,
-                message: "this server has no telemetry attached".to_string(),
-            }),
+            Some(watch) => pass.reply(
+                seq,
+                Frame::MetricsOk(wire_metrics(watch.service.registry())),
+            ),
+            None => pass.reply(
+                seq,
+                Frame::Error {
+                    code: ErrorCode::Unsupported,
+                    message: "this server has no telemetry attached".to_string(),
+                },
+            ),
         },
         Frame::Goodbye => Err(Stop::Close),
         // Response kinds arriving at the server are a protocol violation.
-        _ => violation(ErrorCode::Malformed, "response frame sent to server"),
+        _ => pass.violation(seq, ErrorCode::Malformed, "response frame sent to server"),
     }
 }
 
@@ -971,7 +1027,7 @@ struct PipelineSlot<'a> {
 impl Drop for PipelineSlot<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let _ = self.tx.send(Outgoing::Now(
+            let _ = self.tx.send(Outgoing::Progressive(
                 self.seq,
                 Frame::Error {
                     code: ErrorCode::Internal,
@@ -996,7 +1052,7 @@ fn run_progressive(inner: &Inner, tx: &Sender<Outgoing>, request: ProgressiveReq
         .as_ref()
         .expect("dispatch checked the endpoint exists");
     let seq = request.seq;
-    let send_now = |frame: Frame| tx.send(Outgoing::Now(seq, frame)).is_ok();
+    let send_now = |frame: Frame| tx.send(Outgoing::Progressive(seq, frame)).is_ok();
     let error_frame = |error: ServiceError| service_error_frame(error, &inner.config);
 
     // The trace restarts as the task starts: queueing is in no stage.
@@ -1153,7 +1209,7 @@ fn writer_loop(
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
         for outgoing in std::iter::once(first).chain(rx.try_iter()) {
             let written = match outgoing {
-                Outgoing::Now(seq, frame) => write_frame(&mut *out, seq, frame, config),
+                Outgoing::Progressive(seq, frame) => write_frame(&mut *out, seq, frame, config),
                 Outgoing::Done(seq, result, mut trace) => {
                     inflight.fetch_sub(1, Ordering::SeqCst);
                     // The trace restarts as the writer takes it: the hop
@@ -1262,7 +1318,7 @@ mod tests {
         assert_eq!(inflight.load(Ordering::SeqCst), 0);
         assert!(matches!(
             rx.try_recv(),
-            Ok(Outgoing::Now(
+            Ok(Outgoing::Progressive(
                 9,
                 Frame::Error {
                     code: ErrorCode::Internal,

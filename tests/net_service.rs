@@ -1366,9 +1366,17 @@ fn shutdown_drains_in_flight_releases() {
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "drain").unwrap();
     let db = database(8);
-    // Warm: the burst is served by the connection's reader, which must
-    // still answer all of it before the connection closes.
-    warm_engine(&service, 0.1);
+    // A second connection sends a burst whose calibration is cached, so its
+    // reader serves the burst itself.
+    const WARM_EPSILON: f64 = 0.2;
+    warm_engine(&service, WARM_EPSILON);
+    let mut warm = NetClient::connect(server.local_addr(), "drain-warm").unwrap();
+    let mut warm_outstanding = std::collections::HashSet::new();
+    for i in 0..30u64 {
+        let release = Frame::release(i, test_query(), &db, WARM_EPSILON, i).unwrap();
+        warm_outstanding.insert(warm.send(release).unwrap());
+    }
+    warm.flush().unwrap();
 
     // Pipeline a burst, then shut the server down while they are in flight.
     let mut outstanding = std::collections::HashSet::new();
@@ -1414,6 +1422,36 @@ fn shutdown_drains_in_flight_releases() {
         "shutdown must drain, not drop, in-flight requests"
     );
     assert!(outstanding.is_empty(), "unanswered: {outstanding:?}");
+
+    // The warm burst was served and written before its reader stopped:
+    // each release is answered OK, then come the shutdown notice and EOF.
+    while let Ok(envelope) = warm.recv() {
+        if warm_outstanding.remove(&envelope.seq) {
+            assert!(
+                matches!(envelope.frame, Frame::ReleaseOk { .. }),
+                "seq {} got {:?}",
+                envelope.seq,
+                envelope.frame
+            );
+        } else {
+            assert!(
+                matches!(
+                    envelope.frame,
+                    Frame::Error {
+                        code: ErrorCode::Shutdown,
+                        ..
+                    }
+                ),
+                "unknown seq {} with frame {:?}",
+                envelope.seq,
+                envelope.frame
+            );
+        }
+    }
+    assert!(
+        warm_outstanding.is_empty(),
+        "unanswered: {warm_outstanding:?}"
+    );
 }
 
 /// Opens a calibration gate when dropped.
