@@ -462,7 +462,9 @@ pub enum Frame {
     /// Authenticates the connection under a tenant name. Must be the first
     /// frame on every connection; the tenant scopes every per-frame user id
     /// (`BudgetAccountant` charges `tenant#user`), so no connection can
-    /// spend another tenant's budgets by quoting a raw user string.
+    /// spend another tenant's budgets by quoting a raw user string. The
+    /// server refuses a tenant longer than 255 bytes with a typed
+    /// [`ErrorCode::Malformed`] and closes the connection.
     Hello {
         /// The tenant every later frame's user id is scoped under.
         tenant: String,

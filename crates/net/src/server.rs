@@ -43,7 +43,9 @@
 //! stop decoding, and each writer keeps writing the responses still in
 //! flight until nothing can send it another (the reader, every in-flight
 //! reply and every queued or running PROGRESSIVE task hold a sender) or one
-//! per-connection `drain_timeout` passes, then closes the socket.
+//! per-connection `drain_timeout` passes, then closes the socket. A write
+//! that makes no progress for a `drain_timeout` closes its connection, so a
+//! client that stops reading cannot hold its reader, its writer or shutdown.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -73,6 +75,12 @@ const ACCEPT_THREAD: &str = "pf-net-accept";
 const READ_THREAD: &str = "pf-net-read";
 const WRITE_THREAD: &str = "pf-net-write";
 
+/// The longest HELLO tenant accepted, in bytes; a longer one is refused
+/// with [`ErrorCode::Malformed`] and the connection closes. Every identity
+/// charged on the connection embeds the tenant (`tenant#user`), and the
+/// accountant keeps each identity it charged for the server's life.
+const MAX_TENANT_LEN: usize = 255;
+
 /// Tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
@@ -94,6 +102,10 @@ pub struct NetServerConfig {
     /// Once a connection's reader has stopped, how long its writer keeps
     /// writing responses still in flight. One deadline per connection:
     /// responses not ready by then are dropped and the client sees EOF.
+    /// It is also the deadline of every write on the connection's socket:
+    /// a write that makes no progress for this long closes the connection,
+    /// so a client that stops reading cannot hold the server's threads.
+    /// Like `read_timeout`, it must be nonzero.
     pub drain_timeout: Duration,
 }
 
@@ -460,7 +472,13 @@ type WriteHalf = Mutex<std::io::BufWriter<TcpStream>>;
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let config = &inner.config;
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+    // The write deadline covers the reader's and the writer's writes: the
+    // write half is a clone of this socket.
+    if stream.set_read_timeout(Some(config.read_timeout)).is_err()
+        || stream
+            .set_write_timeout(Some(config.drain_timeout))
+            .is_err()
+    {
         return;
     }
     let Ok(write_stream) = stream.try_clone() else {
@@ -755,7 +773,7 @@ fn dispatch<'s>(
     let Some(tenant_name) = tenant.as_deref() else {
         // First frame must authenticate the tenant.
         return match envelope.frame {
-            Frame::Hello { tenant: name } => {
+            Frame::Hello { tenant: name } if name.len() <= MAX_TENANT_LEN => {
                 *tenant = Some(name);
                 pass.reply(
                     seq,
@@ -765,6 +783,11 @@ fn dispatch<'s>(
                     },
                 )
             }
+            Frame::Hello { .. } => pass.violation(
+                seq,
+                ErrorCode::Malformed,
+                &format!("tenant longer than {MAX_TENANT_LEN} bytes"),
+            ),
             _ => pass.violation(seq, ErrorCode::NotHello, "first frame must be HELLO"),
         };
     };

@@ -8,12 +8,15 @@
 //! * [`ReleaseService`] — the front-end: a bounded admission queue feeding a
 //!   [`pufferfish_parallel::WorkerPool`], every worker driving one shared
 //!   [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
-//!   stampede-coalesced there). Submitters get a [`Ticket`] and wait for
-//!   their [`pufferfish_core::NoisyRelease`], or hand over a reply the
-//!   worker calls with it ([`ReleaseService::try_submit_with`]), or serve a
-//!   release whose calibration is already cached on their own thread as a
-//!   [`HeldRelease`] ([`ReleaseService::try_submit_or_hold`]); a full
-//!   queue is explicit back-pressure, not unbounded growth.
+//!   stampede-coalesced there). Admission is one step: the budget is
+//!   charged and one place of the queue's capacity taken before it is
+//!   decided where a release runs. Submitters get a [`Ticket`] and wait
+//!   for their [`pufferfish_core::NoisyRelease`]; or, through
+//!   [`ReleaseService::try_submit_or_hold`], serve a release whose
+//!   calibration is already cached on their own thread as a
+//!   [`HeldRelease`], and hand over a reply the worker calls for any other
+//!   release. A full queue is explicit back-pressure, not unbounded
+//!   growth.
 //! * [`BudgetAccountant`] — per-user ε-budget accounting under the paper's
 //!   Theorem 4.4 composition (via
 //!   [`pufferfish_core::CompositionAccountant`]): spends are admitted

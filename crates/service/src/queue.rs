@@ -1,27 +1,29 @@
 //! A bounded, closable MPMC work queue built on `Mutex` + `Condvar`.
 //!
 //! The admission queue between request submitters and the worker pool.
-//! Bounded so a traffic spike turns into back-pressure
-//! ([`BoundedQueue::try_push`] fails fast with the queue full) instead of
-//! unbounded memory growth; closable so shutdown is a clean handshake —
-//! after [`BoundedQueue::close`], producers are refused but consumers drain
-//! the remaining items before [`BoundedQueue::pop`] returns `None`.
-//!
-//! A producer that runs an item itself instead of queueing it can still
-//! take one place of the capacity for it ([`BoundedQueue::try_hold`]), so
-//! the capacity bounds every admitted item, queued or held.
+//! A producer first takes one place of the capacity
+//! ([`BoundedQueue::try_hold`], refused at once when the queue is full, or
+//! [`BoundedQueue::hold`], which waits for room), and only then decides
+//! where its item runs: it queues the item in that place
+//! ([`HeldSlot::fill`]), or runs the item itself and drops the slot, which
+//! gives the place back. So the capacity bounds every admitted item, queued
+//! or held, and a traffic spike turns into back-pressure instead of
+//! unbounded memory growth. The queue is closable so shutdown is a clean
+//! handshake: after [`BoundedQueue::close`] no place is taken, but
+//! consumers drain the queued items before [`BoundedQueue::pop`] returns
+//! `None`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue was at capacity (the item is handed back).
-    Full(T),
-    /// The queue was closed (the item is handed back).
-    Closed(T),
+/// Why no place was taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The queue was at capacity.
+    Full,
+    /// The queue was closed.
+    Closed,
 }
 
 struct QueueState<T> {
@@ -30,14 +32,14 @@ struct QueueState<T> {
     /// queued items, but never popped.
     held: usize,
     closed: bool,
-    /// Pushes refused because the queue was at capacity (the admission-
+    /// Places refused because the queue was at capacity (the admission-
     /// control signal the network front-end turns into BUSY frames).
     refusals: u64,
     /// Deepest the queue has ever been — how close admitted traffic has
     /// come to triggering back-pressure, for capacity tuning.
     high_water: usize,
     /// Consumers parked in [`BoundedQueue::pop`] and producers parked in a
-    /// full [`BoundedQueue::push`]. A push or pop notifies only when the
+    /// full [`BoundedQueue::hold`]. A fill or pop notifies only when the
     /// other side has a thread parked, since `notify_one` makes a syscall
     /// even when no thread waits.
     parked_consumers: usize,
@@ -59,11 +61,11 @@ impl<T> QueueState<T> {
 /// use pufferfish_service::queue::{BoundedQueue, PushError};
 ///
 /// let queue = BoundedQueue::new(2);
-/// queue.try_push(1).unwrap();
-/// queue.try_push(2).unwrap();
-/// assert_eq!(queue.try_push(3), Err(PushError::Full(3)));
+/// queue.try_hold().unwrap().fill(1);
+/// queue.try_hold().unwrap().fill(2);
+/// assert_eq!(queue.try_hold().err(), Some(PushError::Full));
 /// queue.close();
-/// assert_eq!(queue.try_push(4), Err(PushError::Closed(4)));
+/// assert_eq!(queue.try_hold().err(), Some(PushError::Closed));
 /// // Consumers drain what was admitted before the close…
 /// assert_eq!(queue.pop(), Some(1));
 /// assert_eq!(queue.pop(), Some(2));
@@ -114,9 +116,9 @@ impl<T> BoundedQueue<T> {
     }
 
     /// The queue depth without taking the lock: reads the atomic mirror
-    /// maintained by push/pop, so a telemetry gauge updated on every job
-    /// never contends with producers. May momentarily lag [`Self::len`] by
-    /// an in-flight push or pop.
+    /// maintained as places are taken and given back, so a telemetry gauge
+    /// updated on every job never contends with producers. May momentarily
+    /// lag [`Self::len`] by a place being taken or given back.
     pub fn approx_len(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
@@ -126,8 +128,8 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Pushes refused with [`PushError::Full`] so far — every refusal is one
-    /// back-pressure event surfaced to a caller (the counter behind the
+    /// Places refused with [`PushError::Full`] so far — every refusal is
+    /// one back-pressure event surfaced to a caller (the counter behind the
     /// `queue_refusals` field of
     /// [`ServiceStats`](crate::ServiceStats)).
     pub fn refusals(&self) -> u64 {
@@ -142,83 +144,47 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").high_water
     }
 
-    /// Non-blocking push: refused immediately when full or closed.
-    ///
-    /// # Errors
-    /// [`PushError::Full`] / [`PushError::Closed`], returning the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        match self.room(&mut state) {
-            Ok(()) => {
-                state.items.push_back(item);
-                self.taken(state);
-                Ok(())
-            }
-            Err(PushError::Full(())) => Err(PushError::Full(item)),
-            Err(PushError::Closed(())) => Err(PushError::Closed(item)),
-        }
-    }
-
-    /// Takes one place of the capacity for an item its caller runs itself
-    /// instead of queueing it. The place counts in [`Self::len`], the
-    /// high-water mark and the capacity check exactly like a queued item,
-    /// and no consumer ever sees it; dropping the returned slot gives it
-    /// back.
+    /// Takes one place of the capacity, refused at once when the queue is
+    /// full. The place counts in [`Self::len`], the high-water mark and the
+    /// capacity check from now on; its holder queues an item in it
+    /// ([`HeldSlot::fill`]) or drops the slot to give it back.
     ///
     /// # Errors
     /// [`PushError::Full`] (counted in [`Self::refusals`]) and
-    /// [`PushError::Closed`], as for [`Self::try_push`].
-    pub fn try_hold(&self) -> Result<HeldSlot<'_, T>, PushError<()>> {
+    /// [`PushError::Closed`].
+    pub fn try_hold(&self) -> Result<HeldSlot<'_, T>, PushError> {
         let mut state = self.state.lock().expect("queue poisoned");
-        self.room(&mut state)?;
-        state.held += 1;
-        self.taken(state);
-        Ok(HeldSlot { queue: self })
-    }
-
-    /// Whether `state` has a free place, counting a refusal when it is full.
-    fn room(&self, state: &mut QueueState<T>) -> Result<(), PushError<()>> {
-        if state.closed {
-            return Err(PushError::Closed(()));
-        }
-        if state.occupied() >= self.capacity {
+        if !state.closed && state.occupied() >= self.capacity {
             state.refusals += 1;
-            return Err(PushError::Full(()));
+            return Err(PushError::Full);
         }
-        Ok(())
+        self.take(state)
     }
 
-    /// Blocking push: waits while the queue is full.
+    /// Takes one place of the capacity as [`Self::try_hold`] does, waiting
+    /// while the queue is full; a wait is not a refusal.
     ///
     /// # Errors
-    /// Returns the item when the queue is (or becomes) closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    /// [`PushError::Closed`] when the queue is (or becomes) closed.
+    pub fn hold(&self) -> Result<HeldSlot<'_, T>, PushError> {
         let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.occupied() < self.capacity {
-                state.items.push_back(item);
-                self.taken(state);
-                return Ok(());
-            }
+        while !state.closed && state.occupied() >= self.capacity {
             state.parked_producers += 1;
             state = self.not_full.wait(state).expect("queue poisoned");
             state.parked_producers -= 1;
         }
+        self.take(state)
     }
 
-    /// Records a place just taken (a pushed item or a held slot) and wakes
-    /// a parked consumer, if there is one and an item to take.
-    fn taken(&self, mut state: MutexGuard<'_, QueueState<T>>) {
+    /// Takes a place in `state`, which has room unless it is closed.
+    fn take(&self, mut state: MutexGuard<'_, QueueState<T>>) -> Result<HeldSlot<'_, T>, PushError> {
+        if state.closed {
+            return Err(PushError::Closed);
+        }
+        state.held += 1;
         state.high_water = state.high_water.max(state.occupied());
         self.depth.store(state.occupied(), Ordering::Relaxed);
-        let wake = state.parked_consumers > 0 && !state.items.is_empty();
-        drop(state);
-        if wake {
-            self.not_empty.notify_one();
-        }
+        Ok(HeldSlot { queue: self })
     }
 
     /// Records a place just given back (a popped item or a dropped held
@@ -250,7 +216,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Closes the queue: future pushes are refused, queued items remain
+    /// Closes the queue: no place is taken from now on, queued items remain
     /// poppable, and every blocked producer/consumer wakes up.
     pub fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
@@ -263,7 +229,7 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").closed
     }
 
-    /// `(consumers, producers)` parked in `pop` and in a full `push`.
+    /// `(consumers, producers)` parked in `pop` and in a full `hold`.
     #[cfg(test)]
     fn parked(&self) -> (usize, usize) {
         let state = self.state.lock().expect("queue poisoned");
@@ -272,10 +238,33 @@ impl<T> BoundedQueue<T> {
 }
 
 /// One place of a [`BoundedQueue`]'s capacity, taken by
-/// [`BoundedQueue::try_hold`] for an item its holder runs itself; dropping
-/// it gives the place back.
+/// [`BoundedQueue::try_hold`] or [`BoundedQueue::hold`]. Its holder either
+/// queues an item in it ([`HeldSlot::fill`]) or runs the item itself and
+/// drops the slot, which gives the place back.
 pub struct HeldSlot<'a, T> {
     queue: &'a BoundedQueue<T>,
+}
+
+impl<T> HeldSlot<'_, T> {
+    /// Queues `item` in this place, behind the items already queued, and
+    /// wakes a parked consumer. The place was counted when it was taken, so
+    /// the capacity is not checked again, and the length and high-water
+    /// mark do not move. An item queued after [`BoundedQueue::close`] is
+    /// still popped before `pop` returns `None`.
+    pub fn fill(self, item: T) {
+        let queue = self.queue;
+        let mut state = queue.state.lock().expect("queue poisoned");
+        // The place passes to the item: the slot's drop must not give it
+        // back.
+        std::mem::forget(self);
+        state.held -= 1;
+        state.items.push_back(item);
+        let wake = state.parked_consumers > 0;
+        drop(state);
+        if wake {
+            queue.not_empty.notify_one();
+        }
+    }
 }
 
 impl<T> Drop for HeldSlot<'_, T> {
@@ -307,16 +296,26 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Queues `item` in a place taken by `try_hold`.
+    fn try_push<T>(queue: &BoundedQueue<T>, item: T) -> Result<(), PushError> {
+        queue.try_hold().map(|slot| slot.fill(item))
+    }
+
+    /// Queues `item` in a place taken by `hold`, waiting while full.
+    fn push<T>(queue: &BoundedQueue<T>, item: T) -> Result<(), PushError> {
+        queue.hold().map(|slot| slot.fill(item))
+    }
+
     #[test]
     fn fifo_order_and_capacity() {
         let queue = BoundedQueue::new(3);
         assert_eq!(queue.capacity(), 3);
         assert!(queue.is_empty());
         for i in 0..3 {
-            queue.try_push(i).unwrap();
+            try_push(&queue, i).unwrap();
         }
         assert_eq!(queue.len(), 3);
-        assert_eq!(queue.try_push(9), Err(PushError::Full(9)));
+        assert_eq!(try_push(&queue, 9), Err(PushError::Full));
         assert_eq!(queue.pop(), Some(0));
         assert_eq!(queue.pop(), Some(1));
         assert_eq!(queue.pop(), Some(2));
@@ -327,12 +326,12 @@ mod tests {
         let queue = BoundedQueue::new(2);
         assert_eq!(queue.refusals(), 0);
         assert_eq!(queue.high_water(), 0);
-        queue.try_push(1).unwrap();
+        try_push(&queue, 1).unwrap();
         assert_eq!(queue.high_water(), 1);
-        queue.try_push(2).unwrap();
+        try_push(&queue, 2).unwrap();
         assert_eq!(queue.high_water(), 2);
-        assert_eq!(queue.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(queue.try_push(4), Err(PushError::Full(4)));
+        assert_eq!(try_push(&queue, 3), Err(PushError::Full));
+        assert_eq!(try_push(&queue, 4), Err(PushError::Full));
         assert_eq!(queue.refusals(), 2);
         // Draining does not shrink the high-water mark…
         assert_eq!(queue.pop(), Some(1));
@@ -340,7 +339,7 @@ mod tests {
         assert_eq!(queue.high_water(), 2);
         // …and closed-queue refusals are not capacity refusals.
         queue.close();
-        assert_eq!(queue.try_push(5), Err(PushError::Closed(5)));
+        assert_eq!(try_push(&queue, 5), Err(PushError::Closed));
         assert_eq!(queue.refusals(), 2);
     }
 
@@ -348,8 +347,8 @@ mod tests {
     fn approx_len_mirrors_len_at_rest() {
         let queue = BoundedQueue::new(4);
         assert_eq!(queue.approx_len(), 0);
-        queue.try_push(1).unwrap();
-        queue.push(2).unwrap();
+        try_push(&queue, 1).unwrap();
+        push(&queue, 2).unwrap();
         assert_eq!(queue.approx_len(), queue.len());
         assert_eq!(queue.approx_len(), 2);
         queue.pop();
@@ -362,14 +361,14 @@ mod tests {
     fn a_held_slot_counts_like_a_queued_item_until_dropped() {
         let queue = BoundedQueue::new(2);
         let held = queue.try_hold().unwrap();
-        queue.try_push(1).unwrap();
+        try_push(&queue, 1).unwrap();
         assert_eq!(
             (queue.len(), queue.approx_len(), queue.high_water()),
             (2, 2, 2)
         );
         // Full: both a push and another hold are refused and counted.
-        assert_eq!(queue.try_push(2), Err(PushError::Full(2)));
-        assert!(matches!(queue.try_hold(), Err(PushError::Full(()))));
+        assert_eq!(try_push(&queue, 2), Err(PushError::Full));
+        assert_eq!(queue.try_hold().err(), Some(PushError::Full));
         assert_eq!(queue.refusals(), 2);
         // A consumer sees only the queued item.
         assert_eq!(queue.pop(), Some(1));
@@ -380,7 +379,7 @@ mod tests {
             (0, 0, 2)
         );
         queue.close();
-        assert!(matches!(queue.try_hold(), Err(PushError::Closed(()))));
+        assert_eq!(queue.try_hold().err(), Some(PushError::Closed));
         assert_eq!(queue.refusals(), 2);
     }
 
@@ -390,7 +389,7 @@ mod tests {
         let held = queue.try_hold().unwrap();
         let producer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(7))
+            std::thread::spawn(move || push(&queue, 7))
         };
         wait_until_parked(&queue, 0, 1);
         drop(held);
@@ -399,27 +398,95 @@ mod tests {
     }
 
     #[test]
+    fn fill_keeps_the_counts_and_wakes_a_parked_consumer() {
+        let queue = Arc::new(BoundedQueue::new(2));
+        let consumer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.pop())
+        };
+        wait_until_parked(&queue, 1, 0);
+        let slot = queue.try_hold().unwrap();
+        let counts = || (queue.len(), queue.approx_len(), queue.high_water());
+        assert_eq!(counts(), (1, 1, 1));
+        // A held place has no item: the consumer stays parked.
+        assert_eq!(queue.parked(), (1, 0));
+        slot.fill(5);
+        assert_eq!(consumer.join().unwrap(), Some(5));
+        assert_eq!(counts(), (0, 0, 1));
+
+        // With no consumer waiting, the filled place stays counted once.
+        let slot = queue.try_hold().unwrap();
+        try_push(&queue, 6).unwrap();
+        assert_eq!(counts(), (2, 2, 2));
+        slot.fill(7);
+        assert_eq!(counts(), (2, 2, 2));
+        assert_eq!(try_push(&queue, 8), Err(PushError::Full));
+        // The filled item queues behind the items already queued.
+        assert_eq!(queue.pop(), Some(6));
+        assert_eq!(queue.pop(), Some(7));
+        assert_eq!(counts(), (0, 0, 2));
+    }
+
+    #[test]
+    fn an_item_filled_after_close_is_popped_before_the_end() {
+        let queue = BoundedQueue::new(2);
+        try_push(&queue, "queued").unwrap();
+        let slot = queue.try_hold().unwrap();
+        queue.close();
+        assert_eq!(queue.try_hold().err(), Some(PushError::Closed));
+        slot.fill("filled");
+        assert_eq!(queue.pop(), Some("queued"));
+        assert_eq!(queue.pop(), Some("filled"));
+        assert_eq!(queue.pop(), None);
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn a_dropped_held_slot_wakes_a_parked_hold_into_its_own_place() {
+        let queue = Arc::new(BoundedQueue::<u32>::new(1));
+        let held = queue.try_hold().unwrap();
+        let (len_tx, len) = std::sync::mpsc::channel();
+        let holder = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let slot = queue.hold().unwrap();
+                len_tx.send(queue.len()).unwrap();
+                drop(slot);
+            })
+        };
+        wait_until_parked(&queue, 0, 1);
+        drop(held);
+        // The woken hold took the place given back, and gave it back.
+        assert_eq!(len.recv().unwrap(), 1);
+        holder.join().unwrap();
+        assert_eq!((queue.len(), queue.approx_len()), (0, 0));
+        // Waiting for room is not a refusal.
+        assert_eq!((queue.high_water(), queue.refusals()), (1, 0));
+        assert_eq!(queue.parked(), (0, 0));
+    }
+
+    #[test]
     fn zero_capacity_is_clamped() {
         let queue = BoundedQueue::new(0);
         assert_eq!(queue.capacity(), 1);
-        queue.try_push(1).unwrap();
+        try_push(&queue, 1).unwrap();
     }
 
     #[test]
     fn close_drains_then_ends() {
         let queue = BoundedQueue::new(4);
-        queue.try_push("a").unwrap();
+        try_push(&queue, "a").unwrap();
         queue.close();
         assert!(queue.is_closed());
-        assert_eq!(queue.try_push("b"), Err(PushError::Closed("b")));
-        assert_eq!(queue.push("c"), Err("c"));
+        assert_eq!(try_push(&queue, "b"), Err(PushError::Closed));
+        assert_eq!(push(&queue, "c"), Err(PushError::Closed));
         assert_eq!(queue.pop(), Some("a"));
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.pop(), None);
     }
 
     /// Spins until `queue` has exactly `consumers` threads parked in `pop`
-    /// and `producers` in a full `push`. A thread is counted under the lock
+    /// and `producers` in a full `hold`. A thread is counted under the lock
     /// it releases only inside `Condvar::wait`, so once the count reads it,
     /// the thread waits for a notification.
     fn wait_until_parked<T>(queue: &BoundedQueue<T>, consumers: usize, producers: usize) {
@@ -431,10 +498,10 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_space() {
         let queue = Arc::new(BoundedQueue::new(1));
-        queue.try_push(0).unwrap();
+        try_push(&queue, 0).unwrap();
         let producer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1))
+            std::thread::spawn(move || push(&queue, 1))
         };
         // The producer is blocked on the full queue; popping unblocks it.
         wait_until_parked(&queue, 0, 1);
@@ -458,14 +525,14 @@ mod tests {
     #[test]
     fn push_wakes_on_close() {
         let queue = Arc::new(BoundedQueue::new(1));
-        queue.try_push(0).unwrap();
+        try_push(&queue, 0).unwrap();
         let producer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1))
+            std::thread::spawn(move || push(&queue, 1))
         };
         wait_until_parked(&queue, 0, 1);
         queue.close();
-        assert_eq!(producer.join().unwrap(), Err(1));
+        assert_eq!(producer.join().unwrap(), Err(PushError::Closed));
         assert_eq!(queue.pop(), Some(0));
     }
 
@@ -479,9 +546,9 @@ mod tests {
             };
             wait_until_parked(&queue, 1, 0);
             if blocking {
-                queue.push(item).unwrap();
+                push(&queue, item).unwrap();
             } else {
-                queue.try_push(item).unwrap();
+                try_push(&queue, item).unwrap();
             }
             assert_eq!(consumer.join().unwrap(), Some(item));
             assert_eq!(queue.parked(), (0, 0));
@@ -496,7 +563,7 @@ mod tests {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
                     for i in 0..50 {
-                        queue.push(p * 1000 + i).unwrap();
+                        push(&queue, p * 1000 + i).unwrap();
                     }
                 })
             })

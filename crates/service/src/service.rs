@@ -1,21 +1,21 @@
 //! The request/response serving front-end over a shared [`ReleaseEngine`].
 //!
-//! Architecture: submitters pass admission control (per-user ε-budget, then
-//! the bounded queue) and hand over a reply; a [`WorkerPool`] drains the
-//! queue, drives the engine (one `Arc<ReleaseEngine>` shared by all
-//! workers — calibrations are cached and stampede-coalesced there), and
-//! calls the reply with the outcome. In-process callers get a [`Ticket`],
-//! which is one such reply; the network front-end's reply pushes the
-//! finished release straight into its connection writer. The same queue
-//! also carries callers' own tasks ([`ReleaseService::try_spawn`]), so one
-//! fixed set of workers runs both. A caller may instead serve a release
-//! whose calibration is already cached on its own thread
-//! ([`ReleaseService::try_submit_or_hold`]): it then holds one place of the
-//! queue's capacity, not a queued item, until the release is served, and
-//! the release runs through the same serve path a worker runs. Back-pressure
-//! is explicit: the queue's capacity bounds the releases admitted and not
-//! yet served, queued or held, and a full queue refuses
-//! [`ReleaseService::try_submit`] rather than growing without bound.
+//! Architecture: admission is one step. A submission is charged its
+//! per-user ε budget and takes one place of the bounded queue's capacity
+//! before it is decided where the release runs: queued in that place for a
+//! [`WorkerPool`] worker, or, under [`ReleaseService::try_submit_or_hold`]
+//! when its calibration is already cached, handed back to the caller as a
+//! [`HeldRelease`] served on the caller's thread through the same serve
+//! path. Workers drain the queue, drive the engine (one `Arc<ReleaseEngine>`
+//! shared by all workers — calibrations are cached and stampede-coalesced
+//! there), and call each job's reply with the outcome. In-process callers
+//! get a [`Ticket`], which is one such reply; the network front-end's reply
+//! pushes the finished release straight into its connection writer. The
+//! same queue also carries callers' own tasks ([`ReleaseService::try_spawn`]),
+//! so one fixed set of workers runs both. Back-pressure is explicit: the
+//! capacity bounds the releases and tasks admitted and not yet taken,
+//! queued or held, and a full queue refuses [`ReleaseService::try_submit`]
+//! rather than growing without bound.
 //!
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
@@ -156,9 +156,9 @@ impl std::fmt::Debug for Ticket {
 type CallReply = Box<dyn FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send>;
 
 /// Where a job's outcome goes: a ticket's slot, or a caller's own callback
-/// (see [`ReleaseService::try_submit_with`]). A ticket's slot is stored as
-/// is rather than boxed inside a callback: that extra allocation, freed on
-/// the worker thread, measurably slowed in-process submission.
+/// (see [`ReleaseService::try_submit_or_hold`]). A ticket's slot is stored
+/// as is rather than boxed inside a callback: that extra allocation, freed
+/// on the worker thread, measurably slowed in-process submission.
 enum Reply {
     Ticket(Arc<ResponseSlot>),
     Call(CallReply),
@@ -169,9 +169,9 @@ enum Reply {
 struct Job {
     request: ReleaseRequest,
     /// Called exactly once, by whichever comes first: the worker with the
-    /// outcome, or the drop guard with [`ServiceError::ServiceClosed`].
-    /// Admission clears it before dropping a refused job, so a refusal's
-    /// only answer is the submitter's synchronous error.
+    /// outcome, or the drop guard with [`ServiceError::ServiceClosed`]. A
+    /// job is made only once its place is taken, so a refusal's only answer
+    /// is the submitter's synchronous error.
     reply: Option<Reply>,
     /// The request's clock and stage breakdown. Admission attaches one to
     /// every job while telemetry is attached, and the worker laps it; a
@@ -211,9 +211,11 @@ pub struct ServiceConfig {
     /// Worker-pool size ([`Parallelism::Auto`] = one worker per core).
     pub workers: Parallelism,
     /// Admission-queue capacity (back-pressure threshold, clamped to ≥ 1):
-    /// it bounds the releases and tasks admitted and not yet taken, whether
-    /// they wait in the queue for a worker or are held by a caller that
-    /// serves them itself ([`ReleaseService::try_submit_or_hold`]).
+    /// it bounds the releases and tasks admitted and not yet taken. Every
+    /// admission takes one place before it is decided where the release
+    /// runs, so a place counts whether it waits in the queue for a worker
+    /// or is held by a caller that serves the release itself
+    /// ([`ReleaseService::try_submit_or_hold`]).
     pub queue_capacity: usize,
     /// Total ε budget granted to each user across all their releases.
     pub per_user_epsilon: f64,
@@ -371,11 +373,9 @@ impl Serving {
 /// dropped unserved.
 pub struct HeldRelease<'a> {
     serving: &'a Serving,
-    request: ReleaseRequest,
     /// The engine its calibration was found in, which serves it.
     engine: Arc<ReleaseEngine>,
-    trace: Option<RequestTrace>,
-    _slot: HeldSlot<'a, Work>,
+    admitted: Admitted<'a>,
 }
 
 impl HeldRelease<'_> {
@@ -387,23 +387,32 @@ impl HeldRelease<'_> {
     /// mechanism stage as a callback reply receives it.
     pub fn serve(mut self) -> (Result<NoisyRelease, ServiceError>, Option<RequestTrace>) {
         let watch = self.serving.taking();
-        let response =
-            self.serving
-                .serve_admitted(&self.engine, &self.request, self.trace.as_mut(), watch);
-        (response, self.trace)
+        let Admitted { request, trace, .. } = &mut self.admitted;
+        let response = self
+            .serving
+            .serve_admitted(&self.engine, request, trace.as_mut(), watch);
+        (response, self.admitted.trace)
     }
 }
 
-/// How an admission that passed the budget ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// Queue the job, waiting for space.
-    Wait,
-    /// Queue the job, or refuse it when the queue is full.
-    Try,
-    /// Hold a queue place for the caller when the calibration is cached,
-    /// otherwise as [`Admission::Try`].
-    HoldIfWarm,
+/// A release that passed admission: its ε is charged and it holds one
+/// place of the queue's capacity. Dropped, it gives the place back.
+struct Admitted<'a> {
+    request: ReleaseRequest,
+    trace: Option<RequestTrace>,
+    slot: HeldSlot<'a, Work>,
+}
+
+impl Admitted<'_> {
+    /// Queues the release for a worker in the place it holds; `reply` gets
+    /// the outcome.
+    fn queue(self, reply: Reply) {
+        self.slot.fill(Work::Release(Job {
+            request: self.request,
+            reply: Some(reply),
+            trace: self.trace,
+        }));
+    }
 }
 
 /// What [`ReleaseService::warm_start`] remembers about the snapshot it
@@ -563,8 +572,8 @@ impl ReleaseService {
         Ok(release)
     }
 
-    /// Non-blocking submission: admission control (budget, then queue) and
-    /// immediate return of a [`Ticket`].
+    /// Non-blocking submission: admission control (budget, then a queue
+    /// place) and immediate return of a [`Ticket`].
     ///
     /// # Errors
     /// [`ServiceError::BudgetExhausted`] (budget untouched),
@@ -572,60 +581,42 @@ impl ReleaseService {
     /// spend rolled back).
     pub fn try_submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
         let (ticket, reply) = Ticket::with_reply();
-        self.admit(request, None, || reply, Admission::Try)?;
+        self.admit(request, None, BoundedQueue::try_hold)?
+            .queue(reply);
         Ok(ticket)
     }
 
-    /// [`ReleaseService::try_submit`] with the outcome delivered to `reply`
-    /// instead of a ticket, and an optional caller-owned request trace.
+    /// Non-blocking submission whose outcome goes to `reply`, unless the
+    /// release's calibration is already cached: then it is not queued but
+    /// comes back as a [`HeldRelease`] for the caller to serve on its own
+    /// thread, and `reply` is dropped uncalled. Admission is the same for
+    /// both, and comes first: the budget is charged, then one place of the
+    /// queue's capacity is taken, and a full or closed queue refuses the
+    /// release and refunds the charge. Only a release that got its place is
+    /// probed for a cached calibration; one that is not warm is queued in
+    /// that place (`Ok(None)`), so no calibration ever runs on the
+    /// caller's thread.
     ///
-    /// Once admitted, `reply` is called exactly once: by the worker with
-    /// the release or its mechanism error, or with
+    /// A queued release's `reply` is called exactly once: by the worker
+    /// with the release or its mechanism error, or with
     /// [`ServiceError::ServiceClosed`] when the job is dropped unserved (a
     /// panic mid-release, queue teardown). It may run on a worker thread
     /// before this call returns, and it must not block. On a refusal it is
     /// dropped without being called: the returned error is the only answer.
     ///
-    /// `reply` also gets the request's trace back. With telemetry attached,
-    /// admission restarts the clock of `trace` (or starts a trace keyed by
-    /// the request seed), and the trace then carries the admission,
-    /// queue-wait, engine and mechanism stages, each also recorded into the
-    /// registry histograms. Without telemetry, `trace` comes back
-    /// untouched. The network front-end threads its per-request trace
-    /// through here, laps its own stages on the trace it gets back, and
-    /// offers the finished trace to its flight recorder.
-    ///
-    /// # Errors
-    /// As for [`ReleaseService::try_submit`].
-    pub fn try_submit_with(
-        &self,
-        request: ReleaseRequest,
-        trace: Option<RequestTrace>,
-        reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
-    ) -> Result<(), ServiceError> {
-        self.admit(
-            request,
-            trace,
-            || Reply::Call(Box::new(reply)),
-            Admission::Try,
-        )?;
-        Ok(())
-    }
-
-    /// [`ReleaseService::try_submit_with`], except that a release whose
-    /// calibration is already cached is not queued: it comes back as a
-    /// [`HeldRelease`] for the caller to serve on its own thread, and
-    /// `reply` is dropped uncalled. Admission is the same for both: the
-    /// budget is charged first, then a held release takes one place of the
-    /// queue's capacity where a queued one takes a queue item, and a full
-    /// or closed queue refuses either and refunds the charge. A release
-    /// that is not warm is queued as by `try_submit_with` (`Ok(None)`), so
-    /// no calibration ever runs on the caller's thread.
-    ///
     /// A held release is served, through the same path a worker runs, by
     /// [`HeldRelease::serve`]; until then its place counts in
     /// [`ReleaseService::pending`] and against the capacity. The network
     /// front-end's connection readers serve warm RELEASE frames this way.
+    ///
+    /// `reply` and [`HeldRelease::serve`] also give the request's trace
+    /// back. With telemetry attached, admission restarts the clock of
+    /// `trace` (or starts a trace keyed by the request seed), and the trace
+    /// then carries the admission, queue-wait, engine and mechanism stages,
+    /// each also recorded into the registry histograms. Without telemetry,
+    /// `trace` comes back untouched. The network front-end threads its
+    /// per-request trace through here, laps its own stages on the trace it
+    /// gets back, and offers the finished trace to its flight recorder.
     ///
     /// # Errors
     /// As for [`ReleaseService::try_submit`].
@@ -635,12 +626,18 @@ impl ReleaseService {
         trace: Option<RequestTrace>,
         reply: impl FnOnce(Result<NoisyRelease, ServiceError>, Option<RequestTrace>) + Send + 'static,
     ) -> Result<Option<HeldRelease<'_>>, ServiceError> {
-        self.admit(
-            request,
-            trace,
-            || Reply::Call(Box::new(reply)),
-            Admission::HoldIfWarm,
-        )
+        let admitted = self.admit(request, trace, BoundedQueue::try_hold)?;
+        match self.warm_engine(&admitted.request) {
+            Some(engine) => Ok(Some(HeldRelease {
+                serving: &self.serving,
+                engine,
+                admitted,
+            })),
+            None => {
+                admitted.queue(Reply::Call(Box::new(reply)));
+                Ok(None)
+            }
+        }
     }
 
     /// Queues `task` to run once on a worker, in FIFO order with the release
@@ -662,19 +659,22 @@ impl ReleaseService {
     /// [`ServiceError::QueueFull`] and [`ServiceError::ServiceClosed`]; the
     /// task is then dropped without running.
     pub fn try_spawn(&self, task: impl FnOnce() + Send + 'static) -> Result<(), ServiceError> {
-        self.serving
+        let slot = self
+            .serving
             .queue
-            .try_push(Work::Task(Box::new(task)))
-            .map_err(|refused| self.refusal(&refused))
+            .try_hold()
+            .map_err(|refused| self.refusal(refused))?;
+        slot.fill(Work::Task(Box::new(task)));
+        Ok(())
     }
 
     /// The error a queue refusal answers.
-    fn refusal<T>(&self, refused: &PushError<T>) -> ServiceError {
+    fn refusal(&self, refused: PushError) -> ServiceError {
         match refused {
-            PushError::Full(_) => ServiceError::QueueFull {
+            PushError::Full => ServiceError::QueueFull {
                 capacity: self.serving.queue.capacity(),
             },
-            PushError::Closed(_) => ServiceError::ServiceClosed,
+            PushError::Closed => ServiceError::ServiceClosed,
         }
     }
 
@@ -685,28 +685,25 @@ impl ReleaseService {
     /// [`ServiceError::BudgetExhausted`] and [`ServiceError::ServiceClosed`].
     pub fn submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
         let (ticket, reply) = Ticket::with_reply();
-        self.admit(request, None, || reply, Admission::Wait)?;
+        self.admit(request, None, BoundedQueue::hold)?.queue(reply);
         Ok(ticket)
     }
 
-    /// The one admission path: spend the budget, then queue the job
-    /// (waiting for space under [`Admission::Wait`]) or, for a warm release
-    /// under [`Admission::HoldIfWarm`], hold a queue place for the caller.
-    /// A queue refusal rolls the spend back (a refused job's reply is
-    /// dropped uncalled; no worker will ever see it). Every budget event
-    /// carries its audit tag — query signature, engine family, request
-    /// seed — into an attached ε ledger. `reply` is built only for a job
-    /// that is queued.
-    fn admit(
-        &self,
+    /// The one admission path: spend the budget, then take one place of the
+    /// queue's capacity through `take` ([`BoundedQueue::try_hold`] or
+    /// [`BoundedQueue::hold`]). A refused place rolls the spend back, before
+    /// any job or reply exists. Every budget event carries its audit tag —
+    /// query signature, engine family, request seed — into an attached ε
+    /// ledger.
+    fn admit<'s>(
+        &'s self,
         request: ReleaseRequest,
         mut trace: Option<RequestTrace>,
-        reply: impl FnOnce() -> Reply,
-        how: Admission,
-    ) -> Result<Option<HeldRelease<'_>>, ServiceError> {
+        take: impl FnOnce(&'s BoundedQueue<Work>) -> Result<HeldSlot<'s, Work>, PushError>,
+    ) -> Result<Admitted<'s>, ServiceError> {
         // With telemetry attached the request is timed from its arrival
-        // here. Admission ends before the enqueue, so time spent *inside*
-        // the enqueue call is part of the queue-wait stage.
+        // here. Admission ends before the place is taken, so time spent
+        // waiting for a place is part of the queue-wait stage.
         let watch = self.serving.telemetry.get();
         if watch.is_some() {
             match trace.as_mut() {
@@ -738,64 +735,27 @@ impl ReleaseService {
         let admission_ns = watch
             .and(trace.as_mut())
             .map(|trace| trace.lap(Stage::Admission));
-        // Only an admission the queue took is sampled.
-        let admitted = || {
-            if let Some((watch, ns)) = watch.zip(admission_ns) {
-                watch.stages().record(Stage::Admission, ns);
-            }
-        };
-        let warm = match how {
-            Admission::HoldIfWarm => self.warm_engine(&request),
-            Admission::Wait | Admission::Try => None,
-        };
-        let refused = match warm {
-            Some(engine) => match self.serving.queue.try_hold() {
-                Ok(slot) => {
-                    admitted();
-                    return Ok(Some(HeldRelease {
-                        serving: &self.serving,
-                        request,
-                        engine,
-                        trace,
-                        _slot: slot,
-                    }));
+        match take(&self.serving.queue) {
+            Ok(slot) => {
+                // Only an admission that got its place is sampled.
+                if let Some((watch, ns)) = watch.zip(admission_ns) {
+                    watch.stages().record(Stage::Admission, ns);
                 }
-                Err(refused) => {
-                    self.budget
-                        .refund_tagged(&request.user, request.epsilon, tag);
-                    self.refusal(&refused)
-                }
-            },
-            None => {
-                let job = Work::Release(Job {
+                Ok(Admitted {
                     request,
-                    reply: Some(reply()),
                     trace,
-                });
-                let pushed = if how == Admission::Wait {
-                    self.serving.queue.push(job).map_err(PushError::Closed)
-                } else {
-                    self.serving.queue.try_push(job)
-                };
-                let Err(refused) = pushed else {
-                    admitted();
-                    return Ok(None);
-                };
-                let error = self.refusal(&refused);
-                if let PushError::Full(Work::Release(mut job))
-                | PushError::Closed(Work::Release(mut job)) = refused
-                {
-                    job.reply = None;
-                    self.budget
-                        .refund_tagged(&job.request.user, job.request.epsilon, tag);
-                }
-                error
+                    slot,
+                })
             }
-        };
-        if let Some(watch) = watch {
-            watch.refused().inc();
+            Err(refused) => {
+                self.budget
+                    .refund_tagged(&request.user, request.epsilon, tag);
+                if let Some(watch) = watch {
+                    watch.refused().inc();
+                }
+                Err(self.refusal(refused))
+            }
         }
-        Err(refused)
     }
 
     /// The engine to serve `request` from on the caller's thread: the
@@ -1095,6 +1055,21 @@ mod tests {
         )
     }
 
+    /// Admits and queues `request` exactly as `try_submit_or_hold` does a
+    /// release whose calibration is not cached, so `reply` answers it
+    /// whatever the cache holds.
+    fn submit_cold(
+        service: &ReleaseService,
+        request: ReleaseRequest,
+        trace: Option<RequestTrace>,
+        reply: impl FnOnce(Outcome, Option<RequestTrace>) + Send + 'static,
+    ) -> Result<(), ServiceError> {
+        service
+            .admit(request, trace, BoundedQueue::try_hold)?
+            .queue(Reply::Call(Box::new(reply)));
+        Ok(())
+    }
+
     /// The outcome a reply was called with. Waits at most 10 s, so a job
     /// that nobody serves fails the test instead of hanging it.
     fn called_once(rx: &std::sync::mpsc::Receiver<Outcome>) -> Outcome {
@@ -1143,9 +1118,7 @@ mod tests {
         )
         .unwrap();
         let (reply, served) = recorder();
-        service
-            .try_submit_with(request("rita", 0.1, 1), None, reply)
-            .unwrap();
+        submit_cold(&service, request("rita", 0.1, 1), None, reply).unwrap();
         assert_eq!(called_once(&served).unwrap().values.len(), 1);
 
         // Hold the only worker inside a release and fill the one queue
@@ -1160,15 +1133,13 @@ mod tests {
             ..request("rita", 0.1, 2)
         };
         let (reply, held) = recorder();
-        service.try_submit_with(gated, None, reply).unwrap();
+        submit_cold(&service, gated, None, reply).unwrap();
         entered.recv().unwrap();
         let (reply, queued) = recorder();
-        service
-            .try_submit_with(request("rita", 0.1, 3), None, reply)
-            .unwrap();
+        submit_cold(&service, request("rita", 0.1, 3), None, reply).unwrap();
         let (reply, refused) = recorder();
         assert!(matches!(
-            service.try_submit_with(request("rita", 0.1, 4), None, reply),
+            submit_cold(&service, request("rita", 0.1, 4), None, reply),
             Err(ServiceError::QueueFull { capacity: 1 })
         ));
         assert!(
@@ -1203,15 +1174,13 @@ mod tests {
             query: Arc::new(PanickingQuery),
             ..request("rita", 0.1, 5)
         };
-        service.try_submit_with(panicking, None, reply).unwrap();
+        submit_cold(&service, panicking, None, reply).unwrap();
         assert!(matches!(
             called_once(&panicked),
             Err(ServiceError::ServiceClosed)
         ));
         let (reply, next) = recorder();
-        service
-            .try_submit_with(request("rita", 0.1, 6), None, reply)
-            .unwrap();
+        submit_cold(&service, request("rita", 0.1, 6), None, reply).unwrap();
         assert_eq!(called_once(&next).unwrap().values.len(), 1);
         service.shutdown();
     }
@@ -1361,13 +1330,15 @@ mod tests {
             Err(ServiceError::ServiceClosed)
         ));
         // The next release calibrates the same key again instead of
-        // waiting on the panicked leader.
+        // waiting on the panicked leader: nothing is cached, so it is queued.
         let (reply_tx, reply_rx) = mpsc::channel();
-        service
-            .try_submit_with(request("p", 0.5, 2), None, move |result, _trace| {
-                let _ = reply_tx.send(result);
-            })
-            .unwrap();
+        let reply = move |result, _trace| {
+            let _ = reply_tx.send(result);
+        };
+        assert!(matches!(
+            service.try_submit_or_hold(request("p", 0.5, 2), None, reply),
+            Ok(None)
+        ));
         let Ok(reply) = reply_rx.recv_timeout(std::time::Duration::from_secs(10)) else {
             // Dropping the service would join the wedged worker.
             std::mem::forget(service);
@@ -1411,9 +1382,13 @@ mod tests {
         let service = one_worker(4);
         service.try_spawn(|| panic!("task bug")).unwrap();
         let (reply, released) = recorder();
-        service
-            .try_submit_with(request("tom", 0.1, 1), None, reply)
-            .unwrap();
+        assert!(
+            matches!(
+                service.try_submit_or_hold(request("tom", 0.1, 1), None, reply),
+                Ok(None)
+            ),
+            "nothing is cached yet, so the release is queued"
+        );
         assert_eq!(called_once(&released).unwrap().values.len(), 1);
         let (done, ran) = std::sync::mpsc::channel();
         service.try_spawn(move || done.send(()).unwrap()).unwrap();
@@ -1717,11 +1692,15 @@ mod tests {
         .unwrap();
         let submit = |trace: Option<RequestTrace>, seed: u64| {
             let (tx, rx) = std::sync::mpsc::channel();
-            service
-                .try_submit_with(request("tia", 0.1, seed), trace, move |outcome, trace| {
+            submit_cold(
+                &service,
+                request("tia", 0.1, seed),
+                trace,
+                move |outcome, trace| {
                     let _ = tx.send((outcome, trace));
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             let (outcome, trace) = rx.recv().unwrap();
             outcome.unwrap();
             trace

@@ -17,9 +17,10 @@
 //!   is `BUSY`, charges nothing and gives its pipeline slot back.
 //! * **Adversarial bytes are contained**: garbage on one connection gets a
 //!   typed error and a close, while the listener keeps serving others; the
-//!   connection cap refuses with a typed frame; shutdown drains in-flight
-//!   releases, and a stalled release cannot hold shutdown past one
-//!   `drain_timeout` per connection.
+//!   connection cap refuses with a typed frame; a HELLO tenant longer than
+//!   255 bytes is refused and charges nothing; shutdown drains in-flight
+//!   releases, and neither a stalled release nor a client that stops
+//!   reading can hold shutdown past one `drain_timeout` per connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -1567,4 +1568,104 @@ fn a_stalled_release_cannot_hold_shutdown_past_one_drain_timeout() {
     Arc::try_unwrap(service)
         .expect("the server released its handle")
         .shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_shutdown() {
+    let service = service(16, 1, 10.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig {
+            read_timeout: Duration::from_millis(20),
+            drain_timeout: Duration::from_millis(200),
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    // HELLO and 200,000 STATS in one write, and nothing read: the answers
+    // fill both socket buffers, so the reader's write of a pass blocks.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let stats = encoded(1, Frame::Stats);
+    let mut bytes = hello("mute");
+    for _ in 0..200_000 {
+        bytes.extend_from_slice(&stats);
+    }
+    // A blocked reader stops reading, so this write may block as well.
+    raw.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let _ = raw.write_all(&bytes);
+
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = stopped_tx.send(());
+    });
+    let stopped = stopped.recv_timeout(Duration::from_secs(5));
+    // Closing the socket fails a write the server is still blocked in, so
+    // a server without a write deadline ends here instead of hanging.
+    drop(raw);
+    stopper.join().unwrap();
+    assert!(
+        stopped.is_ok(),
+        "shutdown was still blocked 5 s after it was called"
+    );
+}
+
+#[test]
+fn a_tenant_longer_than_255_bytes_is_refused_and_charges_nothing() {
+    let service = service(16, 1, 10.0);
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let release = encoded(
+        1,
+        Frame::release(1, test_query(), &database(6), 0.5, 1).unwrap(),
+    );
+
+    // At the limit: HELLO_OK, and the release is charged to `tenant#1`.
+    let tenant = "t".repeat(255);
+    let bytes = [hello(&tenant), release.clone(), encoded(2, Frame::Goodbye)].concat();
+    let frames: Vec<_> = frames_until_eof(server.local_addr(), &bytes)
+        .into_iter()
+        .map(|e| (e.seq, e.frame))
+        .collect();
+    assert_eq!(frames.len(), 2, "{frames:?}");
+    assert!(
+        matches!(frames[0], (0, Frame::HelloOk { .. })),
+        "{frames:?}"
+    );
+    assert!(
+        matches!(frames[1], (1, Frame::ReleaseOk { .. })),
+        "{frames:?}"
+    );
+    assert_eq!(service.budget().spent(&format!("{tenant}#1")), 0.5);
+
+    // One byte more: a typed ERROR, then EOF. The release behind it is
+    // never dispatched, so nobody is charged.
+    let bytes = [hello(&"t".repeat(256)), release].concat();
+    let frames: Vec<_> = frames_until_eof(server.local_addr(), &bytes)
+        .into_iter()
+        .map(|e| (e.seq, e.frame))
+        .collect();
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    assert!(
+        matches!(
+            frames[0],
+            (
+                0,
+                Frame::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                }
+            )
+        ),
+        "{frames:?}"
+    );
+    assert_eq!(service.budget().users(), 1);
+    assert_eq!(service.budget().total_spent(), 0.5);
+    server.shutdown();
 }
