@@ -691,10 +691,10 @@ impl ReleaseService {
 
     /// The one admission path: spend the budget, then take one place of the
     /// queue's capacity through `take` ([`BoundedQueue::try_hold`] or
-    /// [`BoundedQueue::hold`]). A refused place rolls the spend back, before
-    /// any job or reply exists. Every budget event carries its audit tag —
-    /// query signature, engine family, request seed — into an attached ε
-    /// ledger.
+    /// [`BoundedQueue::hold`]). A refused place rolls the spend back before
+    /// any job exists, so no reply is ever called for it. Every budget event
+    /// carries its audit tag — query signature, engine family, request
+    /// seed — into an attached ε ledger.
     fn admit<'s>(
         &'s self,
         request: ReleaseRequest,
