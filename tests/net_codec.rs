@@ -879,3 +879,68 @@ fn complete_frames_with_short_bodies_are_malformed() {
     // query tag.
     assert_eq!(kinds, 17);
 }
+
+/// One decode outcome in words: the error variant with its fields, a
+/// `Malformed` text dropped (texts may be reworded), or `ok` with the bytes
+/// consumed and the FNV-1a of the decoded envelope encoded again.
+fn outcome(result: Result<(Envelope, usize), FrameError>) -> String {
+    match result {
+        Ok((envelope, consumed)) => {
+            let bytes = encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap();
+            format!("ok {consumed} {:016x}", fnv1a(&bytes))
+        }
+        Err(FrameError::Malformed(_)) => "Malformed".to_string(),
+        Err(error) => format!("{error:?}"),
+    }
+}
+
+/// Every typed decode outcome of the golden set, pinned as one FNV-1a per
+/// frame: each prefix of the encoding (the whole frame included), each
+/// complete frame cut short inside its declared length, and each
+/// single-byte flip (`^= 0x40`). A codec change that moves any outcome of
+/// the 3,759 moves a pin.
+#[test]
+fn golden_frame_decode_outcomes_are_pinned() {
+    const PINNED: [(&str, u64); 20] = [
+        ("release_state_frequency", 0x52d8_4dc0_8858_0ca2),
+        ("release_state_count", 0xc918_7daa_219b_b18c),
+        ("release_histogram", 0x3072_5588_5623_5afd),
+        ("release_range_count", 0xd4d2_d52b_1553_2e37),
+        ("release_mean_state", 0x3e0f_bb46_df6e_6433),
+        ("hello", 0x47ed_bf1b_6146_0f2e),
+        ("query", 0xddf5_46d2_40cf_0ca3),
+        ("progressive", 0x9e0f_64e5_bdeb_d4ec),
+        ("stats", 0x960b_1e1d_64c1_b824),
+        ("goodbye", 0xe4f3_885e_ece4_968e),
+        ("metrics", 0x8f4e_425b_4c30_f352),
+        ("hello_ok", 0x2e98_fb35_cbc4_705d),
+        ("release_ok", 0x15fc_29fb_369d_f37c),
+        ("query_ok", 0xcb32_b71a_530e_d65f),
+        ("refine_ok", 0x28e6_62ff_a4ad_8aff),
+        ("stats_ok", 0x33a3_e253_a2f6_deca),
+        ("metrics_ok", 0x83ed_5050_5a52_880a),
+        ("busy", 0xdf7d_44dd_19be_5437),
+        ("budget_exhausted", 0xa723_c53a_0474_36f2),
+        ("error", 0xb7b9_0782_f2ed_6de0),
+    ];
+    let mut outcomes = 0;
+    let actual: Vec<(&str, u64)> = golden_envelopes()
+        .into_iter()
+        .map(|(name, envelope)| {
+            let bytes = encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap();
+            let outcome_of = |input: &[u8]| outcome(decode(input, DEFAULT_MAX_FRAME_LEN));
+            let mut log = Vec::new();
+            log.extend((0..=bytes.len()).map(|end| outcome_of(&bytes[..end])));
+            log.extend((4..bytes.len()).map(|end| outcome_of(&reframe(&bytes, end))));
+            log.extend((0..bytes.len()).map(|index| {
+                let mut flipped = bytes.clone();
+                flipped[index] ^= 0x40;
+                outcome_of(&flipped)
+            }));
+            outcomes += log.len();
+            (name, fnv1a(log.join("\n").as_bytes()))
+        })
+        .collect();
+    assert_eq!(outcomes, 3_759);
+    assert_eq!(actual, PINNED);
+}
