@@ -17,9 +17,13 @@
 //! responses can return out of order — the sequence number is the only way
 //! to match them back up.
 //!
-//! Fields go through the shared byte codec (`pufferfish_telemetry::codec`);
-//! the wire's own rules are its header and its u32 length and count
-//! prefixes. Decoding is defensive end to end: a declared frame length
+//! Each value's layout is written once, in this module's layout table:
+//! every frame kind's code and every field list, in wire order. [`encode`]
+//! and [`decode_payload`] both follow it, and a counted list's allocation
+//! guard takes its item size (the fewest bytes an item can take) from the
+//! same table. Fields go through the shared byte codec
+//! (`pufferfish_telemetry::codec`); the wire's own rules are its header and
+//! its u32 length and count prefixes. Decoding is defensive end to end: a declared frame length
 //! beyond the negotiated maximum is [`FrameError::Oversized`] *before* any
 //! allocation, every collection count inside a body is checked against the
 //! bytes that actually remain, and trailing garbage is
@@ -145,8 +149,10 @@ pub enum ErrorCode {
     /// QUERY frame against a release-only server, or an unplannable
     /// statement).
     Unsupported = 8,
-    /// An internal serving failure (e.g. the shutdown drain deadline
-    /// expired before the release completed).
+    /// An internal serving failure, for example a response that cannot be
+    /// encoded or a PROGRESSIVE task that panicked. (A response that misses
+    /// the shutdown drain deadline is dropped instead: its client reads
+    /// EOF.)
     Internal = 9,
 }
 
@@ -264,16 +270,6 @@ impl WireQuery {
             }
         })
     }
-
-    fn tag(&self) -> u8 {
-        match self {
-            WireQuery::StateFrequency { .. } => 0,
-            WireQuery::StateCount { .. } => 1,
-            WireQuery::Histogram { .. } => 2,
-            WireQuery::RangeCount { .. } => 3,
-            WireQuery::MeanState { .. } => 4,
-        }
-    }
 }
 
 /// The numeric image of [`ServiceStats`] carried by a
@@ -367,16 +363,6 @@ pub enum WireMetricValue {
         /// 99.9th percentile.
         p999: u64,
     },
-}
-
-impl WireMetricValue {
-    fn tag(self) -> u8 {
-        match self {
-            WireMetricValue::Counter(_) => 0,
-            WireMetricValue::Gauge(_) => 1,
-            WireMetricValue::Histogram { .. } => 2,
-        }
-    }
 }
 
 /// One named metric inside a [`Frame::MetricsOk`] response.
@@ -589,27 +575,6 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn kind(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => 0x01,
-            Frame::Release { .. } => 0x02,
-            Frame::Query { .. } => 0x03,
-            Frame::Progressive { .. } => 0x07,
-            Frame::Stats => 0x04,
-            Frame::Goodbye => 0x05,
-            Frame::Metrics => 0x06,
-            Frame::HelloOk { .. } => 0x81,
-            Frame::ReleaseOk { .. } => 0x82,
-            Frame::QueryOk(_) => 0x83,
-            Frame::RefineOk { .. } => 0x89,
-            Frame::StatsOk(_) => 0x84,
-            Frame::MetricsOk(_) => 0x88,
-            Frame::Busy { .. } => 0x85,
-            Frame::BudgetExhausted { .. } => 0x86,
-            Frame::Error { .. } => 0x87,
-        }
-    }
-
     /// Builds a [`Frame::Release`] from a `usize` state sequence, checking
     /// every state fits the wire's `u16` representation.
     ///
@@ -690,31 +655,283 @@ pub struct Envelope {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The wire layout
 // ---------------------------------------------------------------------------
 
-/// Writes a collection's u32 count prefix, refusing a count the wire
-/// cannot carry.
-fn write_count(out: &mut Vec<u8>, count: usize, what: &str) -> Result<(), FrameError> {
-    let count =
-        u32::try_from(count).map_err(|_| FrameError::Unencodable(format!("{count} {what}")))?;
-    put_u32(out, count);
-    Ok(())
+/// A value with one wire layout, followed in both directions: [`encode`]
+/// writes it with `put` and [`decode_payload`] reads it back with `get`.
+trait Wire: Sized {
+    /// The fewest bytes any value of the type takes on the wire. A counted
+    /// list of the type is refused unless its count of these fits the bytes
+    /// left, before anything is allocated for it.
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError>;
+    fn get(r: &mut Cursor) -> Result<Self, FrameError>;
 }
 
-fn write_text(out: &mut Vec<u8>, text: &str) -> Result<(), FrameError> {
-    write_count(out, text.len(), "bytes of text")?;
-    out.extend_from_slice(text.as_bytes());
-    Ok(())
+/// A tagged union on the wire: a `u8` tag, then the variant's fields. A
+/// frame's tag is its kind, which the header carries ahead of `seq`, so
+/// [`encode`] and [`decode_payload`] place the two parts themselves.
+trait Tagged: Sized {
+    /// The fewest bytes of any variant's fields.
+    const MIN_FIELDS: usize;
+    fn tag(&self) -> u8;
+    fn put_fields(&self, out: &mut Vec<u8>) -> Result<(), FrameError>;
+    fn get_fields(tag: u8, r: &mut Cursor) -> Result<Self, FrameError>;
 }
 
-fn write_f64s(out: &mut Vec<u8>, values: &[f64]) -> Result<(), FrameError> {
-    write_count(out, values.len(), "values")?;
-    for &value in values {
-        put_f64(out, value);
+impl<T: Tagged> Wire for T {
+    const MIN_BYTES: usize = 1 + T::MIN_FIELDS;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        out.push(self.tag());
+        self.put_fields(out)
     }
-    Ok(())
+    #[inline]
+    fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+        let tag = r.u8()?;
+        T::get_fields(tag, r)
+    }
 }
+
+/// The least wire size of the field `field` picks out of an `S`: how the
+/// layouts below take a field's type from its hand-written definition.
+const fn min_bytes<S, T: Wire>(_field: fn(&S) -> Option<&T>) -> usize {
+    T::MIN_BYTES
+}
+
+macro_rules! wire_number {
+    ($($ty:ident $put:ident),+) => {$(
+        /// Little-endian, through the shared byte codec.
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+                $put(out, *self);
+                Ok(())
+            }
+            #[inline]
+            fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+                Ok(r.$ty()?)
+            }
+        }
+    )+};
+}
+
+wire_number!(u16 put_u16, u32 put_u32, u64 put_u64, f64 put_f64);
+
+/// A flag: a `u16` that is 0 or 1.
+impl Wire for bool {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        u16::from(*self).put(out)
+    }
+    fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+        match u16::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(FrameError::Malformed(format!(
+                "a flag must be 0 or 1, found {other}"
+            ))),
+        }
+    }
+}
+
+/// Its `u16` discriminant.
+impl Wire for ErrorCode {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        (*self as u16).put(out)
+    }
+    fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+        let raw = u16::get(r)?;
+        ErrorCode::from_u16(raw)
+            .ok_or_else(|| FrameError::Malformed(format!("unknown error code {raw}")))
+    }
+}
+
+/// Writes a `u32` length or count prefix, refusing one the wire cannot
+/// carry.
+fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), FrameError> {
+    u32::try_from(len)
+        .map_err(|_| FrameError::Unencodable(format!("{len} items exceed a u32 count")))?
+        .put(out)
+}
+
+/// Text: a `u32` byte length, then UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        put_len(out, self.len())?;
+        out.extend_from_slice(self.as_bytes());
+        Ok(())
+    }
+    fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+        let len = u32::get(r)?;
+        Ok(r.text(len as usize)?)
+    }
+}
+
+/// A list: a `u32` count, then the items, read into one allocation once
+/// the count is known to fit.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        put_len(out, self.len())?;
+        for item in self {
+            item.put(out)?;
+        }
+        Ok(())
+    }
+    #[inline]
+    fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+        let declared = u32::get(r)?;
+        let count = r.count(declared.into(), T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Structs' layouts: per struct, its fields in wire order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ $(,)? };)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ min_bytes(|value: &$ty| Some(&value.$field)))+;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+                $(self.$field.put(out)?;)+
+                Ok(())
+            }
+            #[inline]
+            fn get(r: &mut Cursor) -> Result<Self, FrameError> {
+                Ok($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    )+};
+}
+
+/// A tagged union's layout: per variant, its tag and its fields in wire
+/// order, `Name(field)` for a one-field tuple variant and `Name {}` for a
+/// variant without fields; `$unknown` maps a tag no variant has to its
+/// error.
+macro_rules! wire_union {
+    ($ty:ident, $unknown:expr; $($tag:literal => $variant:ident $fields:tt),+ $(,)?) => {
+        impl Tagged for $ty {
+            const MIN_FIELDS: usize = {
+                let mut min = usize::MAX;
+                $(
+                    let fields = wire_union!(@min $ty $variant $fields);
+                    if fields < min {
+                        min = fields;
+                    }
+                )+
+                min
+            };
+            #[inline]
+            fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$variant { .. } => $tag,)+
+                }
+            }
+            #[inline]
+            fn put_fields(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+                match self {
+                    $(
+                        wire_union!(@pattern $ty $variant $fields) =>
+                            wire_union!(@put out $fields),
+                    )+
+                }
+                Ok(())
+            }
+            #[inline]
+            fn get_fields(tag: u8, r: &mut Cursor) -> Result<Self, FrameError> {
+                Ok(match tag {
+                    $($tag => wire_union!(@get r $ty $variant $fields),)+
+                    other => return Err($unknown(other)),
+                })
+            }
+        }
+    };
+    (@pattern $ty:ident $variant:ident { $($field:ident),* }) => { $ty::$variant { $($field),* } };
+    (@pattern $ty:ident $variant:ident ($field:ident)) => { $ty::$variant($field) };
+    (@put $out:ident { $($field:ident),* }) => {{ $($field.put($out)?;)* }};
+    (@put $out:ident ($field:ident)) => { $field.put($out)? };
+    (@get $r:ident $ty:ident $variant:ident { $($field:ident),* }) => {
+        $ty::$variant { $($field: Wire::get($r)?),* }
+    };
+    (@get $r:ident $ty:ident $variant:ident ($field:ident)) => { $ty::$variant(Wire::get($r)?) };
+    (@min $ty:ident $variant:ident { $($field:ident),* }) => {
+        0 $(+ min_bytes(|value: &$ty| {
+            if let $ty::$variant { $field, .. } = value { Some($field) } else { None }
+        }))*
+    };
+    (@min $ty:ident $variant:ident ($field:ident)) => {
+        min_bytes(|value: &$ty| if let $ty::$variant($field) = value { Some($field) } else { None })
+    };
+}
+
+// The wire's layout table: every frame kind's code and the fields of every
+// value it carries, in wire order.
+
+wire_union! {
+    Frame, |found| FrameError::UnknownKind { found };
+    0x01 => Hello { tenant },
+    0x02 => Release { user, query, epsilon, seed, database },
+    0x03 => Query { user, table, statement, seed },
+    0x04 => Stats {},
+    0x05 => Goodbye {},
+    0x06 => Metrics {},
+    0x07 => Progressive { user, confidence, seed, steps, database },
+    0x81 => HelloOk { max_pipeline, max_frame_len },
+    0x82 => ReleaseOk { scale, values },
+    0x83 => QueryOk(result),
+    0x84 => StatsOk(stats),
+    0x85 => Busy { retry_hint_ms },
+    0x86 => BudgetExhausted { requested, remaining },
+    0x87 => Error { code, message },
+    0x88 => MetricsOk(metrics),
+    0x89 => RefineOk {
+        step, total_steps, prefix, scale, epsilon, certified_error, spent_epsilon, values
+    },
+}
+
+wire_union! {
+    WireQuery, |tag| FrameError::Malformed(format!("unknown query tag {tag}"));
+    0 => StateFrequency { state, length },
+    1 => StateCount { state, length },
+    2 => Histogram { num_states, length },
+    3 => RangeCount { lo, hi, num_states, length },
+    4 => MeanState { num_states, length },
+}
+
+wire_union! {
+    WireMetricValue, |tag| FrameError::Malformed(format!("unknown metric kind {tag}"));
+    0 => Counter(value),
+    1 => Gauge(value),
+    2 => Histogram { count, max, mean, p50, p99, p999 },
+}
+
+wire_struct! {
+    WireRefinementStep { prefix, epsilon, error_bound };
+    WireQueryResult { mechanism, noise_scale, total_epsilon, cells };
+    WireCell { key, windows };
+    WireWindow { end, values };
+    WireMetric { name, value };
+    WireStats {
+        hits, misses, coalesced, cached_calibrations, queue_depth, queue_capacity,
+        queue_refusals, queue_high_water, served, users, spent_epsilon,
+        monitor_noise_tests, monitor_noise_failures, drift_windows, drift_score, drifted,
+        recalibrations,
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Encoding and decoding
+// ---------------------------------------------------------------------------
 
 /// Encodes one envelope into its full wire representation (length prefix
 /// included).
@@ -727,186 +944,9 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
     put_u32(&mut out, 0); // patched below
     put_u32(&mut out, MAGIC);
     out.push(VERSION);
-    out.push(envelope.frame.kind());
+    out.push(envelope.frame.tag());
     put_u64(&mut out, envelope.seq);
-
-    match &envelope.frame {
-        Frame::Hello { tenant } => write_text(&mut out, tenant)?,
-        Frame::Release {
-            user,
-            query,
-            epsilon,
-            seed,
-            database,
-        } => {
-            put_u64(&mut out, *user);
-            out.push(query.tag());
-            match *query {
-                WireQuery::StateFrequency { state, length }
-                | WireQuery::StateCount { state, length } => {
-                    put_u32(&mut out, state);
-                    put_u32(&mut out, length);
-                }
-                WireQuery::Histogram { num_states, length }
-                | WireQuery::MeanState { num_states, length } => {
-                    put_u32(&mut out, num_states);
-                    put_u32(&mut out, length);
-                }
-                WireQuery::RangeCount {
-                    lo,
-                    hi,
-                    num_states,
-                    length,
-                } => {
-                    put_u32(&mut out, lo);
-                    put_u32(&mut out, hi);
-                    put_u32(&mut out, num_states);
-                    put_u32(&mut out, length);
-                }
-            }
-            put_f64(&mut out, *epsilon);
-            put_u64(&mut out, *seed);
-            write_count(&mut out, database.len(), "database events")?;
-            for &state in database {
-                put_u16(&mut out, state);
-            }
-        }
-        Frame::Query {
-            user,
-            table,
-            statement,
-            seed,
-        } => {
-            put_u64(&mut out, *user);
-            write_text(&mut out, table)?;
-            write_text(&mut out, statement)?;
-            put_u64(&mut out, *seed);
-        }
-        Frame::Progressive {
-            user,
-            confidence,
-            seed,
-            steps,
-            database,
-        } => {
-            put_u64(&mut out, *user);
-            put_f64(&mut out, *confidence);
-            put_u64(&mut out, *seed);
-            write_count(&mut out, steps.len(), "steps")?;
-            for step in steps {
-                put_u32(&mut out, step.prefix);
-                put_f64(&mut out, step.epsilon);
-                put_f64(&mut out, step.error_bound);
-            }
-            write_count(&mut out, database.len(), "database events")?;
-            for &state in database {
-                put_u16(&mut out, state);
-            }
-        }
-        Frame::Stats | Frame::Goodbye | Frame::Metrics => {}
-        Frame::HelloOk {
-            max_pipeline,
-            max_frame_len,
-        } => {
-            put_u32(&mut out, *max_pipeline);
-            put_u32(&mut out, *max_frame_len);
-        }
-        Frame::ReleaseOk { scale, values } => {
-            put_f64(&mut out, *scale);
-            write_f64s(&mut out, values)?;
-        }
-        Frame::QueryOk(result) => {
-            write_text(&mut out, &result.mechanism)?;
-            put_f64(&mut out, result.noise_scale);
-            put_f64(&mut out, result.total_epsilon);
-            write_count(&mut out, result.cells.len(), "cells")?;
-            for cell in &result.cells {
-                write_text(&mut out, &cell.key)?;
-                write_count(&mut out, cell.windows.len(), "windows")?;
-                for window in &cell.windows {
-                    put_u32(&mut out, window.end);
-                    write_f64s(&mut out, &window.values)?;
-                }
-            }
-        }
-        Frame::RefineOk {
-            step,
-            total_steps,
-            prefix,
-            scale,
-            epsilon,
-            certified_error,
-            spent_epsilon,
-            values,
-        } => {
-            put_u32(&mut out, *step);
-            put_u32(&mut out, *total_steps);
-            put_u32(&mut out, *prefix);
-            put_f64(&mut out, *scale);
-            put_f64(&mut out, *epsilon);
-            put_f64(&mut out, *certified_error);
-            put_f64(&mut out, *spent_epsilon);
-            write_f64s(&mut out, values)?;
-        }
-        Frame::StatsOk(stats) => {
-            put_u64(&mut out, stats.hits);
-            put_u64(&mut out, stats.misses);
-            put_u64(&mut out, stats.coalesced);
-            put_u64(&mut out, stats.cached_calibrations);
-            put_u64(&mut out, stats.queue_depth);
-            put_u64(&mut out, stats.queue_capacity);
-            put_u64(&mut out, stats.queue_refusals);
-            put_u64(&mut out, stats.queue_high_water);
-            put_u64(&mut out, stats.served);
-            put_u64(&mut out, stats.users);
-            put_f64(&mut out, stats.spent_epsilon);
-            put_u64(&mut out, stats.monitor_noise_tests);
-            put_u64(&mut out, stats.monitor_noise_failures);
-            put_u64(&mut out, stats.drift_windows);
-            put_f64(&mut out, stats.drift_score);
-            put_u16(&mut out, u16::from(stats.drifted));
-            put_u64(&mut out, stats.recalibrations);
-        }
-        Frame::MetricsOk(metrics) => {
-            write_count(&mut out, metrics.len(), "metrics")?;
-            for metric in metrics {
-                write_text(&mut out, &metric.name)?;
-                out.push(metric.value.tag());
-                match metric.value {
-                    WireMetricValue::Counter(v) | WireMetricValue::Gauge(v) => {
-                        put_u64(&mut out, v);
-                    }
-                    WireMetricValue::Histogram {
-                        count,
-                        max,
-                        mean,
-                        p50,
-                        p99,
-                        p999,
-                    } => {
-                        put_u64(&mut out, count);
-                        put_u64(&mut out, max);
-                        put_f64(&mut out, mean);
-                        put_u64(&mut out, p50);
-                        put_u64(&mut out, p99);
-                        put_u64(&mut out, p999);
-                    }
-                }
-            }
-        }
-        Frame::Busy { retry_hint_ms } => put_u32(&mut out, *retry_hint_ms),
-        Frame::BudgetExhausted {
-            requested,
-            remaining,
-        } => {
-            put_f64(&mut out, *requested);
-            put_f64(&mut out, *remaining);
-        }
-        Frame::Error { code, message } => {
-            put_u16(&mut out, *code as u16);
-            write_text(&mut out, message)?;
-        }
-    }
+    envelope.frame.put_fields(&mut out)?;
 
     let frame_len = out.len() - 4;
     let declared = u32::try_from(frame_len)
@@ -920,51 +960,15 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
 impl From<CodecError> for FrameError {
     /// A payload holds its declared length, so a field past its end is
-    /// malformed, not [`FrameError::Truncated`].
+    /// malformed, not [`FrameError::Truncated`]. Kept out of line: every
+    /// field read carries this conversion on its error path.
+    #[cold]
+    #[inline(never)]
     fn from(error: CodecError) -> Self {
         FrameError::Malformed(error.to_string())
     }
-}
-
-/// Reads a u32 count prefix, refused unless that many items of
-/// `item_bytes` each fit the rest of the payload.
-fn read_count(r: &mut Cursor, item_bytes: usize) -> Result<usize, FrameError> {
-    let declared = r.u32()?;
-    Ok(r.count(declared.into(), item_bytes)?)
-}
-
-fn read_text(r: &mut Cursor) -> Result<String, FrameError> {
-    let len = r.u32()? as usize;
-    Ok(r.text(len)?)
-}
-
-/// A counted list of `item_bytes`-wide items, read into one allocation of
-/// the count [`read_count`] checked.
-fn read_list<'a, T>(
-    r: &mut Cursor<'a>,
-    item_bytes: usize,
-    read: fn(&mut Cursor<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, FrameError> {
-    let count = read_count(r, item_bytes)?;
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        items.push(read(r)?);
-    }
-    Ok(items)
-}
-
-fn read_f64s(r: &mut Cursor) -> Result<Vec<f64>, FrameError> {
-    read_list(r, 8, Cursor::f64)
-}
-
-fn read_u16s(r: &mut Cursor) -> Result<Vec<u16>, FrameError> {
-    read_list(r, 2, Cursor::u16)
 }
 
 /// The payload length a frame's prefix declares, refused past
@@ -1022,203 +1026,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
     }
     let kind = r.u8()?;
     let seq = r.u64()?;
-
-    let frame = match kind {
-        0x01 => Frame::Hello {
-            tenant: read_text(&mut r)?,
-        },
-        0x02 => {
-            let user = r.u64()?;
-            let tag = r.u8()?;
-            let query = match tag {
-                0 => WireQuery::StateFrequency {
-                    state: r.u32()?,
-                    length: r.u32()?,
-                },
-                1 => WireQuery::StateCount {
-                    state: r.u32()?,
-                    length: r.u32()?,
-                },
-                2 => WireQuery::Histogram {
-                    num_states: r.u32()?,
-                    length: r.u32()?,
-                },
-                3 => WireQuery::RangeCount {
-                    lo: r.u32()?,
-                    hi: r.u32()?,
-                    num_states: r.u32()?,
-                    length: r.u32()?,
-                },
-                4 => WireQuery::MeanState {
-                    num_states: r.u32()?,
-                    length: r.u32()?,
-                },
-                other => return Err(FrameError::Malformed(format!("unknown query tag {other}"))),
-            };
-            let epsilon = r.f64()?;
-            let seed = r.u64()?;
-            let database = read_u16s(&mut r)?;
-            Frame::Release {
-                user,
-                query,
-                epsilon,
-                seed,
-                database,
-            }
-        }
-        0x03 => Frame::Query {
-            user: r.u64()?,
-            table: read_text(&mut r)?,
-            statement: read_text(&mut r)?,
-            seed: r.u64()?,
-        },
-        0x04 => Frame::Stats,
-        0x05 => Frame::Goodbye,
-        0x06 => Frame::Metrics,
-        0x07 => {
-            let user = r.u64()?;
-            let confidence = r.f64()?;
-            let seed = r.u64()?;
-            // A step is 20 bytes: prefix (4) + epsilon (8) + error bound (8).
-            let step_count = read_count(&mut r, 20)?;
-            let mut steps = Vec::with_capacity(step_count);
-            for _ in 0..step_count {
-                steps.push(WireRefinementStep {
-                    prefix: r.u32()?,
-                    epsilon: r.f64()?,
-                    error_bound: r.f64()?,
-                });
-            }
-            let database = read_u16s(&mut r)?;
-            Frame::Progressive {
-                user,
-                confidence,
-                seed,
-                steps,
-                database,
-            }
-        }
-        0x81 => Frame::HelloOk {
-            max_pipeline: r.u32()?,
-            max_frame_len: r.u32()?,
-        },
-        0x82 => Frame::ReleaseOk {
-            scale: r.f64()?,
-            values: read_f64s(&mut r)?,
-        },
-        0x83 => {
-            let mechanism = read_text(&mut r)?;
-            let noise_scale = r.f64()?;
-            let total_epsilon = r.f64()?;
-            // A cell is at least 8 bytes (empty key + zero windows).
-            let cell_count = read_count(&mut r, 8)?;
-            let mut cells = Vec::with_capacity(cell_count);
-            for _ in 0..cell_count {
-                let key = read_text(&mut r)?;
-                // A window is at least 8 bytes (end + empty values).
-                let window_count = read_count(&mut r, 8)?;
-                let mut windows = Vec::with_capacity(window_count);
-                for _ in 0..window_count {
-                    windows.push(WireWindow {
-                        end: r.u32()?,
-                        values: read_f64s(&mut r)?,
-                    });
-                }
-                cells.push(WireCell { key, windows });
-            }
-            Frame::QueryOk(WireQueryResult {
-                mechanism,
-                noise_scale,
-                total_epsilon,
-                cells,
-            })
-        }
-        0x84 => Frame::StatsOk(WireStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            coalesced: r.u64()?,
-            cached_calibrations: r.u64()?,
-            queue_depth: r.u64()?,
-            queue_capacity: r.u64()?,
-            queue_refusals: r.u64()?,
-            queue_high_water: r.u64()?,
-            served: r.u64()?,
-            users: r.u64()?,
-            spent_epsilon: r.f64()?,
-            monitor_noise_tests: r.u64()?,
-            monitor_noise_failures: r.u64()?,
-            drift_windows: r.u64()?,
-            drift_score: r.f64()?,
-            drifted: match r.u16()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(FrameError::Malformed(format!(
-                        "drifted flag must be 0 or 1, found {other}"
-                    )))
-                }
-            },
-            recalibrations: r.u64()?,
-        }),
-        0x85 => Frame::Busy {
-            retry_hint_ms: r.u32()?,
-        },
-        0x89 => Frame::RefineOk {
-            step: r.u32()?,
-            total_steps: r.u32()?,
-            prefix: r.u32()?,
-            scale: r.f64()?,
-            epsilon: r.f64()?,
-            certified_error: r.f64()?,
-            spent_epsilon: r.f64()?,
-            values: read_f64s(&mut r)?,
-        },
-        0x88 => {
-            // A metric is at least 13 bytes: empty name (4) + kind tag (1) +
-            // one u64 (8) — checked against the remaining payload before any
-            // allocation, like every other collection count.
-            let count = read_count(&mut r, 13)?;
-            let mut metrics = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name = read_text(&mut r)?;
-                let tag = r.u8()?;
-                let value = match tag {
-                    0 => WireMetricValue::Counter(r.u64()?),
-                    1 => WireMetricValue::Gauge(r.u64()?),
-                    2 => WireMetricValue::Histogram {
-                        count: r.u64()?,
-                        max: r.u64()?,
-                        mean: r.f64()?,
-                        p50: r.u64()?,
-                        p99: r.u64()?,
-                        p999: r.u64()?,
-                    },
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "unknown metric kind {other}"
-                        )))
-                    }
-                };
-                metrics.push(WireMetric { name, value });
-            }
-            Frame::MetricsOk(metrics)
-        }
-        0x86 => Frame::BudgetExhausted {
-            requested: r.f64()?,
-            remaining: r.f64()?,
-        },
-        0x87 => {
-            let raw = r.u16()?;
-            let code = ErrorCode::from_u16(raw)
-                .ok_or_else(|| FrameError::Malformed(format!("unknown error code {raw}")))?;
-            Frame::Error {
-                code,
-                message: read_text(&mut r)?,
-            }
-        }
-        other => return Err(FrameError::UnknownKind { found: other }),
-    };
-
+    let frame = Frame::get_fields(kind, &mut r)?;
     if r.remaining() != 0 {
         return Err(FrameError::Malformed(format!(
             "{} trailing bytes after the frame body",
@@ -1450,6 +1258,16 @@ mod tests {
         }
         assert_eq!(ErrorCode::from_u16(0), None);
         assert_eq!(ErrorCode::from_u16(999), None);
+    }
+
+    #[test]
+    fn list_guards_take_their_item_sizes_from_the_layout() {
+        assert_eq!(WireRefinementStep::MIN_BYTES, 20);
+        assert_eq!(WireCell::MIN_BYTES, 8);
+        assert_eq!(WireWindow::MIN_BYTES, 8);
+        assert_eq!(WireMetric::MIN_BYTES, 13);
+        assert_eq!(<f64 as Wire>::MIN_BYTES, 8);
+        assert_eq!(<u16 as Wire>::MIN_BYTES, 2);
     }
 
     #[test]
