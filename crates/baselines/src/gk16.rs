@@ -173,7 +173,8 @@ impl Mechanism for Gk16 {
 /// ε. Calibrations arriving while the profile is computed wait for it.
 ///
 /// Calibration is class-scoped (the scale is rescaled by the query's
-/// Lipschitz constant at release time), under the family name `"gk16"` and
+/// Lipschitz constant at release time) for queries of its `length` only
+/// (see [`Calibrator::calibrated_length`]), under the family name `"gk16"` and
 /// the token `TokenHasher::new("gk16")` mixed with the class token and the
 /// length, so snapshots keyed by that token keep warm-starting its engine.
 pub struct Gk16Calibrator {
@@ -220,6 +221,10 @@ impl Calibrator for Gk16Calibrator {
 
     fn query_scoped(&self) -> bool {
         false
+    }
+
+    fn calibrated_length(&self) -> Option<usize> {
+        Some(self.length)
     }
 
     fn calibrate(

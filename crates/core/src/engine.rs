@@ -127,10 +127,25 @@ pub trait Calibrator: Send + Sync {
     /// ignores the query — the Markov Quilt families calibrate a noise
     /// multiplier that is rescaled by the query's Lipschitz constant only at
     /// release time — return `false`, so that a single cached calibration
-    /// serves **every** query at a given ε instead of recalibrating per
-    /// query shape.
+    /// serves **every** query of the calibrated length (see
+    /// [`Calibrator::calibrated_length`]) at a given ε instead of
+    /// recalibrating per query shape.
     fn query_scoped(&self) -> bool {
         true
+    }
+
+    /// The database length this calibrator's mechanisms are calibrated for,
+    /// when calibration depends on one; `None` (the default) when it does
+    /// not.
+    ///
+    /// A chain calibrator's σ is a maximum over the `T` nodes of the chain,
+    /// so it grows with `T` until the middle-node bound saturates
+    /// (Algorithms 3–4): a calibration for one length under-noises a longer
+    /// chain. [`ReleaseEngine::mechanism`] therefore refuses a query whose
+    /// expected length is not this one, on a cache hit, a miss and a
+    /// snapshot-restored entry alike.
+    fn calibrated_length(&self) -> Option<usize> {
+        None
     }
 
     /// Runs the (expensive) calibration.
@@ -443,13 +458,27 @@ impl ReleaseEngine {
     /// calibration itself.
     ///
     /// # Errors
-    /// Calibration failures are propagated to the leader (waiters retry, and
-    /// nothing is cached, so a transient failure does not poison the key).
+    /// [`PufferfishError::InvalidQuery`] when the query's expected length is
+    /// not the one the calibrator was built for (see
+    /// [`Calibrator::calibrated_length`]); nothing is calibrated or cached
+    /// for it. Calibration failures are propagated to the leader (waiters
+    /// retry, and nothing is cached, so a transient failure does not poison
+    /// the key).
     pub fn mechanism(
         &self,
         query: &dyn LipschitzQuery,
         budget: PrivacyBudget,
     ) -> Result<Arc<dyn Mechanism>> {
+        if let Some(length) = self.calibrator.calibrated_length() {
+            if query.expected_length() != length {
+                return Err(PufferfishError::InvalidQuery(format!(
+                    "the query expects a database of length {}, but the {} calibration \
+                     is for length {length}",
+                    query.expected_length(),
+                    self.kind()
+                )));
+            }
+        }
         let key = self.key_for(query, budget);
         if let Some(mechanism) = self
             .cache
@@ -942,6 +971,10 @@ impl Calibrator for MqmExactCalibrator {
         false
     }
 
+    fn calibrated_length(&self) -> Option<usize> {
+        Some(self.length)
+    }
+
     fn calibrate(
         &self,
         _query: &dyn LipschitzQuery,
@@ -1007,6 +1040,10 @@ impl Calibrator for MqmApproxCalibrator {
     /// the Lipschitz constant at release time).
     fn query_scoped(&self) -> bool {
         false
+    }
+
+    fn calibrated_length(&self) -> Option<usize> {
+        Some(self.length)
     }
 
     fn calibrate(

@@ -193,6 +193,11 @@ impl std::fmt::Display for ErrorCode {
 /// A release query in wire form: the closed set of
 /// [`LipschitzQuery`] shapes the protocol can name, with
 /// [`WireQuery::build`] mapping each onto the core implementation.
+///
+/// A server whose engine is calibrated for one chain length answers a
+/// query of any other `length` with a [`Frame::Error`] carrying
+/// [`ErrorCode::Mechanism`], and the release's ε charge stands, as for any
+/// failure in the mechanism layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireQuery {
     /// [`StateFrequencyQuery`]: relative frequency of one state.

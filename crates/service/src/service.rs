@@ -20,8 +20,9 @@
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
 //! queue then refuses the request, the spend is rolled back; if the release
-//! itself later fails in the mechanism layer, the spend is *kept* — the
-//! conservative choice, since a failed release may still have consumed
+//! itself later fails in the mechanism layer (a query of another length
+//! than the engine's calibrated one, for example), the spend is *kept* —
+//! the conservative choice, since a failed release may still have consumed
 //! information (and admission, not outcome, is what the accountant can
 //! reason about atomically).
 

@@ -14,6 +14,8 @@
 //! * **cache-hit equivalence** — an engine release after a warm-up is served
 //!   from the cache (hit counter) and matches a cold calibration bit for
 //!   bit;
+//! * **calibrated length** — a chain calibrator's engine refuses a query of
+//!   any length but the one it was built for, cold, warm and restored;
 //! * **parallel calibration equivalence** — serial and multi-threaded
 //!   calibration produce bitwise-identical noise scales;
 //! * **pinned calibration** — the Markov Quilt families' `σ_max` bits and
@@ -370,6 +372,72 @@ fn engine_cache_hits_match_cold_calibration_for_every_calibrator() {
             "{}",
             engine.kind()
         );
+    }
+}
+
+/// A chain calibrator is built for one length `T`, and its σ grows with `T`
+/// (Algorithms 3–4; GK16's norm converges to its limit from below), so its
+/// engine refuses a query of any other length with a typed `InvalidQuery`:
+/// on a cold cache, on a cache hit and after a snapshot import, caching
+/// nothing for it.
+#[test]
+fn chain_engines_refuse_a_query_of_another_length() {
+    const LENGTH: usize = 30;
+    let weak = MarkovChainClass::singleton(
+        MarkovChain::new(vec![0.5, 0.5], vec![vec![0.55, 0.45], vec![0.45, 0.55]]).unwrap(),
+    );
+    let engine_for = |kind: &str| {
+        let class = weak.clone();
+        match kind {
+            "mqm-exact" => ReleaseEngine::new(MqmExactCalibrator::new(
+                class,
+                LENGTH,
+                MqmExactOptions::default(),
+            )),
+            "mqm-approx" => ReleaseEngine::new(MqmApproxCalibrator::new(
+                class,
+                LENGTH,
+                MqmApproxOptions::default(),
+            )),
+            _ => ReleaseEngine::new(Gk16Calibrator::new(class, LENGTH)),
+        }
+    };
+    let own = RelativeFrequencyHistogram::new(2, LENGTH).unwrap();
+    for kind in ["mqm-exact", "mqm-approx", "gk16"] {
+        let refuses_other_lengths = |engine: &ReleaseEngine, when: &str| {
+            for length in [1, LENGTH - 1, LENGTH + 1, 10 * LENGTH] {
+                let query = RelativeFrequencyHistogram::new(2, length).unwrap();
+                match engine.mechanism(&query, budget()) {
+                    Err(PufferfishError::InvalidQuery(_)) => {}
+                    Err(other) => panic!("{kind} {when}, length {length}: {other}"),
+                    Ok(_) => panic!("{kind} {when} served a query of length {length}"),
+                }
+                let mut rng = StdRng::seed_from_u64(1);
+                assert!(
+                    engine
+                        .release(&query, &chain_database(length), budget(), &mut rng)
+                        .is_err(),
+                    "{kind} {when} released a database of length {length}"
+                );
+            }
+        };
+
+        let engine = engine_for(kind);
+        refuses_other_lengths(&engine, "cold");
+        assert_eq!((engine.len(), engine.stats().misses), (0, 0), "{kind}");
+
+        engine.mechanism(&own, budget()).unwrap();
+        refuses_other_lengths(&engine, "warm");
+        assert_eq!((engine.len(), engine.stats().misses), (1, 1), "{kind}");
+        assert_eq!(engine.stats().hits, 0, "{kind}");
+
+        let restored = engine_for(kind);
+        let loaded = restored.import_snapshot(&engine.export_snapshot()).unwrap();
+        assert_eq!(loaded, 1, "{kind}");
+        refuses_other_lengths(&restored, "restored");
+        assert_eq!(restored.len(), 1, "{kind}");
+        restored.mechanism(&own, budget()).unwrap();
+        assert_eq!(restored.stats().misses, 0, "{kind}");
     }
 }
 

@@ -673,6 +673,67 @@ fn a_release_whose_epsilon_is_not_positive_and_finite_is_malformed_and_free() {
     server.shutdown();
 }
 
+/// A chain engine calibrated for length 60 refuses a RELEASE of length 100
+/// with a typed `Mechanism` error. MQMApprox σ grows with the chain length:
+/// on this sticky class at ε = 1 it is 60 at T = 60 and 68.641 at T = 100,
+/// so serving the length-60 calibration would add 12.6% less noise than a
+/// length-100 release requires. The refused release's charge stands, as
+/// for any failure in the mechanism layer.
+#[test]
+fn a_release_of_another_length_than_the_calibrated_one_is_refused() {
+    let sticky = IntervalClassBuilder::symmetric(0.1)
+        .grid_points(3)
+        .build()
+        .unwrap();
+    let engine = ReleaseEngine::shared(MqmApproxCalibrator::new(
+        sticky,
+        LENGTH,
+        MqmApproxOptions::default(),
+    ));
+    let service = Arc::new(
+        ReleaseService::start(
+            engine,
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 16,
+                per_user_epsilon: 10.0,
+            },
+        )
+        .unwrap(),
+    );
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "len").unwrap();
+    let histogram = |length: usize| WireQuery::Histogram {
+        num_states: 2,
+        length: length as u32,
+    };
+    let longer: Vec<usize> = (0..100).map(|t| t / 7 % 2).collect();
+    // Refused cold, and again once the engine's own length is cached.
+    for seed in [1, 3] {
+        match client.release(1, histogram(100), &longer, 1.0, seed) {
+            Err(ClientError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Mechanism),
+            other => panic!("a length-100 release on a length-60 engine gave {other:?}"),
+        }
+        client
+            .release(
+                1,
+                histogram(LENGTH),
+                &database(seed as usize),
+                1.0,
+                seed + 1,
+            )
+            .unwrap();
+    }
+    assert!((service.budget().spent("len#1") - 4.0).abs() < 1e-12);
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn query_frames_execute_and_miss_typed() {
     let class = IntervalClassBuilder::symmetric(0.45)
