@@ -23,8 +23,10 @@
 //! guard takes its item size (the fewest bytes an item can take) from the
 //! same table. Fields go through the shared byte codec
 //! (`pufferfish_telemetry::codec`); the wire's own rules are its header and
-//! its u32 length and count prefixes. Decoding is defensive end to end: a declared frame length
-//! beyond the negotiated maximum is [`FrameError::Oversized`] *before* any
+//! its u32 length and count prefixes.
+//!
+//! Decoding is defensive end to end: a declared frame length beyond the
+//! negotiated maximum is [`FrameError::Oversized`] *before* any
 //! allocation, every collection count inside a body is checked against the
 //! bytes that actually remain, and trailing garbage is
 //! [`FrameError::Malformed`]. Only the length prefix reports
@@ -707,7 +709,7 @@ const fn min_bytes<S, T: Wire>(_field: fn(&S) -> Option<&T>) -> usize {
 
 // A number's read is a bounds check and a load; left out of line in a
 // large decoder, each one became a call returning a `Result` in memory, so
-// reads and the reads of tagged unions are always inlined.
+// number reads and writes, and a tagged union's read, are always inlined.
 macro_rules! wire_number {
     ($($ty:ident $put:ident),+) => {$(
         /// Little-endian, through the shared byte codec.
